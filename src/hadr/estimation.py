@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -138,10 +139,15 @@ class CellSizeModel:
             if self.r is None or not self.r > 0:
                 raise ValueError("negbin model needs a positive shape r")
 
-    def _dist(self):
+    @cached_property
+    def _frozen(self):
         if self.family == "poisson":
             return stats.poisson(self.lam)
         return stats.nbinom(self.r, self.lam)
+
+    def _dist(self):
+        """The frozen scipy distribution, built once per model."""
+        return self._frozen
 
     def pmf(self, n) -> np.ndarray:
         return self._dist().pmf(np.asarray(n))
@@ -164,11 +170,13 @@ class CellSizeModel:
         """Quantiles of the size distribution conditioned on X >= 1.
 
         Maps uniforms on (0, 1) through the zero-truncated cdf, so the
-        result is distributionally identical to rejecting zero draws.
+        result is distributionally identical to rejecting zero draws. A
+        uniform so close to 1 that the shift rounds to 1 is clamped to the
+        largest double below 1, where the quantile is still finite.
         """
         dist = self._dist()
         f0 = float(dist.cdf(0))
-        shifted = f0 + np.asarray(u) * (1.0 - f0)
+        shifted = np.minimum(f0 + np.asarray(u) * (1.0 - f0), np.nextafter(1.0, 0.0))
         return np.maximum(dist.ppf(shifted), 1.0).astype(np.int64)
 
 

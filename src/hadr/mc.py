@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -149,8 +150,9 @@ def _simulate(reps: int, seed: int, threads: int, block_fn, *, block_offset: int
         idx, count = block
         return block_fn(block_generator(seed, idx), count)
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
     else:
         parts = [run(b) for b in blocks]

@@ -103,10 +103,6 @@ class PrivacyParams:
         return self.mechanism != "laplace"
 
 
-def noise_scale(params: PrivacyParams) -> float:
-    return params.scale
-
-
 class NoiseModel:
     """Tail probabilities of the noise distribution at a fixed scale.
 

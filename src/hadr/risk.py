@@ -32,6 +32,14 @@ Several measures differ only in what is averaged over:
 * global variant: like global but with the degenerate prior that makes
   every draw homogeneous, leaving only component 1.
 
+Every measure but local is one weighted sum over cell sizes,
+sum_n w1(n) f1(n, eps) + w2(n) f2(n, eps), and only the noise factors f1
+and f2 depend on eps. A profile holds the distinct sizes n with the
+moment weights w1 and w2, so work that does not depend on eps is done
+once and each eps point costs O(distinct sizes); the local profile keeps
+the distinct count values and each entry's index into them instead.
+``risk_curve`` and ``invert_epsilon`` build one profile for all points.
+
 All Gamma and Beta ratios are evaluated in log space and exponentiated
 last. Series over cell sizes are truncated once the remaining size mass
 drops below TAIL_MASS, with a hard cap of MAX_SERIES_TERMS terms.
@@ -40,7 +48,6 @@ drops below TAIL_MASS, with a hard cap of MAX_SERIES_TERMS terms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -147,6 +154,99 @@ def _risk_from_cells(t1: np.ndarray, t2: np.ndarray) -> RiskValue:
     return RiskValue(value=float(np.mean(t1 + t2)), scenario1=c1, scenario8=c2)
 
 
+def _series_weights(size_model: CellSizeModel, zero_truncated: bool):
+    """Sizes 1..N covering all but TAIL_MASS of the model's mass."""
+    n_max = size_model.tail_quantile(TAIL_MASS)
+    if n_max > MAX_SERIES_TERMS:
+        raise ValueError(
+            f"size-model series needs {n_max} terms, exceeding the cap of {MAX_SERIES_TERMS}"
+        )
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    w = size_model.pmf(n)
+    if zero_truncated:
+        w = w / (1.0 - size_model.zero_mass())
+    return n, w
+
+
+class _SizeProfile(NamedTuple):
+    """The eps-independent part of a measure: weights w1, w2 on distinct sizes n."""
+
+    n: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    n_categories: int
+    truncated_at: int | None = None
+
+    def at(self, params: PrivacyParams) -> RiskValue:
+        f1, f2 = _tail_factors(noise_model(params), self.n_categories, self.n)
+        c1 = float(np.sum(self.w1 * f1))
+        c2 = float(np.sum(self.w2 * f2))
+        return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=self.truncated_at)
+
+
+def _cell_profile(sizes: np.ndarray, n_categories: int, m1, m2) -> _SizeProfile:
+    """Cell average of per-cell moment sums, grouped by cell size."""
+    n, inv = np.unique(sizes, return_inverse=True)
+    w1 = np.bincount(inv, weights=m1) / sizes.size
+    w2 = np.bincount(inv, weights=m2) / sizes.size
+    return _SizeProfile(n.astype(float), w1, w2, n_categories)
+
+
+def _expected_profile(table: FrequencyTable) -> _SizeProfile:
+    counts = table.counts_matrix()
+    n = counts.sum(axis=1)
+    m1, m2 = _plugin_moments(counts.astype(float), n.astype(float))
+    return _cell_profile(n, table.n_categories, m1, m2)
+
+
+def _shrinkage_profile(sizes, alpha) -> _SizeProfile:
+    n, cells = np.unique(_check_sizes(sizes), return_counts=True)
+    alpha = _check_alpha(alpha)
+    m1, m2 = _dirichlet_moments(n, alpha)
+    share = cells / cells.sum()
+    return _SizeProfile(n.astype(float), share * m1, share * m2, alpha.size)
+
+
+def _global_profile(alpha, size_model: CellSizeModel, zero_truncated: bool, n_categories=None):
+    """Size-model series; alpha None is the always-homogeneous prior (M1 = 1, M2 = 0)."""
+    if alpha is not None:
+        alpha = _check_alpha(alpha)
+        n_categories = alpha.size
+    elif n_categories < 2:
+        raise ValueError("n_categories must be at least 2")
+    n, w = _series_weights(size_model, zero_truncated)
+    m1, m2 = (1.0, 0.0) if alpha is None else _dirichlet_moments(n, alpha)
+    return _SizeProfile(n.astype(float), w * m1, w * m2, n_categories, int(n[-1]))
+
+
+def _collapse_probs(stay: np.ndarray, gone: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Per-row probability that exactly one occupied entry stays present."""
+    vals = np.zeros(stay.shape[0])
+    for j in range(stay.shape[1]):
+        others = np.prod(np.delete(gone, j, axis=1), axis=1)
+        vals += np.where(present[:, j], stay[:, j] * others, 0.0)
+    return vals
+
+
+class _LocalProfile:
+    """Distinct count values of a table and each entry's index into them."""
+
+    def __init__(self, table: FrequencyTable):
+        counts = table.counts_matrix()
+        self.values, inv = np.unique(counts.astype(float), return_inverse=True)
+        self.index = inv.reshape(counts.shape)
+        self.present = counts >= 1
+        self.homogeneous = self.present.sum(axis=1) == 1
+
+    def at(self, params: PrivacyParams) -> RiskValue:
+        nm = noise_model(params)
+        stay = nm.sf(0.5 - self.values)[self.index]
+        gone = nm.cdf(0.5 - self.values)[self.index]
+        vals = _collapse_probs(stay, gone, self.present)
+        c1 = np.where(self.homogeneous, vals, 0.0)
+        return RiskValue(float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
+
+
 def local_risk(cell, params: PrivacyParams) -> LocalRisk:
     """Event probability for one cell with fixed observed counts.
 
@@ -163,56 +263,30 @@ def local_risk(cell, params: PrivacyParams) -> LocalRisk:
         raise ValueError("counts must be a vector with at least 2 categories")
     if not np.all(arr >= 0) or arr.sum() < 1:
         raise ValueError("counts must be non-negative with at least one record")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64)[None, :]
+    t = 0.5 - arr.astype(float)
     nm = noise_model(params)
-    stay = nm.sf(0.5 - arr.astype(float))
-    gone = nm.cdf(0.5 - arr.astype(float))
-    support = np.nonzero(arr >= 1)[0]
-    total = 0.0
-    for k in support:
-        others = np.delete(gone, k)
-        total += float(stay[k]) * float(np.prod(others))
-    if support.size == 1:
+    total = float(_collapse_probs(nm.sf(t), nm.cdf(t), arr >= 1)[0])
+    if np.count_nonzero(arr) == 1:
         return LocalRisk(value=total, scenario1=total, scenario8=0.0, exact=True)
     return LocalRisk(value=total, scenario1=0.0, scenario8=total, exact=False)
 
 
 def average_local_risk(table: FrequencyTable, params: PrivacyParams) -> RiskValue:
     """Cell average of the exact local event probability."""
-    nm = noise_model(params)
-    counts = table.counts_matrix().astype(float)
-    stay = nm.sf(0.5 - counts)
-    gone = nm.cdf(0.5 - counts)
-    m, k = counts.shape
-    vals = np.zeros(m)
-    for j in range(k):
-        others = np.prod(np.delete(gone, j, axis=1), axis=1)
-        vals += np.where(counts[:, j] >= 1, stay[:, j] * others, 0.0)
-    homog = (counts >= 1).sum(axis=1) == 1
-    return RiskValue(
-        value=float(np.mean(vals)),
-        scenario1=float(np.mean(np.where(homog, vals, 0.0))),
-        scenario8=float(np.mean(np.where(homog, 0.0, vals))),
-    )
+    return _LocalProfile(table).at(params)
 
 
 def expected_risk(table: FrequencyTable, params: PrivacyParams) -> RiskValue:
     """Two-term expected measure with plug-in cell proportions, general K."""
-    nm = noise_model(params)
-    counts = table.counts_matrix()
-    n = table.sizes()
-    m1, m2 = _plugin_moments(counts.astype(float), n.astype(float))
-    f1, f2 = _tail_factors(nm, table.n_categories, n.astype(float))
-    return _risk_from_cells(m1 * f1, m2 * f2)
+    return _expected_profile(table).at(params)
 
 
 def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndarray:
     """Per-cell two-term expected values, before averaging over cells."""
-    nm = noise_model(params)
-    counts = table.counts_matrix()
-    n = table.sizes()
-    m1, m2 = _plugin_moments(counts.astype(float), n.astype(float))
-    f1, f2 = _tail_factors(nm, table.n_categories, n.astype(float))
+    n = table.sizes().astype(float)
+    m1, m2 = _plugin_moments(table.counts_matrix().astype(float), n)
+    f1, f2 = _tail_factors(noise_model(params), table.n_categories, n)
     return m1 * f1 + m2 * f2
 
 
@@ -246,28 +320,17 @@ def homogeneous_risk(table: FrequencyTable, params: PrivacyParams) -> RiskValue:
     for cell in table.cells:
         if not classify_cell(cell).homogeneous:
             raise ValueError(f"cell {cell.key!r} is heterogeneous")
-    nm = noise_model(params)
-    n = table.sizes().astype(float)
-    t1 = nm.cdf(0.5) ** (table.n_categories - 1) * nm.sf(0.5 - n)
-    return RiskValue(value=float(np.mean(t1)), scenario1=float(np.mean(t1)), scenario8=0.0)
+    n = table.sizes()
+    return _cell_profile(n, table.n_categories, np.ones(n.size), np.zeros(n.size)).at(params)
 
 
 def shrinkage_risk(sizes, alpha, params: PrivacyParams) -> RiskValue:
     """Expected measure with Dirichlet(alpha)-averaged proportions."""
-    n = _check_sizes(sizes)
-    alpha = _check_alpha(alpha)
-    nm = noise_model(params)
-    m1, m2 = _dirichlet_moments(n, alpha)
-    f1, f2 = _tail_factors(nm, alpha.size, n.astype(float))
-    return _risk_from_cells(m1 * f1, m2 * f2)
+    return _shrinkage_profile(sizes, alpha).at(params)
 
 
-def shrinkage_risk_k2(sizes, alpha, params: PrivacyParams) -> RiskValue:
-    """Printed two-category shrinkage form via Beta-function ratios."""
-    n = _check_sizes(sizes).astype(float)
-    alpha = _check_alpha(alpha)
-    if alpha.size != 2:
-        raise ValueError("shrinkage_risk_k2 requires exactly 2 categories")
+def _beta_terms_k2(n: np.ndarray, alpha: np.ndarray, params: PrivacyParams):
+    """Per-size terms of the printed two-category forms via Beta-function ratios."""
     a1, a2 = float(alpha[0]), float(alpha[1])
     log_b0 = log_beta(a1, a2)
     nm = noise_model(params)
@@ -277,21 +340,16 @@ def shrinkage_risk_k2(sizes, alpha, params: PrivacyParams) -> RiskValue:
         log_beta(a1 + 1, n + a2 - 1) - log_b0
     )
     t2 = np.where(n >= 2, b2 * nm.sf(1.5 - n) * nm.cdf(-0.5), 0.0)
-    return _risk_from_cells(t1, t2)
+    return t1, t2
 
 
-def _series_weights(size_model: CellSizeModel, zero_truncated: bool):
-    """Sizes 1..N covering all but TAIL_MASS of the model's mass."""
-    n_max = size_model.tail_quantile(TAIL_MASS)
-    if n_max > MAX_SERIES_TERMS:
-        raise ValueError(
-            f"size-model series needs {n_max} terms, exceeding the cap of {MAX_SERIES_TERMS}"
-        )
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    w = size_model.pmf(n)
-    if zero_truncated:
-        w = w / (1.0 - size_model.zero_mass())
-    return n, w
+def shrinkage_risk_k2(sizes, alpha, params: PrivacyParams) -> RiskValue:
+    """Printed two-category shrinkage form via Beta-function ratios."""
+    n = _check_sizes(sizes).astype(float)
+    alpha = _check_alpha(alpha)
+    if alpha.size != 2:
+        raise ValueError("shrinkage_risk_k2 requires exactly 2 categories")
+    return _risk_from_cells(*_beta_terms_k2(n, alpha, params))
 
 
 def global_risk(
@@ -307,14 +365,7 @@ def global_risk(
     default; with ``zero_truncated=True`` the weights are renormalized by
     the mass on n >= 1, matching a sampler that rejects empty cells.
     """
-    alpha = _check_alpha(alpha)
-    nm = noise_model(params)
-    n, w = _series_weights(size_model, zero_truncated)
-    m1, m2 = _dirichlet_moments(n, alpha)
-    f1, f2 = _tail_factors(nm, alpha.size, n.astype(float))
-    c1 = float(np.sum(w * m1 * f1))
-    c2 = float(np.sum(w * m2 * f2))
-    return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=int(n[-1]))
+    return _global_profile(alpha, size_model, zero_truncated).at(params)
 
 
 def global_risk_k2(
@@ -329,16 +380,7 @@ def global_risk_k2(
     if alpha.size != 2:
         raise ValueError("global_risk_k2 requires exactly 2 categories")
     n, w = _series_weights(size_model, zero_truncated)
-    nf = n.astype(float)
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    log_b0 = log_beta(a1, a2)
-    nm = noise_model(params)
-    b1 = np.exp(log_beta(nf + a1, a2) - log_b0) + np.exp(log_beta(a1, nf + a2) - log_b0)
-    t1 = b1 * nm.cdf(0.5) * nm.sf(0.5 - nf)
-    b2 = np.exp(log_beta(a1 + nf - 1, a2 + 1) - log_b0) + np.exp(
-        log_beta(a1 + 1, nf + a2 - 1) - log_b0
-    )
-    t2 = np.where(nf >= 2, b2 * nm.sf(1.5 - nf) * nm.cdf(-0.5), 0.0)
+    t1, t2 = _beta_terms_k2(n.astype(float), alpha, params)
     c1 = float(np.sum(w * t1))
     c2 = float(np.sum(w * t2))
     return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=int(n[-1]))
@@ -357,13 +399,7 @@ def global_risk_variant(
     category, so the value is the size-weighted sum of
     cdf(0.5)**(K-1) * sf(0.5 - n).
     """
-    if n_categories < 2:
-        raise ValueError("n_categories must be at least 2")
-    nm = noise_model(params)
-    n, w = _series_weights(size_model, zero_truncated)
-    t1 = nm.cdf(0.5) ** (n_categories - 1) * nm.sf(0.5 - n.astype(float))
-    c1 = float(np.sum(w * t1))
-    return RiskValue(value=c1, scenario1=c1, scenario8=0.0, truncated_at=int(n[-1]))
+    return _global_profile(None, size_model, zero_truncated, n_categories).at(params)
 
 
 def scenario8_peak_epsilon(n) -> float:
@@ -390,6 +426,27 @@ class RiskPoint:
     scenario8: float
 
 
+def _profile(measure, table, alpha, size_model, n_categories, zero_truncated):
+    """The eps-independent profile of a named measure, validating its inputs."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    if measure in ("local", "expected"):
+        if table is None:
+            raise ValueError(f"measure {measure!r} requires a table")
+        return _LocalProfile(table) if measure == "local" else _expected_profile(table)
+    if measure == "shrinkage":
+        if table is None or alpha is None:
+            raise ValueError("measure 'shrinkage' requires a table and alpha")
+        return _shrinkage_profile(table.sizes(), alpha)
+    if measure == "global":
+        if alpha is None or size_model is None:
+            raise ValueError("measure 'global' requires alpha and a size model")
+        return _global_profile(alpha, size_model, zero_truncated)
+    if size_model is None or n_categories is None:
+        raise ValueError("measure 'global_variant' requires a size model and n_categories")
+    return _global_profile(None, size_model, zero_truncated, n_categories)
+
+
 def evaluate_measure(
     measure: str,
     params: PrivacyParams,
@@ -401,27 +458,7 @@ def evaluate_measure(
     zero_truncated: bool = False,
 ) -> RiskValue:
     """Dispatch a measure name to its closed form."""
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    if measure == "local":
-        if table is None:
-            raise ValueError("measure 'local' requires a table")
-        return average_local_risk(table, params)
-    if measure == "expected":
-        if table is None:
-            raise ValueError("measure 'expected' requires a table")
-        return expected_risk(table, params)
-    if measure == "shrinkage":
-        if table is None or alpha is None:
-            raise ValueError("measure 'shrinkage' requires a table and alpha")
-        return shrinkage_risk(table.sizes(), alpha, params)
-    if measure == "global":
-        if alpha is None or size_model is None:
-            raise ValueError("measure 'global' requires alpha and a size model")
-        return global_risk(alpha, size_model, params, zero_truncated=zero_truncated)
-    if size_model is None or n_categories is None:
-        raise ValueError("measure 'global_variant' requires a size model and n_categories")
-    return global_risk_variant(size_model, params, n_categories, zero_truncated=zero_truncated)
+    return _profile(measure, table, alpha, size_model, n_categories, zero_truncated).at(params)
 
 
 def risk_curve(
@@ -437,37 +474,17 @@ def risk_curve(
 ) -> list[RiskPoint]:
     """Evaluate one measure across a list of privacy settings.
 
-    Rows come back sorted by (epsilon, delta). Evaluation may fan out over
-    a thread pool; results are assembled in sorted order either way.
+    Rows come back sorted by (epsilon, delta). The measure's profile is
+    built once and every point is evaluated against it; ``threads`` is
+    accepted for compatibility and has no effect.
     """
+    profile = _profile(measure, table, alpha, size_model, n_categories, zero_truncated)
     ordered = sorted(
         params_list, key=lambda p: (p.epsilon, -1.0 if p.delta is None else p.delta)
     )
-
-    def one(params: PrivacyParams) -> RiskPoint:
-        rv = evaluate_measure(
-            measure,
-            params,
-            table=table,
-            alpha=alpha,
-            size_model=size_model,
-            n_categories=n_categories,
-            zero_truncated=zero_truncated,
-        )
-        return RiskPoint(
-            epsilon=params.epsilon,
-            delta=params.delta,
-            mechanism=params.mechanism,
-            measure=measure,
-            value=rv.value,
-            scenario1=rv.scenario1,
-            scenario8=rv.scenario8,
-        )
-
-    if threads > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, ordered))
-    return [one(p) for p in ordered]
+    return [
+        RiskPoint(p.epsilon, p.delta, p.mechanism, measure, *profile.at(p)[:3]) for p in ordered
+    ]
 
 
 def _fmt12(x: float) -> str:
@@ -478,19 +495,8 @@ def curve_to_csv(points) -> str:
     lines = ["epsilon,delta,mechanism,measure,value,scenario1_component,scenario8_component"]
     for p in points:
         delta = "" if p.delta is None else _fmt12(p.delta)
-        lines.append(
-            ",".join(
-                [
-                    _fmt12(p.epsilon),
-                    delta,
-                    p.mechanism,
-                    p.measure,
-                    _fmt12(p.value),
-                    _fmt12(p.scenario1),
-                    _fmt12(p.scenario8),
-                ]
-            )
-        )
+        values = [_fmt12(x) for x in (p.value, p.scenario1, p.scenario8)]
+        lines.append(",".join([_fmt12(p.epsilon), delta, p.mechanism, p.measure, *values]))
     return "\n".join(lines) + "\n"
 
 
@@ -541,18 +547,10 @@ def invert_epsilon(
         hi = min(hi, 1.0 - 1e-9)  # calibration domain ends at epsilon = 1
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi for the epsilon search range")
+    profile = _profile(measure, table, alpha, size_model, n_categories, zero_truncated)
 
     def value_at(eps: float) -> float:
-        params = PrivacyParams(mechanism, eps, delta, sensitivity)
-        return evaluate_measure(
-            measure,
-            params,
-            table=table,
-            alpha=alpha,
-            size_model=size_model,
-            n_categories=n_categories,
-            zero_truncated=zero_truncated,
-        ).value
+        return profile.at(PrivacyParams(mechanism, eps, delta, sensitivity)).value
 
     grid_eps = np.geomspace(lo, hi, grid)
     values = [value_at(float(e)) for e in grid_eps]

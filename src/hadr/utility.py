@@ -11,6 +11,7 @@ size-k subset of QIDs and over repeated independent sanitizations.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -157,8 +158,9 @@ def utility_report(
             out[idx] = 0.5 * np.abs(sums / total - base[idx]).sum()
         return out
 
-    if threads > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, reps)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             draws = np.stack(list(pool.map(one_rep, range(reps))))
     else:
         draws = np.stack([one_rep(j) for j in range(reps)])

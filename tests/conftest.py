@@ -77,6 +77,26 @@ def random_table(rng: np.random.Generator, m=8, k=2, n_max=30) -> FrequencyTable
     return make_table(rows)
 
 
+def recording_pool():
+    """A serial stand-in for ThreadPoolExecutor plus the max_workers values it was given."""
+    seen = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    return Pool, seen
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -148,6 +148,33 @@ def test_tail_quantile(model):
         assert n == 1 or dist.sf(n - 1) >= mass
 
 
+def test_truncated_ppf_finite_for_largest_uniform():
+    # zero mass 0.52**2 ~ 0.27: the shifted uniform f0 + u (1 - f0) rounds
+    # to exactly 1 for the largest double below 1, where ppf is infinite
+    model = CellSizeModel(family="negbin", lam=0.52, r=2.0)
+    dist = stats.nbinom(2.0, 0.52)
+    f0 = dist.cdf(0)
+    u = np.nextafter(1.0, 0.0)
+    assert f0 + u * (1.0 - f0) == 1.0
+    out = model.truncated_ppf(np.array([u, 0.5, 1e-9]))
+    assert out[0] >= out[1] >= out[2] == 1
+    assert dist.pmf(out[0]) > 0  # a finite size the model can produce
+    # ordinary draws are untouched by the clamp
+    draws = np.random.default_rng(5).random(1000)
+    plain = dist.ppf(f0 + draws * (1.0 - f0))
+    np.testing.assert_array_equal(model.truncated_ppf(draws), np.maximum(plain, 1.0).astype(np.int64))
+
+
+def test_size_model_frozen_distribution_cached():
+    model = CellSizeModel(family="negbin", lam=0.3, r=2.5)
+    fresh = CellSizeModel(family="negbin", lam=0.3, r=2.5)
+    assert model._dist() is model._dist()
+    model.pmf([1, 2])
+    assert model == fresh and hash(model) == hash(fresh)
+    assert size_model_to_json(model) == size_model_to_json(fresh)
+    assert repr(model) == repr(fresh)
+
+
 def test_truncated_ppf_matches_conditional_quantiles():
     model = CellSizeModel(family="poisson", lam=2.0)
     dist = stats.poisson(2.0)

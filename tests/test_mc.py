@@ -5,11 +5,13 @@ windows were checked to hold at those seeds.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from conftest import make_homog_table, make_table
+import hadr.mc
+from conftest import make_homog_table, make_table, recording_pool
 from hadr import (
     CellSizeModel,
     PrivacyParams,
@@ -167,6 +169,18 @@ def test_thread_count_does_not_change_results():
     c = mc_threshold_dr(t, LAP1, reps, seed=31, threads=1)
     d = mc_threshold_dr(t, LAP1, reps, seed=31, threads=4)
     assert c == d
+
+
+def test_worker_threads_capped_by_cpus_and_blocks(monkeypatch):
+    pool, seen = recording_pool()
+    monkeypatch.setattr(hadr.mc, "ThreadPoolExecutor", pool)
+    reps = 2 * BLOCK_REPS + 1  # three blocks
+    serial = mc_expected(5, (0.3, 0.7), LAP1, reps, seed=29)
+    for cpus in (2, 8, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert mc_expected(5, (0.3, 0.7), LAP1, reps, seed=29, threads=64) == serial
+    # 2 CPUs cap it at 2, 3 blocks cap it at 3, an unknown CPU count runs serially
+    assert seen == [2, 3]
 
 
 def test_block_offset_shifts_stream():

@@ -8,6 +8,7 @@ specialization, zero-truncation factor).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from hadr import (
     shrinkage_risk,
     shrinkage_risk_k2,
 )
-from hadr.risk import MEASURES, curve_to_csv
-from hadr.tabulation import CellRecord
+from hadr.risk import MEASURES, curve_to_csv, expected_risk_cells
+from hadr.tabulation import CellRecord, FrequencyTable
 
 LAP1 = PrivacyParams("laplace", 1.0)
 
@@ -355,6 +356,98 @@ def test_risk_curve_sorted_and_thread_invariant(rng):
     assert keys == sorted(keys)
     pts4 = risk_curve("expected", params, table=t, threads=4)
     assert pts == pts4
+
+
+def repeated_size_table(rng, m=60, k=4):
+    """Random K-category table whose cells share a handful of sizes."""
+    rows = []
+    for _ in range(m):
+        n = int(rng.choice([1, 2, 3, 5, 8, 8, 13]))
+        rows.append(tuple(int(c) for c in rng.multinomial(n, rng.dirichlet(np.full(k, 0.4)))))
+    return make_table(rows)
+
+
+CURVE_MECHANISMS = {
+    "laplace": [PrivacyParams("laplace", e) for e in np.geomspace(0.01, 100.0, 9)],
+    "gaussian_pdp": [PrivacyParams("gaussian_pdp", e, delta=1e-5) for e in np.geomspace(0.01, 100.0, 9)],
+    "gaussian_adp": [PrivacyParams("gaussian_adp", e, delta=1e-3) for e in np.geomspace(0.01, 0.99, 9)],
+}
+
+
+def close(a, b, rel=1e-13):
+    return abs(a - b) <= rel * abs(b)
+
+
+@pytest.mark.parametrize("mechanism", sorted(CURVE_MECHANISMS))
+@pytest.mark.parametrize("measure", MEASURES)
+def test_risk_curve_matches_pointwise_evaluation(measure, mechanism, rng):
+    t = repeated_size_table(rng)
+    inputs = dict(
+        table=t,
+        alpha=[0.4, 0.7, 1.1, 2.0],
+        size_model=CellSizeModel(family="negbin", lam=0.3, r=2.5),
+        n_categories=4,
+        zero_truncated=True,
+    )
+    params = CURVE_MECHANISMS[mechanism]
+    pts = risk_curve(measure, params, **inputs)
+    assert [p.epsilon for p in pts] == [p.epsilon for p in params]
+    for p, pt in zip(params, pts):
+        rv = evaluate_measure(measure, p, **inputs)
+        assert close(pt.value, rv.value)
+        assert close(pt.scenario1, rv.scenario1)
+        assert close(pt.scenario8, rv.scenario8)
+        # the size-grouped kernels against plain per-cell averages
+        if measure == "expected":
+            assert close(rv.value, float(np.mean(expected_risk_cells(t, p))))
+        if measure == "local":
+            assert close(rv.value, float(np.mean([local_risk(c, p).value for c in t.cells])))
+
+
+def test_curve_and_inversion_build_profile_once(rng, monkeypatch):
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(self, *args, **kwargs):
+            calls[name] += 1
+            return fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(CellSizeModel, "tail_quantile")
+    counting(FrequencyTable, "counts_matrix")
+    inputs = dict(
+        table=repeated_size_table(rng),
+        alpha=[0.4, 0.7, 1.1, 2.0],
+        size_model=CellSizeModel(family="poisson", lam=4.0),
+        n_categories=4,
+    )
+    grid = [PrivacyParams("laplace", e) for e in np.geomspace(0.01, 100.0, 25)]
+    for measure in MEASURES:
+        calls.clear()
+        pts = risk_curve(measure, grid, **inputs)
+        assert max(calls.values(), default=0) <= 1
+        target = 0.5 * (pts[0].value + max(p.value for p in pts))
+        calls.clear()
+        invert_epsilon(measure, target, "laplace", lo=0.01, hi=100.0, **inputs)
+        assert max(calls.values(), default=0) <= 1
+
+
+def test_invert_matches_frozen_epsilons():
+    # epsilons frozen from the per-point implementation, default tol 1e-6
+    t = make_table([(5, 0, 0), (3, 2, 0), (1, 1, 1), (7, 0, 0), (2, 2, 2), (4, 1, 0), (9, 0, 1), (0, 6, 0)])
+    tol = 1e-6
+    res = invert_epsilon("expected", 0.3, "laplace", table=t, tol=tol)
+    assert abs(res.epsilon - 1.5959096364487482) <= tol
+    res = invert_epsilon("local", 0.3, "gaussian_pdp", delta=1e-5, table=t, tol=tol)
+    assert abs(res.epsilon - 9.855492626749895) <= tol
+    res = invert_epsilon(
+        "global", 0.2, "laplace", alpha=[0.5, 0.8, 1.2],
+        size_model=CellSizeModel(family="poisson", lam=4.0), zero_truncated=True, tol=tol,
+    )
+    assert abs(res.epsilon - 1.3392606215982925) <= tol
 
 
 def test_curve_csv_format(rng):

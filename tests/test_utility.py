@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from conftest import make_table
+import hadr.utility
+from conftest import make_table, recording_pool
 from hadr import PrivacyParams, marginal_probs, tvd, utility_report
 from hadr.tabulation import CellRecord, FrequencyTable
 from hadr.utility import tvd_report_to_csv
@@ -124,6 +126,19 @@ def test_report_deterministic_and_thread_invariant(rng):
     assert a == b
     c = utility_report(t, params, ks=(1, 2), reps=8, seed=4)
     assert a != c
+
+
+def test_report_worker_threads_capped(rng, monkeypatch):
+    pool, seen = recording_pool()
+    monkeypatch.setattr(hadr.utility, "ThreadPoolExecutor", pool)
+    t = product_table(rng, levels=(2, 2))
+    params = PrivacyParams("laplace", 1.0)
+    serial = utility_report(t, params, ks=(1,), reps=5, seed=3)
+    for cpus in (2, 16, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert utility_report(t, params, ks=(1,), reps=5, seed=3, threads=64) == serial
+    # capped by 2 CPUs, then by the 5 replicates; no pool with an unknown CPU count
+    assert seen == [2, 5]
 
 
 def test_report_medians_decrease_with_epsilon(rng):

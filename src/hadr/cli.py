@@ -158,6 +158,23 @@ def _resolve_size_model(args: argparse.Namespace, table):
     return None
 
 
+def _measure_inputs(args: argparse.Namespace) -> dict:
+    """Keyword inputs of risk_curve and invert_epsilon from the model flags."""
+    table = read_table(args.table) if args.table else None
+    alpha = _resolve_alpha(args, table)
+    size_model = _resolve_size_model(args, table)
+    n_categories = args.categories
+    if n_categories is None and table is not None:
+        n_categories = table.n_categories
+    return dict(
+        table=table,
+        alpha=alpha,
+        size_model=size_model,
+        n_categories=n_categories,
+        zero_truncated=args.zero_truncated,
+    )
+
+
 def _cmd_tabulate(args) -> int:
     bins = []
     for spec in args.bin or []:
@@ -202,22 +219,8 @@ def _risk_params(args) -> list:
 
 
 def _cmd_risk(args) -> int:
-    table = read_table(args.table) if args.table else None
-    alpha = _resolve_alpha(args, table)
-    size_model = _resolve_size_model(args, table)
-    n_categories = args.categories
-    if n_categories is None and table is not None:
-        n_categories = table.n_categories
-    points = risk_curve(
-        args.measure,
-        _risk_params(args),
-        table=table,
-        alpha=alpha,
-        size_model=size_model,
-        n_categories=n_categories,
-        zero_truncated=args.zero_truncated,
-        threads=args.threads,
-    )
+    inputs = _measure_inputs(args)
+    points = risk_curve(args.measure, _risk_params(args), threads=args.threads, **inputs)
     write_curve_csv(points, args.output)
     _manifest(args.output, args)
     print(f"{len(points)} curve points -> {args.output}")
@@ -318,23 +321,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    table = read_table(args.table) if args.table else None
-    alpha = _resolve_alpha(args, table)
-    size_model = _resolve_size_model(args, table)
-    n_categories = args.categories
-    if n_categories is None and table is not None:
-        n_categories = table.n_categories
-    res = invert_epsilon(
-        args.measure,
-        args.target_risk,
-        args.mechanism,
-        delta=args.delta,
-        table=table,
-        alpha=alpha,
-        size_model=size_model,
-        n_categories=n_categories,
-        zero_truncated=args.zero_truncated,
-    )
+    inputs = _measure_inputs(args)
+    res = invert_epsilon(args.measure, args.target_risk, args.mechanism, delta=args.delta, **inputs)
     print(f"epsilon {res.epsilon:.6f} achieves risk {res.risk:.6g} (target {res.target:g})")
     if args.output:
         payload = {

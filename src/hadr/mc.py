@@ -113,16 +113,6 @@ def _scenarios(homog, size, occ_at):
     )
 
 
-def _classify_drawn(draws, noisy):
-    occupied = draws >= 1
-    present = noisy >= PRESENCE_THRESHOLD
-    size = present.sum(axis=1)
-    which = np.argmax(present, axis=1)
-    occ_at = occupied[np.arange(draws.shape[0]), which]
-    homog = occupied.sum(axis=1) == 1
-    return _scenarios(homog, size, occ_at)
-
-
 def _tally(scen) -> np.ndarray:
     return np.bincount(np.asarray(scen).ravel(), minlength=9)[1:9]
 
@@ -134,21 +124,28 @@ def _chunks(count: int, per: int):
         count -= c
 
 
-def _simulate(reps: int, seed: int, threads: int, block_fn, *, block_offset: int = 0):
+def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> McEstimate:
+    """Run ``step(gen, c) -> (value sum, scenario codes)`` over every replicate.
+
+    Replicates are cut into blocks of BLOCK_REPS, block j drawing from
+    substream ``block_offset + j``, and each block into chunks of at most
+    ``per`` replicates; block results are combined in index order.
+    """
     check_seed(seed)
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise ValueError("reps must be a positive integer")
-    blocks = []
-    j, left = 0, int(reps)
-    while left > 0:
-        c = min(BLOCK_REPS, left)
-        blocks.append((block_offset + j, c))
-        j += 1
-        left -= c
+    blocks = list(enumerate(_chunks(int(reps), BLOCK_REPS), start=block_offset))
 
     def run(block):
         idx, count = block
-        return block_fn(block_generator(seed, idx), count)
+        gen = block_generator(seed, idx)
+        val = 0.0
+        tall = np.zeros(8, dtype=np.int64)
+        for c in _chunks(count, per):
+            v, scen = step(gen, c)
+            val += v
+            tall += _tally(scen)
+        return val, tall
 
     workers = min(threads, os.cpu_count() or 1, len(blocks))
     if workers > 1:
@@ -161,7 +158,30 @@ def _simulate(reps: int, seed: int, threads: int, block_fn, *, block_offset: int
     value = total / reps
     se = math.sqrt(max(value * (1.0 - value), 0.0) / reps)
     scen = {str(i + 1): int(tallies[i]) for i in range(8)}
-    return value, se, scen
+    return McEstimate(value, se, int(reps), scen, mode)
+
+
+def _event(reps, seed, threads, k, params, draw, *, block_offset=0) -> McEstimate:
+    """Disclosure frequency of cells drawn by ``draw(gen, c) -> (c, k) counts``;
+    the noise for a chunk is drawn after its counts."""
+
+    def step(gen, c):
+        draws = draw(gen, c)
+        present = draws + _noise(gen, params, (c, k)) >= PRESENCE_THRESHOLD
+        occupied = draws >= 1
+        occ_at = occupied[np.arange(c), np.argmax(present, axis=1)]
+        scen = _scenarios(occupied.sum(axis=1) == 1, present.sum(axis=1), occ_at)
+        return float(np.count_nonzero((scen == 1) | (scen == 8))), scen
+
+    per = max(1, _CHUNK_ELEMS // k)
+    return _simulate(reps, seed, threads, per, step, block_offset=block_offset)
+
+
+def _check_alpha(alpha) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim != 1 or alpha.size < 2 or not np.all(alpha > 0):
+        raise ValueError("alpha must be a positive vector with at least 2 entries")
+    return alpha
 
 
 def _cell_counts(cell) -> np.ndarray:
@@ -190,23 +210,14 @@ def mc_local(
     base = counts.astype(float)
     occupied = counts >= 1
     homog = int(occupied.sum()) == 1
+
+    def step(gen, c):
+        present = base + _noise(gen, params, (c, k)) >= PRESENCE_THRESHOLD
+        scen = _scenarios(homog, present.sum(axis=1), occupied[np.argmax(present, axis=1)])
+        return float(np.count_nonzero((scen == 1) | (scen == 8))), scen
+
     per = max(1, _CHUNK_ELEMS // k)
-
-    def block(gen, count):
-        val = 0.0
-        tall = np.zeros(8, dtype=np.int64)
-        for c in _chunks(count, per):
-            noisy = base[None, :] + _noise(gen, params, (c, k))
-            present = noisy >= PRESENCE_THRESHOLD
-            size = present.sum(axis=1)
-            occ_at = occupied[np.argmax(present, axis=1)]
-            scen = _scenarios(homog, size, occ_at)
-            val += float(np.count_nonzero((scen == 1) | (scen == 8)))
-            tall += _tally(scen)
-        return val, tall
-
-    value, se, scen = _simulate(reps, seed, threads, block, block_offset=block_offset)
-    return McEstimate(value, se, int(reps), scen)
+    return _simulate(reps, seed, threads, per, step, block_offset=block_offset)
 
 
 def mc_expected(
@@ -232,23 +243,12 @@ def mc_expected(
         raise ValueError("p must be non-negative and sum to 1")
     if n < 1:
         raise ValueError("cell size must be >= 1")
-    k = p.size
     p = p / p.sum()
-    per = max(1, _CHUNK_ELEMS // k)
 
-    def block(gen, count):
-        val = 0.0
-        tall = np.zeros(8, dtype=np.int64)
-        for c in _chunks(count, per):
-            draws = gen.multinomial(int(n), p, size=c)
-            noisy = draws + _noise(gen, params, (c, k))
-            scen = _classify_drawn(draws, noisy)
-            val += float(np.count_nonzero((scen == 1) | (scen == 8)))
-            tall += _tally(scen)
-        return val, tall
+    def draw(gen, c):
+        return gen.multinomial(int(n), p, size=c)
 
-    value, se, scen = _simulate(reps, seed, threads, block, block_offset=block_offset)
-    return McEstimate(value, se, int(reps), scen)
+    return _event(reps, seed, threads, p.size, params, draw, block_offset=block_offset)
 
 
 def mc_shrinkage(
@@ -259,28 +259,14 @@ def mc_shrinkage(
     Draw order per replicate: mixing proportions, then counts, then noise.
     Pairs with risk.shrinkage_risk at a single size.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size < 2 or not np.all(alpha > 0):
-        raise ValueError("alpha must be a positive vector with at least 2 entries")
+    alpha = _check_alpha(alpha)
     if n < 1:
         raise ValueError("cell size must be >= 1")
-    k = alpha.size
-    per = max(1, _CHUNK_ELEMS // k)
 
-    def block(gen, count):
-        val = 0.0
-        tall = np.zeros(8, dtype=np.int64)
-        for c in _chunks(count, per):
-            p = gen.dirichlet(alpha, size=c)
-            draws = gen.multinomial(int(n), p)
-            noisy = draws + _noise(gen, params, (c, k))
-            scen = _classify_drawn(draws, noisy)
-            val += float(np.count_nonzero((scen == 1) | (scen == 8)))
-            tall += _tally(scen)
-        return val, tall
+    def draw(gen, c):
+        return gen.multinomial(int(n), gen.dirichlet(alpha, size=c))
 
-    value, se, scen = _simulate(reps, seed, threads, block)
-    return McEstimate(value, se, int(reps), scen)
+    return _event(reps, seed, threads, alpha.size, params, draw)
 
 
 def mc_global(
@@ -300,27 +286,13 @@ def mc_global(
     differs by the deterministic factor 1 - P(size = 0). Draw order per
     replicate: size, mix, counts, noise.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size < 2 or not np.all(alpha > 0):
-        raise ValueError("alpha must be a positive vector with at least 2 entries")
-    k = alpha.size
-    per = max(1, _CHUNK_ELEMS // k)
+    alpha = _check_alpha(alpha)
 
-    def block(gen, count):
-        val = 0.0
-        tall = np.zeros(8, dtype=np.int64)
-        for c in _chunks(count, per):
-            sizes = size_model.truncated_ppf(gen.random(c))
-            p = gen.dirichlet(alpha, size=c)
-            draws = gen.multinomial(sizes, p)
-            noisy = draws + _noise(gen, params, (c, k))
-            scen = _classify_drawn(draws, noisy)
-            val += float(np.count_nonzero((scen == 1) | (scen == 8)))
-            tall += _tally(scen)
-        return val, tall
+    def draw(gen, c):
+        sizes = size_model.truncated_ppf(gen.random(c))
+        return gen.multinomial(sizes, gen.dirichlet(alpha, size=c))
 
-    value, se, scen = _simulate(reps, seed, threads, block)
-    return McEstimate(value, se, int(reps), scen)
+    return _event(reps, seed, threads, alpha.size, params, draw)
 
 
 def mc_global_variant(
@@ -341,24 +313,14 @@ def mc_global_variant(
     if n_categories < 2:
         raise ValueError("n_categories must be at least 2")
     k = int(n_categories)
-    per = max(1, _CHUNK_ELEMS // k)
 
-    def block(gen, count):
-        val = 0.0
-        tall = np.zeros(8, dtype=np.int64)
-        for c in _chunks(count, per):
-            sizes = size_model.truncated_ppf(gen.random(c))
-            cats = gen.integers(0, k, size=c)
-            draws = np.zeros((c, k), dtype=np.int64)
-            draws[np.arange(c), cats] = sizes
-            noisy = draws + _noise(gen, params, (c, k))
-            scen = _classify_drawn(draws, noisy)
-            val += float(np.count_nonzero((scen == 1) | (scen == 8)))
-            tall += _tally(scen)
-        return val, tall
+    def draw(gen, c):
+        sizes = size_model.truncated_ppf(gen.random(c))
+        draws = np.zeros((c, k), dtype=np.int64)
+        draws[np.arange(c), gen.integers(0, k, size=c)] = sizes
+        return draws
 
-    value, se, scen = _simulate(reps, seed, threads, block)
-    return McEstimate(value, se, int(reps), scen)
+    return _event(reps, seed, threads, k, params, draw)
 
 
 def mc_threshold_dr(
@@ -389,32 +351,25 @@ def mc_threshold_dr(
     m, k = counts.shape
     frac = counts / counts.sum(axis=1, keepdims=True)
     base = counts.astype(float)
-    per = max(1, _CHUNK_ELEMS // (m * k))
     rows = np.arange(m)
 
-    def block(gen, count):
-        val = 0.0
-        tall = np.zeros(8, dtype=np.int64)
-        for c in _chunks(count, per):
-            noisy = base[None, :, :] + _noise(gen, params, (c, m, k))
-            present = noisy >= PRESENCE_THRESHOLD
-            size = present.sum(axis=2)
-            if mode == "hard":
-                which = np.argmax(np.where(present, noisy, -np.inf), axis=2)
-                contrib = frac[rows[None, :], which] * (size > 0)
-            else:
-                w = np.where(present, np.maximum(noisy, 0.0), 0.0)
-                denom = w.sum(axis=2, keepdims=True)
-                wnorm = np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
-                contrib = (frac[None, :, :] * wnorm).sum(axis=2)
-            val += float(contrib.mean(axis=1).sum())
-            occ_at = occupied[rows[None, :], np.argmax(present, axis=2)]
-            scen = _scenarios(homog[None, :], size, occ_at)
-            tall += _tally(scen)
-        return val, tall
+    def step(gen, c):
+        noisy = base + _noise(gen, params, (c, m, k))
+        present = noisy >= PRESENCE_THRESHOLD
+        size = present.sum(axis=2)
+        if mode == "hard":
+            which = np.argmax(np.where(present, noisy, -np.inf), axis=2)
+            contrib = frac[rows, which] * (size > 0)
+        else:
+            w = np.where(present, np.maximum(noisy, 0.0), 0.0)
+            denom = w.sum(axis=2, keepdims=True)
+            wnorm = np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
+            contrib = (frac * wnorm).sum(axis=2)
+        occ_at = occupied[rows, np.argmax(present, axis=2)]
+        return float(contrib.mean(axis=1).sum()), _scenarios(homog, size, occ_at)
 
-    value, se, scen = _simulate(reps, seed, threads, block)
-    return McEstimate(value, se, int(reps), scen, mode=mode)
+    per = max(1, _CHUNK_ELEMS // (m * k))
+    return _simulate(reps, seed, threads, per, step, mode=mode)
 
 
 def upper_bound_findings(

@@ -55,8 +55,8 @@ import numpy as np
 
 from .estimation import CellSizeModel
 from .mechanisms import PrivacyParams, noise_model
-from .special import log_beta, log_gamma
-from .tabulation import FrequencyTable, classify_cell
+from .special import log_gamma
+from .tabulation import FrequencyTable
 
 TAIL_MASS = 1e-12
 MAX_SERIES_TERMS = 10**6
@@ -148,12 +148,6 @@ def _dirichlet_moments(n: np.ndarray, alpha: np.ndarray):
     return m1, m2
 
 
-def _risk_from_cells(t1: np.ndarray, t2: np.ndarray) -> RiskValue:
-    c1 = float(np.mean(t1))
-    c2 = float(np.mean(t2))
-    return RiskValue(value=float(np.mean(t1 + t2)), scenario1=c1, scenario8=c2)
-
-
 def _series_weights(size_model: CellSizeModel, zero_truncated: bool):
     """Sizes 1..N covering all but TAIL_MASS of the model's mass."""
     n_max = size_model.tail_quantile(TAIL_MASS)
@@ -184,19 +178,15 @@ class _SizeProfile(NamedTuple):
         return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=self.truncated_at)
 
 
-def _cell_profile(sizes: np.ndarray, n_categories: int, m1, m2) -> _SizeProfile:
-    """Cell average of per-cell moment sums, grouped by cell size."""
+def _expected_profile(table: FrequencyTable) -> _SizeProfile:
+    """Cell average of the plug-in moment sums, grouped by cell size."""
+    counts = table.counts_matrix()
+    sizes = counts.sum(axis=1)
+    m1, m2 = _plugin_moments(counts.astype(float), sizes.astype(float))
     n, inv = np.unique(sizes, return_inverse=True)
     w1 = np.bincount(inv, weights=m1) / sizes.size
     w2 = np.bincount(inv, weights=m2) / sizes.size
-    return _SizeProfile(n.astype(float), w1, w2, n_categories)
-
-
-def _expected_profile(table: FrequencyTable) -> _SizeProfile:
-    counts = table.counts_matrix()
-    n = counts.sum(axis=1)
-    m1, m2 = _plugin_moments(counts.astype(float), n.astype(float))
-    return _cell_profile(n, table.n_categories, m1, m2)
+    return _SizeProfile(n.astype(float), w1, w2, table.n_categories)
 
 
 def _shrinkage_profile(sizes, alpha) -> _SizeProfile:
@@ -290,66 +280,9 @@ def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndar
     return m1 * f1 + m2 * f2
 
 
-def expected_risk_k2(table: FrequencyTable, params: PrivacyParams) -> RiskValue:
-    """Printed two-category form of the expected measure."""
-    if table.n_categories != 2:
-        raise ValueError("expected_risk_k2 requires exactly 2 categories")
-    nm = noise_model(params)
-    counts = table.counts_matrix().astype(float)
-    n = table.sizes().astype(float)
-    p = counts[:, 0] / n
-    q = counts[:, 1] / n
-    stay_absent = nm.cdf(0.5)
-    drop_one = nm.cdf(-0.5)
-    t1 = (p**n + q**n) * stay_absent * nm.sf(0.5 - n)
-    t2 = np.where(
-        n >= 2,
-        (p ** (n - 1) * q + q ** (n - 1) * p) * nm.sf(1.5 - n) * drop_one,
-        0.0,
-    )
-    return _risk_from_cells(t1, t2)
-
-
-def homogeneous_risk(table: FrequencyTable, params: PrivacyParams) -> RiskValue:
-    """Exact average risk for an all-homogeneous table.
-
-    Every cell's value is the probability that its single occupied
-    category stays present while the other K - 1 stay absent; the average
-    lies strictly between 2**-K and 1.
-    """
-    for cell in table.cells:
-        if not classify_cell(cell).homogeneous:
-            raise ValueError(f"cell {cell.key!r} is heterogeneous")
-    n = table.sizes()
-    return _cell_profile(n, table.n_categories, np.ones(n.size), np.zeros(n.size)).at(params)
-
-
 def shrinkage_risk(sizes, alpha, params: PrivacyParams) -> RiskValue:
     """Expected measure with Dirichlet(alpha)-averaged proportions."""
     return _shrinkage_profile(sizes, alpha).at(params)
-
-
-def _beta_terms_k2(n: np.ndarray, alpha: np.ndarray, params: PrivacyParams):
-    """Per-size terms of the printed two-category forms via Beta-function ratios."""
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    log_b0 = log_beta(a1, a2)
-    nm = noise_model(params)
-    b1 = np.exp(log_beta(n + a1, a2) - log_b0) + np.exp(log_beta(a1, n + a2) - log_b0)
-    t1 = b1 * nm.cdf(0.5) * nm.sf(0.5 - n)
-    b2 = np.exp(log_beta(a1 + n - 1, a2 + 1) - log_b0) + np.exp(
-        log_beta(a1 + 1, n + a2 - 1) - log_b0
-    )
-    t2 = np.where(n >= 2, b2 * nm.sf(1.5 - n) * nm.cdf(-0.5), 0.0)
-    return t1, t2
-
-
-def shrinkage_risk_k2(sizes, alpha, params: PrivacyParams) -> RiskValue:
-    """Printed two-category shrinkage form via Beta-function ratios."""
-    n = _check_sizes(sizes).astype(float)
-    alpha = _check_alpha(alpha)
-    if alpha.size != 2:
-        raise ValueError("shrinkage_risk_k2 requires exactly 2 categories")
-    return _risk_from_cells(*_beta_terms_k2(n, alpha, params))
 
 
 def global_risk(
@@ -366,24 +299,6 @@ def global_risk(
     the mass on n >= 1, matching a sampler that rejects empty cells.
     """
     return _global_profile(alpha, size_model, zero_truncated).at(params)
-
-
-def global_risk_k2(
-    alpha,
-    size_model: CellSizeModel,
-    params: PrivacyParams,
-    *,
-    zero_truncated: bool = False,
-) -> RiskValue:
-    """Printed two-category global form via Beta-function ratios."""
-    alpha = _check_alpha(alpha)
-    if alpha.size != 2:
-        raise ValueError("global_risk_k2 requires exactly 2 categories")
-    n, w = _series_weights(size_model, zero_truncated)
-    t1, t2 = _beta_terms_k2(n.astype(float), alpha, params)
-    c1 = float(np.sum(w * t1))
-    c2 = float(np.sum(w * t2))
-    return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=int(n[-1]))
 
 
 def global_risk_variant(

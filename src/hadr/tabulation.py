@@ -267,17 +267,39 @@ def table_to_json(table: FrequencyTable) -> str:
 
 
 def table_from_json(text: str) -> FrequencyTable:
+    """Parse the table JSON; malformed fields are rejected, never coerced.
+
+    Types are compared exactly, since bool is a subclass of int. The
+    per-cell checks are written out in the loop, without a call per cell,
+    because table reads dominate the closed-form workloads.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells", []), list):
+        raise ValueError("table JSON must be an object whose 'cells' is a list")
     try:
-        cells = tuple(
-            CellRecord(key=tuple(c["key"]), counts=tuple(int(x) for x in c["counts"]))
-            for c in doc["cells"]
-        )
+        for name in ("qid_names", "categories"):
+            names = doc[name]
+            if type(names) is not list or not set(map(type, names)) <= {str}:
+                raise ValueError(f"table JSON '{name}' must be a list of strings, got {names!r}")
+        if type(doc["sensitive_name"]) is not str:
+            raise ValueError("table JSON 'sensitive_name' must be a string")
+        cells = []
+        for i, cell in enumerate(doc["cells"]):
+            if not isinstance(cell, dict):
+                raise ValueError(f"table JSON cell {i} is not an object")
+            key, counts = cell["key"], cell["counts"]
+            if type(key) is not list or not set(map(type, key)) <= {str}:
+                raise ValueError(f"table JSON cell {i}: 'key' must be a list of strings, got {key!r}")
+            if type(counts) is not list or not set(map(type, counts)) <= {int}:
+                raise ValueError(
+                    f"table JSON cell {i}: 'counts' must be a list of integers, got {counts!r}"
+                )
+            cells.append(CellRecord(key=tuple(key), counts=tuple(counts)))
         return FrequencyTable(
             qid_names=tuple(doc["qid_names"]),
             sensitive_name=doc["sensitive_name"],
             categories=tuple(doc["categories"]),
-            cells=cells,
+            cells=tuple(cells),
         )
     except KeyError as exc:
         raise ValueError(f"table JSON is missing field {exc}") from None

@@ -23,22 +23,20 @@ from hadr import (
     average_local_risk,
     cross_tabulate,
     expected_risk,
-    expected_risk_k2,
     fit_dirichlet_mom,
     fit_poisson,
-    homogeneous_risk,
     local_risk,
     mc_local,
     mc_threshold_dr,
     scenario8_peak_epsilon,
     shrinkage_risk,
-    shrinkage_risk_k2,
     utility_report,
     write_table,
 )
 from hadr.cli import main
 from hadr.risk import _dirichlet_moments, risk_curve
 from hadr.tabulation import RawDataset, bin_numeric, load_csv
+from oracles import expected_risk_k2, homogeneous_risk, shrinkage_risk_k2
 
 DELTA = 1e-5
 
@@ -157,8 +155,9 @@ def test_criterion_05_specialization_identities():
                 assert abs(c.value - d.value) <= 1e-12
 
         # 50 homogeneous tables: the general form collapses to the
-        # degenerate-table closed form bitwise, with no become-homogeneous
-        # component
+        # degenerate-table closed form (up to the order of the cell sums,
+        # since the oracle shares no code with it), with no
+        # become-homogeneous component
         for i in range(50):
             k = int(rng.choice([2, 3, 5]))
             table = make_homog_table(rng.integers(1, 40, size=7), k=k)
@@ -166,7 +165,7 @@ def test_criterion_05_specialization_identities():
                 params = PrivacyParams("laplace", float(eps))
                 gen = expected_risk(table, params)
                 exact = homogeneous_risk(table, params)
-                assert gen.value == exact.value
+                assert abs(gen.value - exact.value) <= 1e-14 * exact.value
                 assert gen.scenario8 == 0.0
 
 

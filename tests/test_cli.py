@@ -469,3 +469,21 @@ def test_missing_table_file(capsys, tmp_path):
         "--output", str(tmp_path / "c.csv"),
     )
     assert code == 1 and "error:" in err
+
+
+def test_malformed_table_json_exits_1(capsys, tmp_path):
+    doc = {"qid_names": ["g"], "sensitive_name": "y", "categories": ["u", "v"]}
+    doc["cells"] = [{"key": ["a"], "counts": [2.7, 1]}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--table", str(path),
+        "--measure", "expected",
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3",
+        "--output", str(tmp_path / "c.csv"),
+    )
+    assert code == 1 and "cell 0" in err and "counts" in err
+    assert not (tmp_path / "c.csv").exists()

@@ -18,7 +18,6 @@ from hadr import (
     classify_scenario,
     global_risk,
     global_risk_variant,
-    homogeneous_risk,
     local_risk,
     mc_expected,
     mc_global,
@@ -29,11 +28,13 @@ from hadr import (
     shrinkage_risk,
     upper_bound_findings,
 )
-from hadr.mc import BLOCK_REPS, mc_to_json
+from hadr.mc import BLOCK_REPS, McEstimate, mc_to_json
 from hadr.risk import expected_risk, expected_risk_cells
 from hadr.tabulation import CellRecord
+from oracles import homogeneous_risk
 
 LAP1 = PrivacyParams("laplace", 1.0)
+GAUSS = PrivacyParams("gaussian_pdp", 0.5, delta=1e-3)
 REPS = 200_000
 
 
@@ -181,6 +182,100 @@ def test_worker_threads_capped_by_cpus_and_blocks(monkeypatch):
         assert mc_expected(5, (0.3, 0.7), LAP1, reps, seed=29, threads=64) == serial
     # 2 CPUs cap it at 2, 3 blocks cap it at 3, an unknown CPU count runs serially
     assert seen == [2, 3]
+
+
+STREAM_REPS = 2 * BLOCK_REPS + 17  # three blocks, the last one partial
+STREAM_TABLE = make_table([(3, 1), (0, 7), (2, 2)])
+
+# Outputs frozen from the samplers as they stand: (value, se, tallies of
+# scenarios 1-8) per estimator, and the whole upper_bound_findings report.
+# Any change to what a replicate draws, in what order, or how (for example
+# a new truncated_ppf) moves these numbers; such a change re-records them
+# here and says why, and a change that is not meant to alter sampling must
+# leave them alone.
+FROZEN_STREAMS = {
+    "local": (
+        lambda threads: mc_local(
+            (3, 0, 1), GAUSS, STREAM_REPS, 101, threads=threads, block_offset=5
+        ),
+        (0.2604795215464303, 0.0012122125331072177, (0, 0, 0, 0, 75016, 11524, 10403, 34146)),
+    ),
+    "expected": (
+        lambda threads: mc_expected(
+            6, (0.5, 0.3, 0.2), LAP1, STREAM_REPS, 102, threads=threads, block_offset=1 << 32
+        ),
+        (0.08446170159204815, 0.0007680421349568492, (1070, 1, 1141, 4, 118690, 150, 31, 10002)),
+    ),
+    "shrinkage": (
+        lambda threads: mc_shrinkage(7, (0.6, 1.4), GAUSS, STREAM_REPS, 103, threads=threads),
+        (0.4532493191648422, 0.001374928521973486, (20450, 3682, 18500, 4128, 36815, 8548, 0, 38966)),
+    ),
+    "global": (
+        lambda threads: mc_global(
+            (0.8, 1.5, 2.0),
+            CellSizeModel(family="negbin", lam=0.3, r=2.5),
+            LAP1,
+            STREAM_REPS,
+            104,
+            threads=threads,
+        ),
+        (0.18507273684290826, 0.0010726240295012306, (12619, 1963, 13962, 2189, 87455, 908, 351, 11642)),
+    ),
+    "global_variant": (
+        lambda threads: mc_global_variant(
+            CellSizeModel(family="poisson", lam=2.5), GAUSS, 3, STREAM_REPS, 105, threads=threads
+        ),
+        (0.1743929696618328, 0.0010480163366640468, (22861, 24467, 69949, 13812, 0, 0, 0, 0)),
+    ),
+    "threshold_hard": (
+        lambda threads: mc_threshold_dr(
+            STREAM_TABLE, GAUSS, STREAM_REPS, 106, mode="hard", threads=threads
+        ),
+        (0.5264648444949614, 0.0013790425805492222, (57811, 10326, 51279, 11673, 89591, 44405, 0, 128182)),
+    ),
+    "threshold_soft": (
+        lambda threads: mc_threshold_dr(
+            STREAM_TABLE, LAP1, STREAM_REPS, 107, mode="soft", threads=threads
+        ),
+        (0.6843420176018296, 0.001283695047885832, (91290, 21, 39704, 74, 191192, 3297, 0, 67689)),
+    ),
+    "upper_bound_findings": (
+        lambda threads: upper_bound_findings(
+            make_table([(1, 1), (0, 9), (4, 1)]), LAP1, STREAM_REPS, 108, threads=threads
+        ),
+        {
+            "checked_cells": 2,
+            "reps": STREAM_REPS,
+            "violations": [
+                {
+                    "key": ["c0"],
+                    "mc_value": 0.5203640274927721,
+                    "closed_form": 0.41514944022103883,
+                    "se": 0.0013798325374586552,
+                    "excess_in_se": 76.25170766411637,
+                },
+                {
+                    "key": ["c2"],
+                    "mc_value": 0.3923822746378415,
+                    "closed_form": 0.2521103181839413,
+                    "se": 0.0013486112626076715,
+                    "excess_in_se": 104.01214964100971,
+                },
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", list(FROZEN_STREAMS))
+def test_streams_frozen(name, threads):
+    run, frozen = FROZEN_STREAMS[name]
+    got = run(threads)
+    if isinstance(got, McEstimate):
+        assert got.reps == STREAM_REPS
+        got = (got.value, got.se, tuple(got.scenarios[str(i)] for i in range(1, 9)))
+    assert got == frozen
 
 
 def test_block_offset_shifts_stream():

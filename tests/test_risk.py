@@ -21,21 +21,18 @@ from hadr import (
     average_local_risk,
     evaluate_measure,
     expected_risk,
-    expected_risk_k2,
     global_risk,
-    global_risk_k2,
     global_risk_variant,
-    homogeneous_risk,
     invert_epsilon,
     local_risk,
     noise_model,
     risk_curve,
     scenario8_peak_epsilon,
     shrinkage_risk,
-    shrinkage_risk_k2,
 )
 from hadr.risk import MEASURES, curve_to_csv, expected_risk_cells
 from hadr.tabulation import CellRecord, FrequencyTable
+from oracles import expected_risk_k2, global_risk_k2, homogeneous_risk, shrinkage_risk_k2
 
 LAP1 = PrivacyParams("laplace", 1.0)
 
@@ -47,50 +44,52 @@ SECOND_TERM_11_LAP1 = 0.105647734782
 PEAK_N3 = 0.462098120373
 
 
+def homogeneous_value(table, params):
+    """The library's expected measure on an all-homogeneous table, after
+    checking it against the independent homogeneous oracle."""
+    rv = expected_risk(table, params)
+    assert rv.value == pytest.approx(homogeneous_risk(table, params).value, rel=1e-14, abs=0)
+    assert rv.scenario1 == rv.value and rv.scenario8 == 0.0
+    return rv.value
+
+
 def test_homogeneous_frozen_laplace():
     t = make_table([(10, 0)])
-    rv = homogeneous_risk(t, LAP1)
-    assert rv.value == pytest.approx(HOMOG_N10_K2_LAP1, rel=1e-11)
-    assert rv.scenario1 == rv.value and rv.scenario8 == 0.0
+    assert homogeneous_value(t, LAP1) == pytest.approx(HOMOG_N10_K2_LAP1, rel=1e-11)
 
 
 def test_homogeneous_frozen_gaussian_unit_sigma():
     # delta = 1 makes the pDP sigma 1/sqrt(2 eps); eps = 0.5 gives sigma = 1
     params = PrivacyParams("gaussian_pdp", 0.5, delta=1.0)
     assert params.scale == pytest.approx(1.0, rel=1e-14)
-    rv = homogeneous_risk(make_table([(10, 0)]), params)
-    assert rv.value == pytest.approx(HOMOG_N10_K2_SIGMA1, rel=1e-11)
+    assert homogeneous_value(make_table([(10, 0)]), params) == pytest.approx(
+        HOMOG_N10_K2_SIGMA1, rel=1e-11
+    )
 
 
 def test_homogeneous_k3_saturates_to_absent_factor():
     # for huge n the stay-present factor is 1 at double precision, leaving
     # cdf(0.5)^(K-1)
-    rv = homogeneous_risk(make_table([(300, 0, 0)]), LAP1)
-    assert rv.value == pytest.approx(STAY_ABSENT_SQ_LAP1, rel=1e-11)
+    v = homogeneous_value(make_table([(300, 0, 0)]), LAP1)
+    assert v == pytest.approx(STAY_ABSENT_SQ_LAP1, rel=1e-11)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("epsilon", [1e-4, 0.3, 1.0, 10.0])
 def test_homogeneous_bounds(k, epsilon):
     t = make_homog_table([1, 2, 5, 17, 40], k=k)
-    v = homogeneous_risk(t, PrivacyParams("laplace", epsilon)).value
+    v = homogeneous_value(t, PrivacyParams("laplace", epsilon))
     assert 2.0**-k < v < 1.0
-
-
-def test_homogeneous_rejects_heterogeneous():
-    t = make_table([(5, 0), (3, 1)])
-    with pytest.raises(ValueError, match="heterogeneous"):
-        homogeneous_risk(t, LAP1)
 
 
 def test_homogeneous_floor_and_ceiling():
     # at eps = 1e-4 the n = 10 stay-present factor still carries
     # (n - 0.5) eps / 2 ~ 4.8e-4 above the 2^-K floor
     t = make_table([(10, 0)])
-    assert homogeneous_risk(t, PrivacyParams("laplace", 1e-4)).value == pytest.approx(0.25, abs=1e-3)
-    assert homogeneous_risk(t, PrivacyParams("laplace", 10.0)).value > 0.99
+    assert homogeneous_value(t, PrivacyParams("laplace", 1e-4)) == pytest.approx(0.25, abs=1e-3)
+    assert homogeneous_value(t, PrivacyParams("laplace", 10.0)) > 0.99
     t3 = make_table([(10, 0, 0)])
-    assert homogeneous_risk(t3, PrivacyParams("laplace", 1e-4)).value == pytest.approx(0.125, abs=1e-3)
+    assert homogeneous_value(t3, PrivacyParams("laplace", 1e-4)) == pytest.approx(0.125, abs=1e-3)
 
 
 def test_expected_second_term_frozen():
@@ -126,14 +125,11 @@ def test_expected_matches_k2_form(params, rng):
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_expected_specializes_to_homogeneous_exactly(k):
+    # exact up to the order of the cell sums: the oracle shares no code with the kernel
     t = make_homog_table([1, 2, 3, 7, 19, 40], k=k)
     for eps in np.geomspace(1e-3, 30.0, 12):
         params = PrivacyParams("laplace", float(eps))
-        a = expected_risk(t, params)
-        b = homogeneous_risk(t, params)
-        assert a.value == b.value
-        assert a.scenario1 == b.scenario1
-        assert a.scenario8 == 0.0
+        homogeneous_value(t, params)
 
 
 def test_average_local_matches_homogeneous():
@@ -174,12 +170,9 @@ def test_local_risk_union_of_disjoint_collapses():
 def test_monotone_in_epsilon():
     t = make_homog_table([1, 3, 8], k=2)
     grid = np.geomspace(1e-3, 50.0, 40)
-    vals = [homogeneous_risk(t, PrivacyParams("laplace", float(e))).value for e in grid]
+    vals = [homogeneous_value(t, PrivacyParams("laplace", float(e))) for e in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    gvals = [
-        homogeneous_risk(t, PrivacyParams("gaussian_pdp", float(e), delta=1e-5)).value
-        for e in grid
-    ]
+    gvals = [homogeneous_value(t, PrivacyParams("gaussian_pdp", float(e), delta=1e-5)) for e in grid]
     assert all(b > a for a, b in zip(gvals, gvals[1:]))
 
 

@@ -161,6 +161,46 @@ def test_table_from_json_missing_field():
         table_from_json(json.dumps({"qid_names": ["g"], "sensitive_name": "y", "categories": ["a", "b"]}))
 
 
+@pytest.mark.parametrize(
+    "cell,field",
+    [
+        ({"key": ["a"], "counts": [2.7, 1]}, "counts"),
+        ({"key": ["a"], "counts": [True, 1]}, "counts"),
+        ({"key": ["a"], "counts": 3}, "counts"),
+        ({"key": ["a"], "counts": "31"}, "counts"),
+        ({"key": 3, "counts": [2, 1]}, "key"),
+        ({"key": ["a", 3], "counts": [2, 1]}, "key"),
+        ("a", "not an object"),
+    ],
+)
+def test_table_from_json_rejects_malformed_cell(cell, field):
+    doc = {
+        "qid_names": ["g"],
+        "sensitive_name": "y",
+        "categories": ["u", "v"],
+        "cells": [{"key": ["b"], "counts": [1, 0]}, cell],
+    }
+    with pytest.raises(ValueError, match=f"cell 1.*{field}"):
+        table_from_json(json.dumps(doc))
+
+
+def test_table_from_json_rejects_non_object():
+    for text in ("[]", '{"cells": 3}'):
+        with pytest.raises(ValueError, match="object"):
+            table_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("qid_names", "g"), ("categories", "y0y1"), ("categories", ["y0", 1]), ("sensitive_name", 5)],
+)
+def test_table_from_json_rejects_mistyped_names(field, value):
+    doc = json.loads(table_to_json(make_table([(3, 1)])))
+    doc[field] = value  # a string would otherwise split into characters
+    with pytest.raises(ValueError, match=f"'{field}' must be a"):
+        table_from_json(json.dumps(doc))
+
+
 def test_expand_table_inverse():
     t = make_table([(3, 1), (0, 7)])
     ds = expand_table(t)

@@ -13,9 +13,15 @@ bits:
   independent generator spaced 2**64 counter blocks apart in a region
   disjoint from every word-positional stream, so tallies cannot depend on
   run order or thread count.
+
+``ordered_map`` is the one worker pool of the package: tasks that each own
+their stream positions give the same results on any number of threads.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,3 +77,17 @@ def block_generator(seed: int, index: int) -> np.random.Generator:
         raise ValueError("block index must be non-negative")
     counter = _BLOCK_REGION + index * _BLOCK_STRIDE
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def ordered_map(fn, tasks, threads: int) -> list:
+    """``[fn(t) for t in tasks]``, run on min(threads, CPU count, tasks) threads.
+
+    Results come back in task order; with one worker the tasks run
+    serially in the calling thread.
+    """
+    tasks = list(tasks)
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))

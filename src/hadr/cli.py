@@ -15,6 +15,7 @@ violated precondition), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -159,7 +160,8 @@ def _resolve_size_model(args: argparse.Namespace, table):
 
 
 def _measure_inputs(args: argparse.Namespace) -> dict:
-    """Keyword inputs of risk_curve and invert_epsilon from the model flags."""
+    """The measure inputs of risk_curve and invert_epsilon from the model flags;
+    mc reads the ones its estimator needs."""
     table = read_table(args.table) if args.table else None
     alpha = _resolve_alpha(args, table)
     size_model = _resolve_size_model(args, table)
@@ -220,7 +222,7 @@ def _risk_params(args) -> list:
 
 def _cmd_risk(args) -> int:
     inputs = _measure_inputs(args)
-    points = risk_curve(args.measure, _risk_params(args), threads=args.threads, **inputs)
+    points = risk_curve(args.measure, _risk_params(args), **inputs)
     write_curve_csv(points, args.output)
     _manifest(args.output, args)
     print(f"{len(points)} curve points -> {args.output}")
@@ -271,9 +273,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_mc(args) -> int:
     params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
     seed = _seed_for(args)
-    table = read_table(args.table) if args.table else None
-    alpha = _resolve_alpha(args, table)
-    size_model = _resolve_size_model(args, table)
+    inputs = _measure_inputs(args)
+    table, alpha, size_model = inputs["table"], inputs["alpha"], inputs["size_model"]
     est_name = args.estimator
     if est_name == "local":
         if args.cell is None:
@@ -301,13 +302,12 @@ def _cmd_mc(args) -> int:
             raise ValueError("estimator 'global' requires --alpha and a size model")
         est = mc_global(alpha, size_model, params, args.reps, seed, threads=args.threads)
     elif est_name == "global_variant":
-        if size_model is None or args.categories is None:
+        k = inputs["n_categories"]
+        if size_model is None or k is None:
             raise ValueError(
                 "estimator 'global_variant' requires a size model and --categories"
             )
-        est = mc_global_variant(
-            size_model, params, args.categories, args.reps, seed, threads=args.threads
-        )
+        est = mc_global_variant(size_model, params, k, args.reps, seed, threads=args.threads)
     else:
         if table is None:
             raise ValueError("estimator 'threshold' requires --table")
@@ -325,16 +325,8 @@ def _cmd_invert(args) -> int:
     res = invert_epsilon(args.measure, args.target_risk, args.mechanism, delta=args.delta, **inputs)
     print(f"epsilon {res.epsilon:.6f} achieves risk {res.risk:.6g} (target {res.target:g})")
     if args.output:
-        payload = {
-            "epsilon": res.epsilon,
-            "risk": res.risk,
-            "target": res.target,
-            "measure": res.measure,
-            "mechanism": res.mechanism,
-            "delta": res.delta,
-        }
         with open(args.output, "w") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
+            json.dump(dataclasses.asdict(res), fh, separators=(",", ":"))
             fh.write("\n")
         _manifest(args.output, args)
     return 0
@@ -365,7 +357,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         "--fit-sizes", action="store_true", help="fit the size model from --table"
     )
     p.add_argument("--size-family", choices=["poisson", "negbin"], default="poisson")
-    p.add_argument("--categories", type=int, help="K for the homogeneous global variant")
+    p.add_argument("--categories", type=int, help="K for the global variant; default: the table's")
     p.add_argument(
         "--zero-truncated",
         action="store_true",
@@ -403,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True, choices=MEASURES)
     _add_mechanism_flags(p, grid=True)
     _add_model_flags(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; curves run on one thread")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_risk)
 

@@ -245,11 +245,18 @@ def size_model_to_json(model: CellSizeModel) -> str:
 
 
 def size_model_from_json(text: str) -> CellSizeModel:
+    """Parse a size-model JSON; malformed fields are rejected, never coerced."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("size-model JSON must be an object")
     try:
-        family = obj["family"]
-        lam = float(obj["lambda"])
+        family, lam = obj["family"], obj["lambda"]
     except KeyError as exc:
         raise ValueError(f"size-model JSON is missing field {exc.args[0]!r}") from None
     r = obj.get("r")
-    return CellSizeModel(family, lam, None if r is None else float(r))
+    # exact types, since bool is a subclass of int
+    if type(lam) not in (int, float):
+        raise ValueError(f"size-model JSON 'lambda' must be a number, got {lam!r}")
+    if type(r) not in (int, float, type(None)):
+        raise ValueError(f"size-model JSON 'r' must be a number or null, got {r!r}")
+    return CellSizeModel(family, float(lam), None if r is None else float(r))

@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import block_generator, check_seed
+from ._rng import block_generator, check_seed, ordered_map
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
 from .risk import expected_risk_cells
@@ -147,12 +145,7 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
             tall += _tally(scen)
         return val, tall
 
-    workers = min(threads, os.cpu_count() or 1, len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks))
-    else:
-        parts = [run(b) for b in blocks]
+    parts = ordered_map(run, blocks, threads)
     total = sum(p[0] for p in parts)
     tallies = np.sum(np.stack([p[1] for p in parts]), axis=0)
     value = total / reps
@@ -207,17 +200,11 @@ def mc_local(
     """
     counts = _cell_counts(cell)
     k = counts.size
-    base = counts.astype(float)
-    occupied = counts >= 1
-    homog = int(occupied.sum()) == 1
 
-    def step(gen, c):
-        present = base + _noise(gen, params, (c, k)) >= PRESENCE_THRESHOLD
-        scen = _scenarios(homog, present.sum(axis=1), occupied[np.argmax(present, axis=1)])
-        return float(np.count_nonzero((scen == 1) | (scen == 8))), scen
+    def draw(gen, c):
+        return np.broadcast_to(counts, (c, k))
 
-    per = max(1, _CHUNK_ELEMS // k)
-    return _simulate(reps, seed, threads, per, step, block_offset=block_offset)
+    return _event(reps, seed, threads, k, params, draw, block_offset=block_offset)
 
 
 def mc_expected(
@@ -390,22 +377,16 @@ def upper_bound_findings(
     than treated as a simulation failure.
     """
     closed = expected_risk_cells(table, params)
-    findings = []
-    checked = 0
-    for i, cell in enumerate(table.cells):
-        if classify_cell(cell).homogeneous:
-            continue
-        checked += 1
+    cells = [(i, c) for i, c in enumerate(table.cells) if not classify_cell(c).homogeneous]
+
+    def run(item):
+        i, cell = item
         counts = np.asarray(cell.counts, dtype=float)
-        est = mc_expected(
-            int(counts.sum()),
-            counts / counts.sum(),
-            params,
-            reps,
-            seed,
-            threads=threads,
-            block_offset=i << 32,
-        )
+        n = int(counts.sum())
+        return mc_expected(n, counts / n, params, reps, seed, threads=1, block_offset=i << 32)
+
+    findings = []
+    for (i, cell), est in zip(cells, ordered_map(run, cells, threads)):
         excess = est.value - float(closed[i])
         if est.se > 0 and excess > z_threshold * est.se:
             findings.append(
@@ -417,7 +398,7 @@ def upper_bound_findings(
                     "excess_in_se": excess / est.se,
                 }
             )
-    return {"checked_cells": checked, "reps": int(reps), "violations": findings}
+    return {"checked_cells": len(cells), "reps": int(reps), "violations": findings}
 
 
 def mc_to_json(est: McEstimate) -> str:

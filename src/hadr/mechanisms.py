@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _rng
 from .special import inv_norm_cdf, norm_cdf
-from .tabulation import FrequencyTable
+from .tabulation import FrequencyTable, check_header
 
 MECHANISMS = ("laplace", "gaussian_adp", "gaussian_pdp")
 PRESENCE_THRESHOLD = 0.5
@@ -244,23 +244,48 @@ def sanitized_to_json(sanitized: SanitizedTable) -> str:
 
 
 def sanitized_from_json(text: str) -> SanitizedTable:
+    """Parse the sanitized JSON; malformed fields are rejected, never coerced.
+
+    Noisy counts, epsilon and delta must be JSON numbers: integers count,
+    because ``.17g`` writes 3.0 as ``3``, and bool and str do not.
+    """
+    what = "sanitized table JSON"
     doc = json.loads(text)
     try:
-        keys = tuple(tuple(c["key"]) for c in doc["cells"])
-        noisy = np.array([c["noisy_counts"] for c in doc["cells"]], dtype=float)
+        check_header(doc, what)
+        k = len(doc["categories"])
+        keys, noisy = [], []
+        for i, cell in enumerate(doc["cells"]):
+            if not isinstance(cell, dict):
+                raise ValueError(f"{what} cell {i} is not an object")
+            key, vals = cell["key"], cell["noisy_counts"]
+            if type(key) is not list or not set(map(type, key)) <= {str}:
+                raise ValueError(f"{what} cell {i}: 'key' must be a list of strings, got {key!r}")
+            if type(vals) is not list or len(vals) != k or not set(map(type, vals)) <= {int, float}:
+                raise ValueError(
+                    f"{what} cell {i}: 'noisy_counts' must be a list of {k} numbers, got {vals!r}"
+                )
+            keys.append(tuple(key))
+            noisy.append(vals)
+        if doc["mechanism"] not in MECHANISMS:
+            raise ValueError(f"{what} 'mechanism' must be one of {MECHANISMS}")
+        if type(doc["epsilon"]) not in (int, float):
+            raise ValueError(f"{what} 'epsilon' must be a number, got {doc['epsilon']!r}")
+        if type(doc["delta"]) not in (int, float, type(None)):
+            raise ValueError(f"{what} 'delta' must be a number or null, got {doc['delta']!r}")
         return SanitizedTable(
             qid_names=tuple(doc["qid_names"]),
             sensitive_name=doc["sensitive_name"],
             categories=tuple(doc["categories"]),
-            keys=keys,
-            noisy=noisy,
+            keys=tuple(keys),
+            noisy=np.array(noisy, dtype=float),
             mechanism=doc["mechanism"],
             epsilon=float(doc["epsilon"]),
             delta=None if doc["delta"] is None else float(doc["delta"]),
-            seed=int(doc["seed"]),
+            seed=_rng.check_seed(doc["seed"]),
         )
     except KeyError as exc:
-        raise ValueError(f"sanitized table JSON is missing field {exc}") from None
+        raise ValueError(f"{what} is missing field {exc}") from None
 
 
 def write_sanitized(sanitized: SanitizedTable, path) -> None:

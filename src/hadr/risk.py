@@ -341,8 +341,20 @@ class RiskPoint:
     scenario8: float
 
 
-def _profile(measure, table, alpha, size_model, n_categories, zero_truncated):
-    """The eps-independent profile of a named measure, validating its inputs."""
+def _profile(
+    measure: str,
+    *,
+    table: FrequencyTable | None = None,
+    alpha=None,
+    size_model: CellSizeModel | None = None,
+    n_categories: int | None = None,
+    zero_truncated: bool = False,
+):
+    """The eps-independent profile of a named measure, validating its inputs.
+
+    The only declaration of the measure inputs: ``evaluate_measure``,
+    ``risk_curve`` and ``invert_epsilon`` forward their ``**inputs`` here.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     if measure in ("local", "expected"):
@@ -362,38 +374,25 @@ def _profile(measure, table, alpha, size_model, n_categories, zero_truncated):
     return _global_profile(None, size_model, zero_truncated, n_categories)
 
 
-def evaluate_measure(
-    measure: str,
-    params: PrivacyParams,
-    *,
-    table: FrequencyTable | None = None,
-    alpha=None,
-    size_model: CellSizeModel | None = None,
-    n_categories: int | None = None,
-    zero_truncated: bool = False,
-) -> RiskValue:
-    """Dispatch a measure name to its closed form."""
-    return _profile(measure, table, alpha, size_model, n_categories, zero_truncated).at(params)
+def evaluate_measure(measure: str, params: PrivacyParams, **inputs) -> RiskValue:
+    """Dispatch a measure name to its closed form.
+
+    ``inputs`` are the keywords the measure needs: ``table`` (local,
+    expected, shrinkage), ``alpha`` (shrinkage, global), ``size_model``
+    and ``zero_truncated`` (global, global_variant), and ``n_categories``
+    (global_variant).
+    """
+    return _profile(measure, **inputs).at(params)
 
 
-def risk_curve(
-    measure: str,
-    params_list,
-    *,
-    table: FrequencyTable | None = None,
-    alpha=None,
-    size_model: CellSizeModel | None = None,
-    n_categories: int | None = None,
-    zero_truncated: bool = False,
-    threads: int = 1,
-) -> list[RiskPoint]:
+def risk_curve(measure: str, params_list, **inputs) -> list[RiskPoint]:
     """Evaluate one measure across a list of privacy settings.
 
     Rows come back sorted by (epsilon, delta). The measure's profile is
-    built once and every point is evaluated against it; ``threads`` is
-    accepted for compatibility and has no effect.
+    built once from ``inputs`` (as for ``evaluate_measure``) and every
+    point is evaluated against it.
     """
-    profile = _profile(measure, table, alpha, size_model, n_categories, zero_truncated)
+    profile = _profile(measure, **inputs)
     ordered = sorted(
         params_list, key=lambda p: (p.epsilon, -1.0 if p.delta is None else p.delta)
     )
@@ -437,15 +436,11 @@ def invert_epsilon(
     *,
     delta: float | None = None,
     sensitivity: float = 1.0,
-    table: FrequencyTable | None = None,
-    alpha=None,
-    size_model: CellSizeModel | None = None,
-    n_categories: int | None = None,
-    zero_truncated: bool = False,
     lo: float = 1e-4,
     hi: float = 1e4,
     grid: int = 200,
     tol: float = 1e-6,
+    **inputs,
 ) -> InversionResult:
     """Largest epsilon whose whole prefix keeps the risk at or below target.
 
@@ -454,7 +449,7 @@ def invert_epsilon(
     bracket below ``tol``. Curves are scanned rather than assumed
     monotone, so a non-monotone mixed-table curve still gets its last safe
     prefix. Raises with both asymptote values when the target is outside
-    the achievable range.
+    the achievable range. ``inputs`` are as for ``evaluate_measure``.
     """
     if not 0 < target < 1:
         raise ValueError("target risk must be in (0, 1)")
@@ -462,7 +457,7 @@ def invert_epsilon(
         hi = min(hi, 1.0 - 1e-9)  # calibration domain ends at epsilon = 1
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi for the epsilon search range")
-    profile = _profile(measure, table, alpha, size_model, n_categories, zero_truncated)
+    profile = _profile(measure, **inputs)
 
     def value_at(eps: float) -> float:
         return profile.at(PrivacyParams(mechanism, eps, delta, sensitivity)).value

@@ -266,6 +266,22 @@ def table_to_json(table: FrequencyTable) -> str:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
+def check_header(doc, what: str) -> None:
+    """Reject a table-shaped JSON document whose header is malformed.
+
+    ``what`` names the format in messages. Types are compared exactly,
+    since bool is a subclass of int; a missing name field raises KeyError.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells", []), list):
+        raise ValueError(f"{what} must be an object whose 'cells' is a list")
+    for name in ("qid_names", "categories"):
+        names = doc[name]
+        if type(names) is not list or not set(map(type, names)) <= {str}:
+            raise ValueError(f"{what} '{name}' must be a list of strings, got {names!r}")
+    if type(doc["sensitive_name"]) is not str:
+        raise ValueError(f"{what} 'sensitive_name' must be a string")
+
+
 def table_from_json(text: str) -> FrequencyTable:
     """Parse the table JSON; malformed fields are rejected, never coerced.
 
@@ -274,15 +290,8 @@ def table_from_json(text: str) -> FrequencyTable:
     because table reads dominate the closed-form workloads.
     """
     doc = json.loads(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("cells", []), list):
-        raise ValueError("table JSON must be an object whose 'cells' is a list")
     try:
-        for name in ("qid_names", "categories"):
-            names = doc[name]
-            if type(names) is not list or not set(map(type, names)) <= {str}:
-                raise ValueError(f"table JSON '{name}' must be a list of strings, got {names!r}")
-        if type(doc["sensitive_name"]) is not str:
-            raise ValueError("table JSON 'sensitive_name' must be a string")
+        check_header(doc, "table JSON")
         cells = []
         for i, cell in enumerate(doc["cells"]):
             if not isinstance(cell, dict):

@@ -11,12 +11,11 @@ size-k subset of QIDs and over repeated independent sanitizations.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rng import ordered_map
 from .mechanisms import PrivacyParams, mechanism_noise, postprocess_counts
 from .tabulation import FrequencyTable
 
@@ -158,12 +157,7 @@ def utility_report(
             out[idx] = 0.5 * np.abs(sums / total - base[idx]).sum()
         return out
 
-    workers = min(threads, os.cpu_count() or 1, reps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            draws = np.stack(list(pool.map(one_rep, range(reps))))
-    else:
-        draws = np.stack([one_rep(j) for j in range(reps)])
+    draws = np.stack(ordered_map(one_rep, range(reps), threads))
 
     rows = []
     for idx, spec in enumerate(specs):

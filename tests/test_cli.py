@@ -385,6 +385,47 @@ def test_mc_global_with_size_model_file(data_dir, capsys, tmp_path):
     assert 0.0 < json.loads((tmp_path / "g.json").read_text())["value"] < 1.0
 
 
+def test_mc_global_variant_takes_k_from_table(data_dir, capsys, tmp_path):
+    table_path, _ = tabulate(data_dir, capsys)
+    (tmp_path / "sm.json").write_text('{"family":"poisson","lambda":3.0}\n')
+    args = [
+        "mc",
+        "--estimator", "global_variant",
+        "--size-model", str(tmp_path / "sm.json"),
+        "--mechanism", "laplace",
+        "--epsilon", "1",
+        "--reps", "2000",
+        "--seed", "17",
+    ]
+    code, _, _ = run(capsys, *args, "--table", str(table_path), "--output", str(tmp_path / "t.json"))
+    assert code == 0
+    code, _, _ = run(capsys, *args, "--categories", "2", "--output", str(tmp_path / "k.json"))
+    assert code == 0
+    assert (tmp_path / "t.json").read_bytes() == (tmp_path / "k.json").read_bytes()
+    code, _, err = run(capsys, *args, "--output", str(tmp_path / "x.json"))
+    assert code == 1
+    assert "estimator 'global_variant' requires a size model and --categories" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"family":"poisson","lambda":"0.5"}'])
+def test_malformed_size_model_json_exits_1(capsys, tmp_path, text):
+    (tmp_path / "bad.json").write_text(text)
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--measure", "global_variant",
+        "--categories", "2",
+        "--size-model", str(tmp_path / "bad.json"),
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3",
+        "--output", str(tmp_path / "c.csv"),
+    )
+    assert code == 1 and err.startswith("error: size-model JSON")
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_invert_prints_result(capsys, tmp_path):
     t = make_homog_table([10], k=2)
     write_table(t, tmp_path / "t.json")

@@ -207,6 +207,27 @@ def test_size_model_json_missing_field():
         size_model_from_json('{"lambda":2.0}')
 
 
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"family":"poisson","lambda":true}', "lambda"),
+        ('{"family":"poisson","lambda":"0.5"}', "lambda"),
+        ('{"family":"negbin","lambda":0.5,"r":"3"}', "'r'"),
+        ('{"family":"negbin","lambda":0.5,"r":false}', "'r'"),
+        ("[1, 2]", "object"),
+        ('"poisson"', "object"),
+    ],
+)
+def test_size_model_json_rejects_malformed(text, field):
+    with pytest.raises(ValueError, match=field):
+        size_model_from_json(text)
+
+
+def test_size_model_json_accepts_integers():
+    model = size_model_from_json('{"family":"negbin","lambda":0.5,"r":3}')
+    assert model == CellSizeModel(family="negbin", lam=0.5, r=3.0)
+
+
 def test_dirichlet_json():
     rng = np.random.default_rng(11)
     fit = fit_beta_mom(beta_binomial_cells(rng, m=500))

@@ -4,12 +4,15 @@ The agreement tests use fixed seeds, so they are deterministic; the 3-SE
 windows were checked to hold at those seeds.
 """
 
+import ast
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
+import hadr._rng
 import hadr.mc
 from conftest import make_homog_table, make_table, recording_pool
 from hadr import (
@@ -174,7 +177,7 @@ def test_thread_count_does_not_change_results():
 
 def test_worker_threads_capped_by_cpus_and_blocks(monkeypatch):
     pool, seen = recording_pool()
-    monkeypatch.setattr(hadr.mc, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(hadr._rng, "ThreadPoolExecutor", pool)
     reps = 2 * BLOCK_REPS + 1  # three blocks
     serial = mc_expected(5, (0.3, 0.7), LAP1, reps, seed=29)
     for cpus in (2, 8, None):
@@ -182,6 +185,13 @@ def test_worker_threads_capped_by_cpus_and_blocks(monkeypatch):
         assert mc_expected(5, (0.3, 0.7), LAP1, reps, seed=29, threads=64) == serial
     # 2 CPUs cap it at 2, 3 blocks cap it at 3, an unknown CPU count runs serially
     assert seen == [2, 3]
+    # the audit pools its 3 heterogeneous cells; each cell's 2 blocks run serially inside
+    seen.clear()
+    t = make_table([(3, 1), (0, 7), (2, 2), (1, 4)])
+    serial = upper_bound_findings(t, LAP1, BLOCK_REPS + 1, seed=7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert upper_bound_findings(t, LAP1, BLOCK_REPS + 1, seed=7, threads=64) == serial
+    assert seen == [3]
 
 
 STREAM_REPS = 2 * BLOCK_REPS + 17  # three blocks, the last one partial
@@ -363,3 +373,25 @@ def test_reps_and_seed_validation():
         mc_local((0, 4), LAP1, 100, seed=-1)
     with pytest.raises(ValueError):
         mc_local((0, 4), LAP1, 100, seed=2**64)
+
+
+def test_mc_shares_only_the_audit_oracle_with_the_closed_forms():
+    """MC estimators never reuse closed-form code, so each route checks the other."""
+    tree = ast.parse(inspect.getsource(hadr.mc))
+    from_risk = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "risk":
+            from_risk += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert all(alias.name.split(".")[-1] != "risk" for alias in node.names)
+    assert from_risk == ["expected_risk_cells"]
+
+    def uses(node):
+        return any(isinstance(n, ast.Name) and n.id == "expected_risk_cells" for n in ast.walk(node))
+
+    users = [
+        getattr(node, "name", type(node).__name__)
+        for node in tree.body
+        if not isinstance(node, ast.ImportFrom) and uses(node)
+    ]
+    assert users == ["upper_bound_findings"]

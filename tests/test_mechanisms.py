@@ -1,5 +1,6 @@
 """Noise calibration, sampling, and the sanitized-table format."""
 
+import json
 import math
 
 import numpy as np
@@ -207,3 +208,53 @@ def test_sanitized_json_round_trip(tmp_path):
 def test_sanitized_json_missing_field():
     with pytest.raises(ValueError):
         sanitized_from_json("{}")
+
+
+def sanitized_doc():
+    t = make_table([(3, 1), (0, 7)])
+    return json.loads(sanitized_to_json(sanitize(t, PrivacyParams("laplace", 1.0), seed=9)))
+
+
+def test_sanitized_json_accepts_integer_counts():
+    doc = sanitized_doc()
+    doc["cells"][1]["noisy_counts"] = [3, -1]  # .17g writes 3.0 as 3
+    doc["epsilon"] = 1
+    back = sanitized_from_json(json.dumps(doc))
+    assert back.noisy[1].tolist() == [3.0, -1.0] and back.epsilon == 1.0
+
+
+@pytest.mark.parametrize(
+    "path,value,match",
+    [
+        (("cells", 1, "noisy_counts"), [True, 2.5], "cell 1: 'noisy_counts'"),
+        (("cells", 1, "noisy_counts"), ["2.5", 1.0], "cell 1: 'noisy_counts'"),
+        (("cells", 1, "noisy_counts"), [2.5], "cell 1: 'noisy_counts'"),
+        (("cells", 1, "noisy_counts"), "2.5", "cell 1: 'noisy_counts'"),
+        (("cells", 1, "key"), [3], "cell 1: 'key'"),
+        (("cells", 1), "c1", "cell 1 is not an object"),
+        (("seed",), 3.9, "seed"),
+        (("seed",), True, "seed"),
+        (("seed",), "9", "seed"),
+        (("epsilon",), "1", "'epsilon'"),
+        (("epsilon",), None, "'epsilon'"),
+        (("delta",), "0.1", "'delta'"),
+        (("mechanism",), 5, "'mechanism'"),
+        (("qid_names",), "g", "'qid_names'"),
+        (("categories",), ["y0", 1], "'categories'"),
+        (("sensitive_name",), 5, "'sensitive_name'"),
+    ],
+)
+def test_sanitized_json_rejects_malformed(path, value, match):
+    doc = sanitized_doc()
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=match):
+        sanitized_from_json(json.dumps(doc))
+
+
+def test_sanitized_json_rejects_non_object():
+    for text in ("[]", '"x"', '{"cells": 3}'):
+        with pytest.raises(ValueError, match="object"):
+            sanitized_from_json(text)

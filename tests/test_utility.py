@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-import hadr.utility
+import hadr._rng
 from conftest import make_table, recording_pool
 from hadr import PrivacyParams, marginal_probs, tvd, utility_report
 from hadr.tabulation import CellRecord, FrequencyTable
@@ -130,7 +130,7 @@ def test_report_deterministic_and_thread_invariant(rng):
 
 def test_report_worker_threads_capped(rng, monkeypatch):
     pool, seen = recording_pool()
-    monkeypatch.setattr(hadr.utility, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(hadr._rng, "ThreadPoolExecutor", pool)
     t = product_table(rng, levels=(2, 2))
     params = PrivacyParams("laplace", 1.0)
     serial = utility_report(t, params, ks=(1,), reps=5, seed=3)

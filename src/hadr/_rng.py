@@ -43,6 +43,13 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_reps(reps) -> int:
+    """Validate and return a replicate count as a plain positive int."""
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise ValueError("reps must be a positive integer")
+    return int(reps)
+
+
 def raw_words(seed: int, start: int, count: int) -> np.ndarray:
     """Return ``count`` raw 64-bit words at positions [start, start+count)."""
     seed = check_seed(seed)

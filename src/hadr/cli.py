@@ -45,7 +45,7 @@ from .mc import (
 )
 from .mechanisms import MECHANISMS, PrivacyParams, sanitize, write_sanitized
 from .risk import MEASURES, invert_epsilon, risk_curve, write_curve_csv
-from .tabulation import bin_numeric, cross_tabulate, load_csv, read_table, write_table
+from .tabulation import read_table, tabulate_csv, write_table
 from .utility import utility_report, write_tvd_csv
 
 # Execution knobs that do not influence output bytes stay out of the
@@ -188,10 +188,7 @@ def _cmd_tabulate(args) -> int:
         except ValueError:
             raise ValueError(f"--bin {spec!r} has a non-numeric width") from None
     qids = [q for q in args.qids.split(",") if q]
-    ds = load_csv(args.input, numeric_columns=[c for c, _ in bins])
-    for col, width in bins:
-        ds = bin_numeric(ds, col, width)
-    table = cross_tabulate(ds, qids, args.sensitive)
+    table = tabulate_csv(args.input, qids, args.sensitive, bins=bins)
     write_table(table, args.output)
     _manifest(args.output, args)
     print(

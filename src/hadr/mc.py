@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import block_generator, check_seed, ordered_map
+from ._rng import block_generator, check_reps, check_seed, ordered_map
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
 from .risk import expected_risk_cells
@@ -130,9 +130,8 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
     ``per`` replicates; block results are combined in index order.
     """
     check_seed(seed)
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ValueError("reps must be a positive integer")
-    blocks = list(enumerate(_chunks(int(reps), BLOCK_REPS), start=block_offset))
+    reps = check_reps(reps)
+    blocks = list(enumerate(_chunks(reps, BLOCK_REPS), start=block_offset))
 
     def run(block):
         idx, count = block
@@ -151,7 +150,7 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
     value = total / reps
     se = math.sqrt(max(value * (1.0 - value), 0.0) / reps)
     scen = {str(i + 1): int(tallies[i]) for i in range(8)}
-    return McEstimate(value, se, int(reps), scen, mode)
+    return McEstimate(value, se, reps, scen, mode)
 
 
 def _event(reps, seed, threads, k, params, draw, *, block_offset=0) -> McEstimate:
@@ -376,6 +375,8 @@ def upper_bound_findings(
     beyond z_threshold standard errors) is reported as a finding rather
     than treated as a simulation failure.
     """
+    reps = check_reps(reps)
+    check_seed(seed)
     closed = expected_risk_cells(table, params)
     cells = [(i, c) for i, c in enumerate(table.cells) if not classify_cell(c).homogeneous]
 
@@ -398,7 +399,7 @@ def upper_bound_findings(
                     "excess_in_se": excess / est.se,
                 }
             )
-    return {"checked_cells": len(cells), "reps": int(reps), "violations": findings}
+    return {"checked_cells": len(cells), "reps": reps, "violations": findings}
 
 
 def mc_to_json(est: McEstimate) -> str:

@@ -11,8 +11,13 @@ with positive count.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,89 +26,20 @@ DEFAULT_MISSING_TOKENS = ("", "?", "NA")
 
 @dataclass
 class RawDataset:
-    """Column-named rows; entries are str, float, or None for missing."""
+    """Column-named rows; entries are str, float, or None for missing.
+
+    ``rows`` may be any iterable, such as the row stream of ``tabulate_csv``;
+    ``cross_tabulate`` walks it once.
+    """
 
     column_names: list[str]
-    rows: list[list]
+    rows: Iterable[list]
 
     def column_index(self, name: str) -> int:
         try:
             return self.column_names.index(name)
         except ValueError:
             raise ValueError(f"no column named {name!r}") from None
-
-
-def load_csv(path, numeric_columns=(), missing_tokens=DEFAULT_MISSING_TOKENS) -> RawDataset:
-    """Read an RFC-4180-style delimited file with a header row.
-
-    Columns named in ``numeric_columns`` are parsed as floats; a value that
-    fails to parse raises. Tokens in ``missing_tokens`` (compared after
-    stripping whitespace) become None in any column.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty input: missing header row") from None
-        header = [h.strip() for h in header]
-        numeric = set(numeric_columns)
-        unknown = numeric.difference(header)
-        if unknown:
-            raise ValueError(f"numeric columns not in header: {sorted(unknown)}")
-        missing = {str(t) for t in missing_tokens}
-        num_idx = [i for i, h in enumerate(header) if h in numeric]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"ragged row at line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            vals: list = [v.strip() for v in row]
-            for i, v in enumerate(vals):
-                if v in missing:
-                    vals[i] = None
-            for i in num_idx:
-                if vals[i] is None:
-                    continue
-                try:
-                    vals[i] = float(vals[i])
-                except ValueError:
-                    raise ValueError(
-                        f"unparseable numeric value {vals[i]!r} in column "
-                        f"{header[i]!r} at line {lineno}"
-                    ) from None
-            rows.append(vals)
-    return RawDataset(column_names=header, rows=rows)
-
-
-def _bin_label(value: float, width: float) -> str:
-    idx = int(np.floor(value / width))
-    lo = idx * width
-    hi = (idx + 1) * width
-    return f"{lo:g}-{hi:g}"
-
-
-def bin_numeric(dataset: RawDataset, column: str, width: float) -> RawDataset:
-    """Replace a numeric column by half-open interval labels "lo-hi".
-
-    Bins are lower-inclusive and anchored at 0: value v falls in
-    [k*width, (k+1)*width) with k = floor(v / width). Missing values stay
-    missing.
-    """
-    if not width > 0:
-        raise ValueError("bin width must be positive")
-    col = dataset.column_index(column)
-    rows = []
-    for row in dataset.rows:
-        v = row[col]
-        out = list(row)
-        if v is not None:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"column {column!r} is not numeric; load it with numeric_columns")
-            out[col] = _bin_label(float(v), float(width))
-        rows.append(out)
-    return RawDataset(column_names=list(dataset.column_names), rows=rows)
 
 
 @dataclass(frozen=True)
@@ -196,8 +132,9 @@ def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> F
     """Build the QID-by-sensitive frequency table from raw rows.
 
     Rows with a missing value in any selected column are dropped (the count
-    is kept on the returned table). Category order for the sensitive
-    attribute is first appearance in the data.
+    is kept on the returned table). Values are compared as strings, and the
+    categories of the sensitive attribute are sorted, so the table depends
+    only on the multiset of rows, not on their order.
     """
     qid_columns = list(qid_columns)
     if not qid_columns:
@@ -206,32 +143,24 @@ def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> F
         raise ValueError("duplicate QID columns")
     if sensitive_column in qid_columns:
         raise ValueError("sensitive column cannot also be a QID")
-    qidx = [dataset.column_index(c) for c in qid_columns]
-    sidx = dataset.column_index(sensitive_column)
+    columns = [dataset.column_index(c) for c in qid_columns + [sensitive_column]]
 
-    categories: list[str] = []
-    cat_pos: dict[str, int] = {}
-    counts: dict[tuple[str, ...], dict[int, int]] = {}
+    tally = Counter(map(itemgetter(*columns), dataset.rows))
     dropped = 0
-    for row in dataset.rows:
-        used = [row[i] for i in qidx] + [row[sidx]]
-        if any(v is None for v in used):
-            dropped += 1
+    counts: dict[tuple[str, ...], Counter] = {}
+    for used, c in tally.items():
+        if None in used:
+            dropped += c
             continue
-        key = tuple(str(row[i]) for i in qidx)
-        cat = str(row[sidx])
-        if cat not in cat_pos:
-            cat_pos[cat] = len(categories)
-            categories.append(cat)
-        counts.setdefault(key, {})
-        counts[key][cat_pos[cat]] = counts[key].get(cat_pos[cat], 0) + 1
+        key = tuple(map(str, used[:-1]))
+        counts.setdefault(key, Counter())[str(used[-1])] += c
     if not counts:
         raise ValueError("no complete rows to tabulate")
+    categories = sorted(set().union(*counts.values()))
     if len(categories) < 2:
         raise ValueError("sensitive attribute must take at least 2 categories")
-    k = len(categories)
     cells = tuple(
-        CellRecord(key=key, counts=tuple(by_cat.get(j, 0) for j in range(k)))
+        CellRecord(key=key, counts=tuple(by_cat[cat] for cat in categories))
         for key, by_cat in counts.items()
     )
     return FrequencyTable(
@@ -241,6 +170,74 @@ def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> F
         cells=cells,
         dropped_rows=dropped,
     )
+
+
+@functools.lru_cache(maxsize=4096)
+def _bin_label(text: str, width: float) -> str:
+    """Label "lo-hi" of the half-open bin [k*width, (k+1)*width) holding text.
+
+    Cached because a numeric column repeats few distinct values; an error
+    names the value only, and the caller adds its column and line.
+    """
+    try:
+        k = float(text) / width
+    except ValueError:
+        raise ValueError(f"unparseable numeric value {text!r}") from None
+    if not math.isfinite(k):
+        raise ValueError(f"no finite bin for value {text!r}")
+    k = math.floor(k)
+    return f"{k * width:g}-{(k + 1) * width:g}"
+
+
+def _csv_rows(reader, header, binned, missing):
+    """Stripped rows of ``reader`` with missing tokens as None and bins labelled."""
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"ragged row at line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        vals = [None if v in missing else v for v in map(str.strip, row)]
+        for i, width in binned.items():
+            if vals[i] is not None:
+                try:
+                    vals[i] = _bin_label(vals[i], width)
+                except ValueError as exc:
+                    raise ValueError(f"{exc} in column {header[i]!r} at line {lineno}") from None
+        yield vals
+
+
+def tabulate_csv(
+    path, qid_columns, sensitive_column: str, bins=(), missing_tokens=DEFAULT_MISSING_TOKENS
+) -> FrequencyTable:
+    """Cross-tabulate an RFC-4180-style delimited file with a header row.
+
+    The file is read once and no row is kept. Fields are compared after
+    stripping whitespace; tokens in ``missing_tokens`` are missing in any
+    column. Each ``(column, width)`` in ``bins`` replaces a numeric column
+    by the label "lo-hi" of its lower-inclusive bin anchored at 0: value v
+    falls in [k*width, (k+1)*width) with k = floor(v / width). A binned
+    value that does not parse or is not finite raises, naming its column
+    and line, whether or not the column is tabulated.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError("empty input: missing header row") from None
+        dataset = RawDataset(column_names=header, rows=())
+        binned: dict[int, float] = {}
+        for column, width in bins:
+            if not width > 0:
+                raise ValueError("bin width must be positive")
+            if width == math.inf:
+                raise ValueError("bin width must be finite")
+            i = dataset.column_index(column)
+            if i in binned:
+                raise ValueError(f"column {column!r} is binned twice")
+            binned[i] = float(width)
+        dataset.rows = _csv_rows(reader, header, binned, {str(t) for t in missing_tokens})
+        return cross_tabulate(dataset, qid_columns, sensitive_column)
 
 
 def expand_table(table: FrequencyTable) -> RawDataset:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import ordered_map
+from ._rng import check_reps, ordered_map
 from .mechanisms import PrivacyParams, mechanism_noise, postprocess_counts
 from .tabulation import FrequencyTable
 
@@ -125,8 +125,7 @@ def utility_report(
     subsets of each requested size are evaluated (so a table with p QIDs
     yields C(p, k) rows per k).
     """
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ValueError("reps must be a positive integer")
+    reps = check_reps(reps)
     ks = sorted(set(int(k) for k in ks))
     specs = []
     for k in ks:
@@ -174,7 +173,7 @@ def utility_report(
                 q3=float(q3),
             )
         )
-    return TvdReport(rows=tuple(rows), reps=int(reps))
+    return TvdReport(rows=tuple(rows), reps=reps)
 
 
 def _fmt12(x: float) -> str:

@@ -30,12 +30,13 @@ from hadr import (
     mc_threshold_dr,
     scenario8_peak_epsilon,
     shrinkage_risk,
+    tabulate_csv,
     utility_report,
     write_table,
 )
 from hadr.cli import main
 from hadr.risk import _dirichlet_moments, risk_curve
-from hadr.tabulation import RawDataset, bin_numeric, load_csv
+from hadr.tabulation import RawDataset
 from oracles import expected_risk_k2, homogeneous_risk, shrinkage_risk_k2
 
 DELTA = 1e-5
@@ -279,6 +280,40 @@ ADULT_COLUMNS = (
 )
 
 
+def _adult_table(lines, tmp_path):
+    """Criterion 11's adult table: age in 5-year and hours in 10-hour bins."""
+    csv_path = tmp_path / "adult.csv"
+    csv_path.write_text(ADULT_COLUMNS + "\n" + "\n".join(lines) + "\n")
+    return tabulate_csv(
+        csv_path,
+        ["age", "relationship", "education", "race", "sex", "hours"],
+        "income",
+        bins=[("age", 5.0), ("hours", 10.0)],
+    )
+
+
+def test_adult_table_on_rows_in_adult_format(tmp_path):
+    """Criterion 11's adult branch needs the dataset; its tabulation runs here."""
+    lines = [
+        "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, Not-in-family, "
+        "White, Male, 2174, 0, 40, United-States, <=50K",
+        "36, Private, 215646, Bachelors, 13, Divorced, Sales, Not-in-family, "
+        "White, Male, 0, 0, 45, ?, >50K",
+        "52, Self-emp-inc, 287927, HS-grad, 9, Married-civ-spouse, ?, Husband, "
+        "Black, Male, 15024, 0, 13, United-States, >50K",
+        "28, ?, 338409, Some-college, 10, Married-civ-spouse, ?, Wife, "
+        "White, Female, 0, 0, 40, Cuba, <=50K",
+    ]
+    table = _adult_table(lines, tmp_path)
+    assert table.categories == ("<=50K", ">50K") and table.dropped_rows == 0
+    assert {c.key: c.counts for c in table.cells} == {
+        ("35-40", "Not-in-family", "Bachelors", "White", "Male", "40-50"): (1, 1),
+        ("50-55", "Husband", "HS-grad", "Black", "Male", "10-20"): (0, 1),
+        ("25-30", "Wife", "Some-college", "White", "Female", "40-50"): (1, 0),
+    }
+    assert fit_poisson(table.sizes()).lam == 4 / 3
+
+
 def test_criterion_11_size_fit_identities(tmp_path):
     sizes = np.random.default_rng(110_006).integers(1, 50, size=200)
     assert fit_poisson(sizes).lam == float(np.mean(sizes))
@@ -292,14 +327,7 @@ def test_criterion_11_size_fit_identities(tmp_path):
     if adult is not None:
         with open(adult) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-        csv_path = tmp_path / "adult.csv"
-        csv_path.write_text(ADULT_COLUMNS + "\n" + "\n".join(lines) + "\n")
-        ds = load_csv(csv_path, numeric_columns=("age", "hours"))
-        ds = bin_numeric(ds, "age", 5.0)
-        ds = bin_numeric(ds, "hours", 10.0)
-        table = cross_tabulate(
-            ds, ["age", "relationship", "education", "race", "sex", "hours"], "income"
-        )
+        table = _adult_table(lines, tmp_path)
         lam = fit_poisson(table.sizes()).lam
         assert abs(lam - 4.6) <= 0.3, f"adult rate {lam:.3f}"
         checked.append("adult")

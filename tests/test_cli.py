@@ -66,6 +66,44 @@ def test_tabulate_binning(data_dir, capsys):
     assert "10-20" in text or "20-30" in text
 
 
+def test_tabulate_ignores_row_order(data_dir, capsys):
+    header, *rows = CSV.splitlines(keepends=True)
+    np.random.default_rng(3).shuffle(rows)
+    (data_dir / "shuffled.csv").write_text(header + "".join(rows))
+    outputs = []
+    for name in ("micro.csv", "shuffled.csv"):
+        out = data_dir / f"{name}.json"
+        code, _, _ = run(
+            capsys, "tabulate", "--input", str(data_dir / name), "--qids", "g,age",
+            "--sensitive", "y", "--bin", "age:10", "--output", str(out),
+        )
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert json.loads(outputs[0])["categories"] == ["u", "v"]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "age,bins,message",
+    [
+        ("inf", ["age:10"], "'inf' in column 'age' at line 3"),
+        ("nan", ["age:10"], "'nan' in column 'age' at line 3"),
+        ("old", ["age:10"], "'old' in column 'age' at line 3"),
+        ("30,x", ["age:10"], "ragged row at line 3"),
+        ("30", ["height:10"], "no column named 'height'"),
+        ("30", ["age:10", "age:5"], "'age' is binned twice"),
+    ],
+)
+def test_tabulate_rejects_bad_bin_input(tmp_path, capsys, age, bins, message):
+    (tmp_path / "bad.csv").write_text(f"g,age,y\na,20,u\nb,{age},v\n")
+    argv = ["tabulate", "--input", str(tmp_path / "bad.csv"), "--qids", "g,age"]
+    argv += [a for b in bins for a in ("--bin", b)]
+    code, _, err = run(capsys, *argv, "--sensitive", "y", "--output", str(tmp_path / "t.json"))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_tabulate_bad_bin_spec(data_dir, capsys):
     code, _, err = run(
         capsys,

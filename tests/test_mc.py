@@ -375,6 +375,33 @@ def test_reps_and_seed_validation():
         mc_local((0, 4), LAP1, 100, seed=2**64)
 
 
+BAD_REPS = [0, -5, 2.5, True, "10"]
+
+
+@pytest.mark.parametrize("reps", BAD_REPS)
+def test_estimators_reject_bad_reps(reps):
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        mc_local((0, 4), LAP1, reps, seed=1)
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        mc_threshold_dr(make_table([(2, 2)]), LAP1, reps, seed=1)
+
+
+@pytest.mark.parametrize(
+    "reps,seed", [(r, 1) for r in BAD_REPS] + [(10, -1), (10, "x"), (10, 1.0)]
+)
+def test_audit_checks_reps_and_seed_without_heterogeneous_cells(reps, seed):
+    """With nothing to simulate, the audit still rejects bad reps and seeds."""
+    with pytest.raises(ValueError, match="must be"):
+        upper_bound_findings(make_homog_table([2, 5, 9]), LAP1, reps, seed)
+
+
+def test_check_reps_returns_a_plain_int():
+    assert hadr._rng.check_reps(np.int64(7)) == 7
+    assert type(hadr._rng.check_reps(np.int64(7))) is int
+    report = upper_bound_findings(make_homog_table([2, 5]), LAP1, np.int32(3), seed=1)
+    assert type(report["reps"]) is int
+
+
 def test_mc_shares_only_the_audit_oracle_with_the_closed_forms():
     """MC estimators never reuse closed-form code, so each route checks the other."""
     tree = ast.parse(inspect.getsource(hadr.mc))

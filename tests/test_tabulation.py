@@ -1,6 +1,10 @@
 """Ingestion, cross-tabulation, and the canonical table JSON format."""
 
+import csv
 import json
+import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,12 +13,11 @@ from conftest import make_table
 from hadr import (
     CellRecord,
     FrequencyTable,
-    bin_numeric,
     classify_cell,
     cross_tabulate,
     expand_table,
-    load_csv,
     read_table,
+    tabulate_csv,
     write_table,
 )
 from hadr.tabulation import RawDataset, table_from_json, table_to_json
@@ -26,50 +29,127 @@ def write_csv(tmp_path, text, name="data.csv"):
     return str(path)
 
 
+def cells_of(table):
+    return {c.key: c.counts for c in table.cells}
+
+
 def test_load_csv_basic(tmp_path):
     path = write_csv(tmp_path, "a,b,y\n1,x,u\n2,x,v\n")
-    ds = load_csv(path, numeric_columns=["a"])
-    assert ds.column_names == ["a", "b", "y"]
-    assert ds.rows[0] == [1.0, "x", "u"]
+    t = tabulate_csv(path, ["a", "b"], "y", bins=[("a", 1.0)])
+    assert t.qid_names == ("a", "b") and t.sensitive_name == "y"
+    assert t.categories == ("u", "v")
+    assert cells_of(t) == {("1-2", "x"): (1, 0), ("2-3", "x"): (0, 1)}
 
 
 def test_load_csv_missing_header(tmp_path):
     path = write_csv(tmp_path, "")
     with pytest.raises(ValueError, match="header"):
-        load_csv(path)
+        tabulate_csv(path, ["a"], "b")
 
 
 def test_load_csv_ragged_row_names_line(tmp_path):
     path = write_csv(tmp_path, "a,b\n1,2\n3\n")
     with pytest.raises(ValueError, match="line 3"):
-        load_csv(path)
+        tabulate_csv(path, ["a"], "b")
 
 
 def test_load_csv_bad_number_names_column_and_line(tmp_path):
     path = write_csv(tmp_path, "a,b\n1,x\noops,y\n")
-    with pytest.raises(ValueError, match="'a'.*line 3"):
-        load_csv(path, numeric_columns=["a"])
+    with pytest.raises(ValueError, match="unparseable numeric value 'oops' in column 'a' at line 3"):
+        tabulate_csv(path, ["b"], "a", bins=[("a", 1.0)])
 
 
 def test_load_csv_missing_tokens(tmp_path):
-    path = write_csv(tmp_path, "a,b\n?,x\n,y\nNA,z\n5,w\n")
-    ds = load_csv(path, numeric_columns=["a"])
-    assert [r[0] for r in ds.rows] == [None, None, None, 5.0]
-    assert ds.rows[3] == [5.0, "w"]
+    path = write_csv(tmp_path, "a,b\n?,x\n,y\nNA,z\n5,w\n6,x\n")
+    t = tabulate_csv(path, ["a"], "b", bins=[("a", 1.0)])
+    assert t.dropped_rows == 3
+    assert cells_of(t) == {("5-6",): (1, 0), ("6-7",): (0, 1)}
 
 
-def test_bin_numeric_labels():
-    ds = RawDataset(column_names=("age", "y"), rows=((17.0, "u"), (25.0, "v"), (None, "w")))
-    out = bin_numeric(ds, "age", 5.0)
-    assert out.rows[0][0] == "15-20"
-    assert out.rows[1][0] == "25-30"
-    assert out.rows[2][0] is None
+def test_bin_numeric_labels(tmp_path):
+    path = write_csv(tmp_path, "age,y\n17,u\n25,v\n,w\n")
+    t = tabulate_csv(path, ["age"], "y", bins=[("age", 5.0)])
+    assert cells_of(t) == {("15-20",): (1, 0), ("25-30",): (0, 1)}
+    assert t.dropped_rows == 1
 
 
-def test_bin_numeric_rejects_bad_width():
-    ds = RawDataset(column_names=("age",), rows=((17.0,),))
-    with pytest.raises(ValueError):
-        bin_numeric(ds, "age", 0.0)
+def test_bin_numeric_rejects_bad_width(tmp_path):
+    path = write_csv(tmp_path, "age,y\n17,u\n25,v\n")
+    with pytest.raises(ValueError, match="width must be positive"):
+        tabulate_csv(path, ["age"], "y", bins=[("age", 0.0)])
+    with pytest.raises(ValueError, match="width must be finite"):
+        tabulate_csv(path, ["age"], "y", bins=[("age", math.inf)])
+
+
+def test_tabulate_csv_rejects_unknown_bin_column(tmp_path):
+    path = write_csv(tmp_path, "age,y\n17,u\n25,v\n")
+    with pytest.raises(ValueError, match="no column named 'height'"):
+        tabulate_csv(path, ["age"], "y", bins=[("height", 5.0)])
+
+
+def test_tabulate_csv_rejects_column_binned_twice(tmp_path):
+    path = write_csv(tmp_path, "age,y\n17,u\n25,v\n")
+    with pytest.raises(ValueError, match="'age' is binned twice"):
+        tabulate_csv(path, ["age"], "y", bins=[("age", 5.0), ("age", 10.0)])
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "1e308"])
+def test_tabulate_csv_rejects_non_finite_bin_values(tmp_path, value):
+    """1e308 is finite, but its bin index at width 1e-10 is not."""
+    path = write_csv(tmp_path, f"age,y\n17,u\n{value},v\n")
+    message = f"no finite bin for value '{value}' in column 'age' at line 3"
+    with pytest.raises(ValueError, match=message):
+        tabulate_csv(path, ["y"], "age", bins=[("age", 1e-10)])
+
+
+def test_tabulate_csv_parses_bins_of_unused_columns(tmp_path):
+    path = write_csv(tmp_path, "g,h,y\na,1,u\nb,x,v\n")
+    assert cells_of(tabulate_csv(path, ["g"], "y")) == {("a",): (1, 0), ("b",): (0, 1)}
+    with pytest.raises(ValueError, match="'h' at line 3"):
+        tabulate_csv(path, ["g"], "y", bins=[("h", 1.0)])
+
+
+def _counted_by_hand(path, qids, sensitive, bins, missing=("", "?", "NA")):
+    """{(key, category): count} and dropped rows, from csv and Counter alone."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    tally, dropped = Counter(), 0
+    for row in rows[1:]:
+        rec = {h: (None if v.strip() in missing else v.strip()) for h, v in zip(header, row)}
+        for col, width in bins:
+            if rec[col] is not None:
+                lo = math.floor(float(rec[col]) / width)
+                rec[col] = f"{lo * width:g}-{(lo + 1) * width:g}"
+        used = [rec[q] for q in qids] + [rec[sensitive]]
+        if None in used:
+            dropped += 1
+        else:
+            tally[tuple(used[:-1]), used[-1]] += 1
+    return dict(tally), dropped
+
+
+def test_tabulate_csv_matches_hand_count_on_messy_input(tmp_path):
+    rng = random.Random(20_260_418)
+    tokens = ["", "?", "NA", " ? ", "  "]
+    lines = ["age, zip ,note,y"]
+    for _ in range(400):
+        age = rng.choice(["-7.5", "-0.25", "0", " 3.75 ", "12", "19.999", "-2", "44.5"] + tokens)
+        zip_ = rng.choice([" z1", "z2 ", " z3 ", "z1"] + tokens[:3])
+        note = rng.choice(["ok", " x ", "oops"] + tokens)
+        y = rng.choice(["u", " v", "w ", "u"] + tokens[:3])
+        lines.append(f"{age},{zip_},{note},{y}")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    bins = [("age", 2.5)]
+    t = tabulate_csv(path, ["age", "zip"], "y", bins=bins)
+    truth, dropped = _counted_by_hand(path, ["age", "zip"], "y", bins)
+    got = {
+        (c.key, cat): n for c in t.cells for cat, n in zip(t.categories, c.counts) if n
+    }
+    assert got == truth
+    assert t.dropped_rows == dropped > 0
+    assert t.categories == ("u", "v", "w")
+    assert {"-7.5--5", "-2.5-0", "0-2.5", "17.5-20"} <= {c.key[0] for c in t.cells}
 
 
 def test_cross_tabulate_counts_and_drops():

@@ -163,6 +163,12 @@ def test_report_summary_and_validation(rng):
         utility_report(t, PrivacyParams("laplace", 1.0), ks=(3,), reps=2, seed=7)
 
 
+@pytest.mark.parametrize("reps", [-5, 2.5, True, "10"])
+def test_report_rejects_bad_reps(reps):
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        utility_report(make_table([(3, 1)]), PrivacyParams("laplace", 1.0), (1,), reps, seed=7)
+
+
 def test_report_errors_when_everything_clamps():
     t = make_table([(1, 0)])
     with pytest.raises(ValueError, match="clamped"):

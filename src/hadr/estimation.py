@@ -104,14 +104,6 @@ def fit_dirichlet_mom(data) -> DirichletFit:
     )
 
 
-def fit_beta_mom(data) -> DirichletFit:
-    """Two-category special case; identical to the Dirichlet fit at K=2."""
-    counts = _counts_of(data)
-    if counts.shape[1] != 2:
-        raise ValueError("fit_beta_mom requires exactly 2 categories")
-    return fit_dirichlet_mom(counts)
-
-
 @dataclass(frozen=True)
 class CellSizeModel:
     """Count distribution for cell sizes, wrapping a frozen pmf family.

@@ -41,7 +41,7 @@ from ._rng import block_generator, check_reps, check_seed, ordered_map
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
 from .risk import expected_risk_cells
-from .tabulation import CellRecord, FrequencyTable, classify_cell
+from .tabulation import CellRecord, FrequencyTable
 
 BLOCK_REPS = 1 << 16
 _CHUNK_ELEMS = 1 << 21
@@ -69,28 +69,6 @@ class McEstimate:
     reps: int
     scenarios: dict
     mode: str | None = None
-
-
-def classify_scenario(counts, support) -> int:
-    """Scenario code (1-8) for original counts and a sanitized support set."""
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.size < 2:
-        raise ValueError("counts must be a vector with at least 2 categories")
-    if counts.sum() < 1:
-        raise ValueError("the original cell must be non-empty")
-    support = sorted(set(int(k) for k in support))
-    if support and not (0 <= support[0] and support[-1] < counts.size):
-        raise ValueError("support indices out of range")
-    occupied = np.nonzero(counts >= 1)[0]
-    homog = occupied.size == 1
-    if len(support) == 0:
-        return 4 if homog else 6
-    if len(support) >= 2:
-        return 3 if homog else 5
-    hit = counts[support[0]] >= 1
-    if homog:
-        return 1 if hit else 2
-    return 8 if hit else 7
 
 
 def _noise(gen, params: PrivacyParams, shape):
@@ -177,10 +155,7 @@ def _check_alpha(alpha) -> np.ndarray:
 
 
 def _cell_counts(cell) -> np.ndarray:
-    if isinstance(cell, CellRecord):
-        arr = np.asarray(cell.counts, dtype=np.int64)
-    else:
-        arr = np.asarray(cell)
+    arr = np.asarray(cell.counts if isinstance(cell, CellRecord) else cell)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("counts must be a vector with at least 2 categories")
     if np.any(arr < 0) or arr.sum() < 1:
@@ -378,21 +353,20 @@ def upper_bound_findings(
     reps = check_reps(reps)
     check_seed(seed)
     closed = expected_risk_cells(table, params)
-    cells = [(i, c) for i, c in enumerate(table.cells) if not classify_cell(c).homogeneous]
+    counts, sizes, keys = table.counts_matrix(), table.sizes(), table.keys()
+    cells = np.flatnonzero(np.count_nonzero(counts, axis=1) > 1).tolist()
 
-    def run(item):
-        i, cell = item
-        counts = np.asarray(cell.counts, dtype=float)
-        n = int(counts.sum())
-        return mc_expected(n, counts / n, params, reps, seed, threads=1, block_offset=i << 32)
+    def run(i):
+        n = int(sizes[i])
+        return mc_expected(n, counts[i] / n, params, reps, seed, threads=1, block_offset=i << 32)
 
     findings = []
-    for (i, cell), est in zip(cells, ordered_map(run, cells, threads)):
+    for i, est in zip(cells, ordered_map(run, cells, threads)):
         excess = est.value - float(closed[i])
         if est.se > 0 and excess > z_threshold * est.se:
             findings.append(
                 {
-                    "key": list(cell.key),
+                    "key": list(keys[i]),
                     "mc_value": est.value,
                     "closed_form": float(closed[i]),
                     "se": est.se,

@@ -234,12 +234,13 @@ def sanitized_to_json(sanitized: SanitizedTable) -> str:
         '"delta":%s' % ("null" if sanitized.delta is None else _fmt17(sanitized.delta)),
         '"seed":%d' % sanitized.seed,
     ]
-    cells = []
-    for key, row in zip(sanitized.keys, sanitized.noisy):
-        key_json = json.dumps(list(key), separators=(",", ":"))
-        vals = ",".join(_fmt17(v) for v in row)
-        cells.append('{"key":%s,"noisy_counts":[%s]}' % (key_json, vals))
-    parts.append('"cells":[%s]}' % ",".join(cells))
+    enc = json.encoder.encode_basestring_ascii
+    row = '{"key":[%s],"noisy_counts":[' + ",".join(["%.17g"] * len(sanitized.categories)) + "]}"
+    cells = ",".join(
+        row % (",".join(map(enc, key)), *vals)
+        for key, vals in zip(sanitized.keys, sanitized.noisy.tolist())
+    )
+    parts.append('"cells":[%s]}' % cells)
     return ",".join(parts) + "\n"
 
 

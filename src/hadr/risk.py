@@ -37,7 +37,8 @@ sum_n w1(n) f1(n, eps) + w2(n) f2(n, eps), and only the noise factors f1
 and f2 depend on eps. A profile holds the distinct sizes n with the
 moment weights w1 and w2, so work that does not depend on eps is done
 once and each eps point costs O(distinct sizes); the local profile keeps
-the distinct count values and each entry's index into them instead.
+the distinct count vectors instead, so each eps point costs O(distinct
+vectors) before the per-cell values are gathered back.
 ``risk_curve`` and ``invert_epsilon`` build one profile for all points.
 
 All Gamma and Beta ratios are evaluated in log space and exponentiated
@@ -180,9 +181,8 @@ class _SizeProfile(NamedTuple):
 
 def _expected_profile(table: FrequencyTable) -> _SizeProfile:
     """Cell average of the plug-in moment sums, grouped by cell size."""
-    counts = table.counts_matrix()
-    sizes = counts.sum(axis=1)
-    m1, m2 = _plugin_moments(counts.astype(float), sizes.astype(float))
+    sizes = table.sizes()
+    m1, m2 = _plugin_moments(table.counts_matrix().astype(float), sizes.astype(float))
     n, inv = np.unique(sizes, return_inverse=True)
     w1 = np.bincount(inv, weights=m1) / sizes.size
     w2 = np.bincount(inv, weights=m2) / sizes.size
@@ -219,20 +219,22 @@ def _collapse_probs(stay: np.ndarray, gone: np.ndarray, present: np.ndarray) -> 
 
 
 class _LocalProfile:
-    """Distinct count values of a table and each entry's index into them."""
+    """Distinct count vectors of a table, each cell's row among them, and the
+    distinct count values with each entry's index into them."""
 
     def __init__(self, table: FrequencyTable):
-        counts = table.counts_matrix()
-        self.values, inv = np.unique(counts.astype(float), return_inverse=True)
-        self.index = inv.reshape(counts.shape)
-        self.present = counts >= 1
-        self.homogeneous = self.present.sum(axis=1) == 1
+        rows, inv = np.unique(table.counts_matrix(), axis=0, return_inverse=True)
+        self.row = inv.ravel()
+        self.values, index = np.unique(rows.astype(float), return_inverse=True)
+        self.index = index.reshape(rows.shape)
+        self.present = rows >= 1
+        self.homogeneous = (self.present.sum(axis=1) == 1)[self.row]
 
     def at(self, params: PrivacyParams) -> RiskValue:
         nm = noise_model(params)
         stay = nm.sf(0.5 - self.values)[self.index]
         gone = nm.cdf(0.5 - self.values)[self.index]
-        vals = _collapse_probs(stay, gone, self.present)
+        vals = _collapse_probs(stay, gone, self.present)[self.row]
         c1 = np.where(self.homogeneous, vals, 0.0)
         return RiskValue(float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
 

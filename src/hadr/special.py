@@ -4,8 +4,8 @@ Thin wrappers over scipy.special that pin down the domains the risk
 formulas rely on. Accuracy contracts (checked against an arbitrary
 precision oracle in the test suite):
 
-* log_gamma, log_beta: relative error <= 1e-12 on (0, 1e6]
-* erf: absolute error <= 1e-12
+* log_gamma: relative error <= 1e-12 on (0, 1e6]
+* norm_cdf: absolute error <= 1e-12
 * inv_norm_cdf: absolute error <= 1e-9 for p in [1e-15, 1 - 1e-15]
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
-__all__ = ["log_gamma", "log_beta", "erf", "inv_norm_cdf", "norm_cdf"]
+__all__ = ["log_gamma", "inv_norm_cdf", "norm_cdf"]
 
 
 def _ret(x, out):
@@ -27,21 +27,6 @@ def log_gamma(x):
     if arr.size and not np.all(arr > 0):
         raise ValueError("log_gamma requires x > 0")
     return _ret(x, _sp.gammaln(arr))
-
-
-def log_beta(a, b):
-    """log B(a, b) = log_gamma(a) + log_gamma(b) - log_gamma(a + b), a, b > 0."""
-    aa = np.asarray(a, dtype=float)
-    bb = np.asarray(b, dtype=float)
-    if (aa.size and not np.all(aa > 0)) or (bb.size and not np.all(bb > 0)):
-        raise ValueError("log_beta requires a > 0 and b > 0")
-    out = _sp.betaln(aa, bb)
-    return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
-
-
-def erf(x):
-    """Error function."""
-    return _ret(x, _sp.erf(np.asarray(x, dtype=float)))
 
 
 def inv_norm_cdf(p):

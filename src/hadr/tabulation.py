@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import json
 import math
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -49,83 +51,109 @@ class CellRecord:
     key: tuple[str, ...]
     counts: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class CellClass:
-    homogeneous: bool
-    category: int | None
-    support: tuple[int, ...]
+def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
+    """The counts as a fresh int64 (cells, k) array with one row per key.
+
+    Every check runs over the whole array; only a count that is not an
+    int64 integer sends the check through the entries one by one.
+    """
+    if len(counts) != len(keys):
+        raise ValueError("cell keys and counts differ in length")
+    try:
+        arr = np.array(counts)
+    except ValueError:  # rows of unequal length
+        arr = np.empty(0)
+    if arr.shape != (len(keys), k):
+        raise ValueError("cell counts length does not match categories")
+    if arr.dtype.kind != "i":
+        for key, row in zip(keys, counts):
+            for c in row:
+                if not isinstance(c, (int, np.integer)) or c < 0:
+                    raise ValueError("cell counts must be non-negative integers")
+                if c > _INT64_MAX:
+                    raise ValueError(f"cell {key!r} has a count that does not fit int64")
+    arr = arr.astype(np.int64, copy=False)
+    if (arr < 0).any():
+        raise ValueError("cell counts must be non-negative integers")
+    # partial sums of non-negative entries wrap to a negative value first
+    wrapped = (np.cumsum(arr, axis=1) < 0).any(axis=1)
+    if wrapped.any():
+        key = keys[int(np.argmax(wrapped))]
+        raise ValueError(f"cell {key!r} has a size that does not fit int64")
+    return arr
 
 
-def classify_cell(cell: CellRecord) -> CellClass:
-    """Return the cell's support and whether it is homogeneous."""
-    support = tuple(k for k, c in enumerate(cell.counts) if c >= 1)
-    if not support:
-        raise ValueError("cell has no records")
-    if len(support) == 1:
-        return CellClass(homogeneous=True, category=support[0], support=support)
-    return CellClass(homogeneous=False, category=None, support=support)
-
-
-@dataclass(frozen=True)
 class FrequencyTable:
-    """Validated collection of cells over a fixed category list.
+    """Validated cells over a fixed category list, stored as columns.
 
-    Cells are normalized to lexicographic key order at construction, which
-    makes serialization canonical. ``dropped_rows`` records how many input
-    rows were discarded for missing values during cross-tabulation; it is
-    not part of the file format.
+    ``keys()`` holds the cell keys in lexicographic order and ``counts``
+    the matching read-only int64 array of shape (cells, categories). Cells
+    given in any order are sorted once at construction, which makes
+    serialization canonical. ``dropped_rows`` records how many input rows
+    were discarded for missing values during cross-tabulation; it is not
+    part of the file format or of equality.
     """
 
-    qid_names: tuple[str, ...]
-    sensitive_name: str
-    categories: tuple[str, ...]
-    cells: tuple[CellRecord, ...]
-    dropped_rows: int = field(default=0, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, qid_names, sensitive_name, categories, keys, counts, dropped_rows=0):
+        self.qid_names = tuple(qid_names)
+        self.sensitive_name = sensitive_name
+        self.categories = tuple(categories)
+        self.dropped_rows = dropped_rows
         if len(self.categories) < 2:
             raise ValueError("sensitive attribute must take at least 2 categories")
-        if not self.cells:
+        keys = tuple(map(tuple, keys))
+        if not keys:
             raise ValueError("table has no cells")
         if len(set(self.categories)) != len(self.categories):
             raise ValueError("duplicate sensitive categories")
-        k = len(self.categories)
-        seen = set()
-        for cell in self.cells:
-            if len(cell.key) != len(self.qid_names):
-                raise ValueError("cell key length does not match qid_names")
-            if cell.key in seen:
-                raise ValueError(f"duplicate cell key {cell.key!r}")
-            seen.add(cell.key)
-            if len(cell.counts) != k:
-                raise ValueError("cell counts length does not match categories")
-            if any((not isinstance(c, (int, np.integer))) or c < 0 for c in cell.counts):
-                raise ValueError("cell counts must be non-negative integers")
-            if cell.n < 1:
-                raise ValueError(f"cell {cell.key!r} is empty")
-        object.__setattr__(self, "cells", tuple(sorted(self.cells, key=lambda c: c.key)))
+        if set(map(len, keys)) != {len(self.qid_names)}:
+            raise ValueError("cell key length does not match qid_names")
+        counts = _counts_array(keys, counts, len(self.categories))
+        sizes = counts.sum(axis=1)
+        if not sizes.all():
+            raise ValueError(f"cell {keys[int(np.argmin(sizes))]!r} is empty")
+        if not all(map(lt, keys, keys[1:])):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys = tuple(map(keys.__getitem__, order))
+            dup = next((a for a, b in zip(keys, keys[1:]) if a == b), None)
+            if dup is not None:
+                raise ValueError(f"duplicate cell key {dup!r}")
+            counts, sizes = counts[order], sizes[order]
+        counts.flags.writeable = sizes.flags.writeable = False
+        self._keys, self.counts, self._sizes = keys, counts, sizes
+
+    def __eq__(self, other):
+        if not isinstance(other, FrequencyTable):
+            return NotImplemented
+        head = (self.qid_names, self.sensitive_name, self.categories, self._keys)
+        other_head = (other.qid_names, other.sensitive_name, other.categories, other._keys)
+        return head == other_head and np.array_equal(self.counts, other.counts)
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self._keys)
 
     @property
     def n_categories(self) -> int:
         return len(self.categories)
 
+    @property
+    def cells(self) -> tuple[CellRecord, ...]:
+        """The cells as records, built from the columns on each access."""
+        return tuple(map(CellRecord, self._keys, map(tuple, self.counts.tolist())))
+
     def counts_matrix(self) -> np.ndarray:
-        return np.array([c.counts for c in self.cells], dtype=np.int64)
+        return self.counts
 
     def sizes(self) -> np.ndarray:
-        return np.array([c.n for c in self.cells], dtype=np.int64)
+        return self._sizes
 
     def keys(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(c.key for c in self.cells)
+        return self._keys
 
 
 def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> FrequencyTable:
@@ -159,15 +187,12 @@ def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> F
     categories = sorted(set().union(*counts.values()))
     if len(categories) < 2:
         raise ValueError("sensitive attribute must take at least 2 categories")
-    cells = tuple(
-        CellRecord(key=key, counts=tuple(by_cat[cat] for cat in categories))
-        for key, by_cat in counts.items()
-    )
     return FrequencyTable(
         qid_names=tuple(qid_columns),
         sensitive_name=sensitive_column,
         categories=tuple(categories),
-        cells=cells,
+        keys=tuple(counts),
+        counts=[[by_cat[cat] for cat in categories] for by_cat in counts.values()],
         dropped_rows=dropped,
     )
 
@@ -240,27 +265,23 @@ def tabulate_csv(
         return cross_tabulate(dataset, qid_columns, sensitive_column)
 
 
-def expand_table(table: FrequencyTable) -> RawDataset:
-    """Inverse of cross_tabulate up to row order: one row per record."""
-    rows = []
-    for cell in table.cells:
-        for k, c in enumerate(cell.counts):
-            rows.extend([list(cell.key) + [table.categories[k]]] * c)
-    return RawDataset(
-        column_names=list(table.qid_names) + [table.sensitive_name],
-        rows=rows,
-    )
-
-
 def table_to_json(table: FrequencyTable) -> str:
-    """Canonical single-line JSON; cells in lexicographic key order."""
-    doc = {
-        "qid_names": list(table.qid_names),
-        "sensitive_name": table.sensitive_name,
-        "categories": list(table.categories),
-        "cells": [{"key": list(c.key), "counts": list(map(int, c.counts))} for c in table.cells],
-    }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n"
+    """Canonical single-line JSON; cells in lexicographic key order.
+
+    The bytes are those of ``json.dumps(doc, separators=(",", ":"),
+    ensure_ascii=False)``, written with one format string per cell.
+    """
+    enc = json.encoder.encode_basestring
+    row = '{"key":[%s],"counts":[' + ",".join(["%d"] * table.n_categories) + "]}"
+    cells = ",".join(
+        row % (",".join(map(enc, key)), *c) for key, c in zip(table.keys(), table.counts.tolist())
+    )
+    return '{"qid_names":[%s],"sensitive_name":%s,"categories":[%s],"cells":[%s]}\n' % (
+        ",".join(map(enc, table.qid_names)),
+        enc(table.sensitive_name),
+        ",".join(map(enc, table.categories)),
+        cells,
+    )
 
 
 def check_header(doc, what: str) -> None:
@@ -279,36 +300,59 @@ def check_header(doc, what: str) -> None:
         raise ValueError(f"{what} 'sensitive_name' must be a string")
 
 
+def _first_bad_cell(cells) -> None:
+    """Raise for the first cell that fails the table JSON's type checks."""
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, dict):
+            raise ValueError(f"table JSON cell {i} is not an object")
+        key, counts = cell["key"], cell["counts"]
+        if type(key) is not list or not set(map(type, key)) <= {str}:
+            raise ValueError(f"table JSON cell {i}: 'key' must be a list of strings, got {key!r}")
+        if type(counts) is not list or not set(map(type, counts)) <= {int}:
+            raise ValueError(
+                f"table JSON cell {i}: 'counts' must be a list of integers, got {counts!r}"
+            )
+
+
 def table_from_json(text: str) -> FrequencyTable:
     """Parse the table JSON; malformed fields are rejected, never coerced.
 
-    Types are compared exactly, since bool is a subclass of int. The
-    per-cell checks are written out in the loop, without a call per cell,
-    because table reads dominate the closed-form workloads.
+    Types are compared exactly, since bool is a subclass of int. The type
+    checks run over the whole document at once, and only when they fail
+    are the cells walked to name the first bad one; the table checks run
+    over the whole counts array. Table reads dominate the closed-form
+    workloads.
     """
-    doc = json.loads(text)
+    # The parse allocates a dict and two lists per cell and makes no
+    # reference cycles, yet those allocations set off a cyclic collection of
+    # the whole heap that costs about as much as the parse itself. Reference
+    # counting frees the containers, so the collector is paused meanwhile.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        doc = json.loads(text)
         check_header(doc, "table JSON")
-        cells = []
-        for i, cell in enumerate(doc["cells"]):
-            if not isinstance(cell, dict):
-                raise ValueError(f"table JSON cell {i} is not an object")
-            key, counts = cell["key"], cell["counts"]
-            if type(key) is not list or not set(map(type, key)) <= {str}:
-                raise ValueError(f"table JSON cell {i}: 'key' must be a list of strings, got {key!r}")
-            if type(counts) is not list or not set(map(type, counts)) <= {int}:
-                raise ValueError(
-                    f"table JSON cell {i}: 'counts' must be a list of integers, got {counts!r}"
-                )
-            cells.append(CellRecord(key=tuple(key), counts=tuple(counts)))
+        cells = doc["cells"]
+        try:
+            keys = list(map(itemgetter("key"), cells))
+            counts = list(map(itemgetter("counts"), cells))
+            typed = (
+                set(map(type, keys)) | set(map(type, counts)) <= {list}
+                and set(map(type, chain.from_iterable(keys))) <= {str}
+                and set(map(type, chain.from_iterable(counts))) <= {int}
+            )
+        except (KeyError, TypeError):  # a missing field, or a cell that is not an object
+            typed = False
+        if not typed:
+            _first_bad_cell(cells)
         return FrequencyTable(
-            qid_names=tuple(doc["qid_names"]),
-            sensitive_name=doc["sensitive_name"],
-            categories=tuple(doc["categories"]),
-            cells=tuple(cells),
+            doc["qid_names"], doc["sensitive_name"], doc["categories"], keys, counts
         )
     except KeyError as exc:
         raise ValueError(f"table JSON is missing field {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def write_table(table: FrequencyTable, path) -> None:

@@ -33,13 +33,34 @@ def _check_spec(table: FrequencyTable, spec) -> tuple:
     return spec
 
 
-def _projection(table: FrequencyTable, spec: tuple):
-    """Group index and group count for the projected keys, sorted."""
-    proj = [tuple(key[j] for j in spec) for key in table.keys()]
-    levels = sorted(set(proj))
-    index = {lvl: i for i, lvl in enumerate(levels)}
-    groups = np.array([index[p] for p in proj])
-    return groups, len(levels)
+def _qid_codes(table: FrequencyTable) -> list:
+    """Per QID column, each cell's rank among the column's sorted distinct values."""
+    codes = []
+    for column in zip(*table.keys()):
+        rank = {v: i for i, v in enumerate(sorted(set(column)))}
+        codes.append(np.fromiter(map(rank.__getitem__, column), np.intp, len(column)))
+    return codes
+
+
+def _projection(codes: list, spec: tuple) -> np.ndarray:
+    """Group index of every cell for the spec's QIDs.
+
+    Ranks are combined one QID at a time and renumbered densely, so groups
+    follow the sorted order of the projected keys and no index overflows.
+    """
+    groups = np.zeros_like(codes[0])
+    for j in spec:
+        flat = np.ravel_multi_index((groups, codes[j]), (groups.max() + 1, codes[j].max() + 1))
+        groups = np.unique(flat, return_inverse=True)[1]
+    return groups
+
+
+def _marginal(groups: np.ndarray, cell_totals) -> np.ndarray:
+    sums = np.bincount(groups, weights=cell_totals)
+    total = sums.sum()
+    if total <= 0:
+        raise ValueError("marginal total is zero (all sanitized counts clamped to 0)")
+    return sums / total
 
 
 def marginal_probs(table: FrequencyTable, spec, counts=None) -> np.ndarray:
@@ -51,19 +72,10 @@ def marginal_probs(table: FrequencyTable, spec, counts=None) -> np.ndarray:
     table line up for comparison.
     """
     spec = _check_spec(table, spec)
-    if counts is None:
-        counts = table.counts_matrix()
-    counts = np.asarray(counts)
+    counts = table.counts_matrix() if counts is None else np.asarray(counts)
     if counts.shape != (table.n_cells, table.n_categories):
         raise ValueError("counts must match the table's cells-by-categories shape")
-    groups, n_levels = _projection(table, spec)
-    cell_totals = counts.sum(axis=1).astype(float)
-    sums = np.zeros(n_levels)
-    np.add.at(sums, groups, cell_totals)
-    total = sums.sum()
-    if total <= 0:
-        raise ValueError("marginal total is zero (all sanitized counts clamped to 0)")
-    return sums / total
+    return _marginal(_projection(_qid_codes(table), spec), counts.sum(axis=1))
 
 
 def tvd(p, q) -> float:
@@ -134,27 +146,22 @@ def utility_report(
                 f"marginal size {k} out of range for {len(table.qid_names)} QIDs"
             )
         specs.extend(itertools.combinations(range(len(table.qid_names)), k))
-    proj = [_projection(table, spec) for spec in specs]
+    codes = _qid_codes(table)
+    proj = [_projection(codes, spec) for spec in specs]
+    base = [_marginal(groups, table.sizes()) for groups in proj]
     counts = table.counts_matrix()
-    base = [marginal_probs(table, spec) for spec in specs]
     m, k_cat = counts.shape
     words_per_rep = m * k_cat
 
     def one_rep(j: int) -> np.ndarray:
         noise = mechanism_noise(params, seed, j * words_per_rep, (m, k_cat))
-        post = postprocess_counts(counts + noise)
-        cell_totals = post.sum(axis=1).astype(float)
-        out = np.empty(len(specs))
-        for idx, (groups, n_levels) in enumerate(proj):
-            sums = np.zeros(n_levels)
-            np.add.at(sums, groups, cell_totals)
-            total = sums.sum()
-            if total <= 0:
-                raise ValueError(
-                    "marginal total is zero (all sanitized counts clamped to 0)"
-                )
-            out[idx] = 0.5 * np.abs(sums / total - base[idx]).sum()
-        return out
+        cell_totals = postprocess_counts(counts + noise).sum(axis=1)
+        return np.array(
+            [
+                0.5 * np.abs(_marginal(groups, cell_totals) - p).sum()
+                for groups, p in zip(proj, base)
+            ]
+        )
 
     draws = np.stack(ordered_map(one_rep, range(reps), threads))
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hadr import CellRecord, FrequencyTable
+from hadr import FrequencyTable
 
 # Acceptance results keyed by criterion number; filled in by the report hook
 # below and printed as one line per criterion after the run.
@@ -46,15 +46,12 @@ def make_table(rows, categories=None, qid_names=("g",)) -> FrequencyTable:
     if categories is None:
         categories = tuple(f"y{j}" for j in range(k))
     width = len(str(len(rows) - 1))
-    cells = tuple(
-        CellRecord(key=(f"c{i:0{width}d}",) * len(qid_names), counts=r)
-        for i, r in enumerate(rows)
-    )
     return FrequencyTable(
         qid_names=tuple(qid_names),
         sensitive_name="y",
         categories=tuple(categories),
-        cells=cells,
+        keys=[(f"c{i:0{width}d}",) * len(qid_names) for i in range(len(rows))],
+        counts=rows,
     )
 
 

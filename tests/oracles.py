@@ -1,4 +1,4 @@
-"""Independent closed forms that the library's measures are checked against.
+"""Independent closed forms and classifications that the library is checked against.
 
 The paper prints the expected, shrinkage and global measures for two
 categories, with Beta-function ratios where the general forms have
@@ -11,10 +11,23 @@ it.
 """
 
 import numpy as np
+from scipy import special
 
-from hadr import RiskValue, classify_cell, noise_model
+from hadr import RiskValue, noise_model
 from hadr.risk import TAIL_MASS
-from hadr.special import log_beta
+
+# The error function, a route to the normal cdf that does not pass through
+# hadr.special.norm_cdf.
+erf = special.erf
+
+
+def log_beta(a, b):
+    """log B(a, b) for a, b > 0, whose ratios the printed two-category forms use."""
+    aa = np.asarray(a, dtype=float)
+    bb = np.asarray(b, dtype=float)
+    if (aa.size and not np.all(aa > 0)) or (bb.size and not np.all(bb > 0)):
+        raise ValueError("log_beta requires a > 0 and b > 0")
+    return special.betaln(aa, bb)
 
 
 def _risk_from_cells(t1, t2) -> RiskValue:
@@ -31,7 +44,7 @@ def homogeneous_risk(table, params) -> RiskValue:
     lies strictly between 2**-K and 1.
     """
     for cell in table.cells:
-        if not classify_cell(cell).homogeneous:
+        if np.count_nonzero(cell.counts) != 1:
             raise ValueError(f"cell {cell.key!r} is heterogeneous")
     nm = noise_model(params)
     n = table.sizes().astype(float)
@@ -87,3 +100,26 @@ def global_risk_k2(alpha, size_model, params) -> RiskValue:
     c1 = float(np.sum(w * t1))
     c2 = float(np.sum(w * t2))
     return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=int(n[-1]))
+
+
+def classify_scenario(counts, support) -> int:
+    """Scenario code (1-8) for original counts and a sanitized support set,
+    written case by case from the taxonomy in hadr.mc."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.size < 2:
+        raise ValueError("counts must be a vector with at least 2 categories")
+    if counts.sum() < 1:
+        raise ValueError("the original cell must be non-empty")
+    support = sorted(set(int(k) for k in support))
+    if support and not (0 <= support[0] and support[-1] < counts.size):
+        raise ValueError("support indices out of range")
+    occupied = np.nonzero(counts >= 1)[0]
+    homog = occupied.size == 1
+    if len(support) == 0:
+        return 4 if homog else 6
+    if len(support) >= 2:
+        return 3 if homog else 5
+    hit = counts[support[0]] >= 1
+    if homog:
+        return 1 if hit else 2
+    return 8 if hit else 7

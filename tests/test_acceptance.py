@@ -253,6 +253,11 @@ def test_criterion_10_mom_recovery():
 
 
 def _fetch_dataset(filename, urls):
+    """Path to a reference dataset from HADR_DATA_DIR or tests/data, or None.
+
+    Downloading from ``urls`` is opt-in (HADR_FETCH=1), so a plain test
+    run never reaches for the network.
+    """
     root = os.environ.get("HADR_DATA_DIR")
     candidates = []
     if root:
@@ -261,6 +266,8 @@ def _fetch_dataset(filename, urls):
     for path in candidates:
         if os.path.exists(path):
             return path
+    if os.environ.get("HADR_FETCH") != "1":
+        return None
     for url in urls:
         try:
             dest = os.path.join("/tmp", filename)
@@ -272,6 +279,18 @@ def _fetch_dataset(filename, urls):
         except Exception:
             continue
     return None
+
+
+def test_fetch_dataset_is_offline_by_default(monkeypatch, tmp_path):
+    def no_network(*args, **kwargs):
+        raise AssertionError("urlopen called without HADR_FETCH=1")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.delenv("HADR_FETCH", raising=False)
+    monkeypatch.setenv("HADR_DATA_DIR", str(tmp_path))
+    assert _fetch_dataset("absent.data", ["https://example.invalid/absent.data"]) is None
+    (tmp_path / "present.data").write_text("x\n")
+    assert _fetch_dataset("present.data", []) == str(tmp_path / "present.data")
 
 
 ADULT_COLUMNS = (

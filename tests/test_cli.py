@@ -566,3 +566,22 @@ def test_malformed_table_json_exits_1(capsys, tmp_path):
     )
     assert code == 1 and "cell 0" in err and "counts" in err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("counts", [[2**70, 1], [2**62, 2**62]])
+def test_table_counts_beyond_int64_exit_1(capsys, tmp_path, counts):
+    doc = {"qid_names": ["g"], "sensitive_name": "y", "categories": ["u", "v"]}
+    doc["cells"] = [{"key": ["a"], "counts": [1, 0]}, {"key": ["b"], "counts": counts}]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--table", str(path),
+        "--measure", "local",
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3",
+        "--output", str(tmp_path / "c.csv"),
+    )
+    assert code == 1 and "cell ('b',)" in err and "does not fit int64" in err
+    assert not (tmp_path / "c.csv").exists()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hadr import CellSizeModel, fit_beta_mom, fit_dirichlet_mom, fit_negbin, fit_poisson
+from hadr import CellSizeModel, fit_dirichlet_mom, fit_negbin, fit_poisson
 from hadr.estimation import dirichlet_to_json, size_model_from_json, size_model_to_json
 
 
@@ -29,7 +29,7 @@ def observed_dispersion(counts):
 def test_beta_recovery_within_20_percent():
     rng = np.random.default_rng(77)
     counts = beta_binomial_cells(rng)
-    fit = fit_beta_mom(counts)
+    fit = fit_dirichlet_mom(counts)
     assert fit.alpha[0] == pytest.approx(2.0, rel=0.2)
     assert fit.alpha[1] == pytest.approx(5.0, rel=0.2)
     # with two categories both columns imply the same concentration
@@ -54,14 +54,21 @@ def test_fit_reproduces_dispersion():
     np.testing.assert_allclose(fit.alpha, fit.p_hat * fit.implied_concentrations)
 
 
+def beta_mom(counts):
+    """Beta-binomial moment fit written for two categories: with x_i successes
+    of n_i, s2 = sum (x_i - n_i p)^2 and A0 = (p q Q - s2) / (s2 - p q N)."""
+    x, n = counts[:, 0].astype(float), counts.sum(axis=1).astype(float)
+    p = x.sum() / n.sum()
+    s2 = ((x - n * p) ** 2).sum()
+    pq = p * (1.0 - p)
+    a0 = (pq * (n**2).sum() - s2) / (s2 - pq * n.sum())
+    return np.array([p * a0, (1.0 - p) * a0])
+
+
 def test_k2_dirichlet_equals_beta():
     rng = np.random.default_rng(9)
     counts = beta_binomial_cells(rng, m=300)
-    a = fit_dirichlet_mom(counts)
-    b = fit_beta_mom(counts)
-    np.testing.assert_array_equal(a.alpha, b.alpha)
-    with pytest.raises(ValueError, match="exactly 2"):
-        fit_beta_mom(np.ones((4, 3), dtype=int))
+    np.testing.assert_allclose(fit_dirichlet_mom(counts).alpha, beta_mom(counts), rtol=1e-12)
 
 
 def test_fit_error_messages():
@@ -230,7 +237,7 @@ def test_size_model_json_accepts_integers():
 
 def test_dirichlet_json():
     rng = np.random.default_rng(11)
-    fit = fit_beta_mom(beta_binomial_cells(rng, m=500))
+    fit = fit_dirichlet_mom(beta_binomial_cells(rng, m=500))
     obj = json.loads(dirichlet_to_json(fit))
     assert obj["alpha"] == [float(a) for a in fit.alpha]
     assert obj["alpha_dot_spread"] == pytest.approx(fit.alpha_dot_spread)

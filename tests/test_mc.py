@@ -6,6 +6,7 @@ windows were checked to hold at those seeds.
 
 import ast
 import inspect
+import itertools
 import json
 import os
 
@@ -18,7 +19,6 @@ from conftest import make_homog_table, make_table, recording_pool
 from hadr import (
     CellSizeModel,
     PrivacyParams,
-    classify_scenario,
     global_risk,
     global_risk_variant,
     local_risk,
@@ -34,7 +34,7 @@ from hadr import (
 from hadr.mc import BLOCK_REPS, McEstimate, mc_to_json
 from hadr.risk import expected_risk, expected_risk_cells
 from hadr.tabulation import CellRecord
-from oracles import homogeneous_risk
+from oracles import classify_scenario, homogeneous_risk
 
 LAP1 = PrivacyParams("laplace", 1.0)
 GAUSS = PrivacyParams("gaussian_pdp", 0.5, delta=1e-3)
@@ -70,6 +70,20 @@ def test_classify_scenario_validation():
         classify_scenario((2, 3), {2})
     with pytest.raises(ValueError, match="out of range"):
         classify_scenario((2, 3), {-1})
+
+
+def test_scenario_codes_match_oracle():
+    """mc's vectorised classification agrees with the case-by-case oracle on
+    every support of a few K = 3 cells."""
+    cells = np.array([(0, 5, 0), (2, 3, 0), (1, 1, 1), (4, 0, 0), (0, 2, 7)])
+    masks = np.array(list(itertools.product((False, True), repeat=3)))
+    counts = np.repeat(cells, len(masks), axis=0)
+    present = np.tile(masks, (len(cells), 1))
+    occupied = counts >= 1
+    occ_at = occupied[np.arange(len(counts)), np.argmax(present, axis=1)]
+    got = hadr.mc._scenarios(occupied.sum(axis=1) == 1, present.sum(axis=1), occ_at)
+    want = [classify_scenario(c, np.flatnonzero(p)) for c, p in zip(counts, present)]
+    assert got.tolist() == want
 
 
 def within_3se(est, closed):

@@ -21,6 +21,7 @@ from hadr import (
     write_sanitized,
 )
 from hadr.mechanisms import (
+    SanitizedTable,
     gaussian_sigma_adp,
     gaussian_sigma_pdp,
     laplace_scale,
@@ -203,6 +204,28 @@ def test_sanitized_json_round_trip(tmp_path):
     assert back.mechanism == s.mechanism and back.delta == s.delta and back.seed == s.seed
     # serialization is canonical: re-serializing reproduces the bytes
     assert sanitized_to_json(back) == text
+
+
+def test_sanitized_json_bytes_match_per_cell_dumps():
+    """The row-format writer against the per-cell json.dumps it replaced."""
+    keys = (("a9", 'q"uote'), ("a10", "back\\slash"), ("é✓", "tab\tnew\nline"), ("", "100%"))
+    noisy = np.array([[-0.0, 5e-324], [3.0, -2.5e-7], [1e22, 0.1 + 0.2], [-1.5, 123456789.0]])
+    s = SanitizedTable(("q1", "q²"), "ÿ", ("u", "v"), keys, noisy, "gaussian_pdp", 0.5, 1e-6, 7)
+    cells = ",".join(
+        '{"key":%s,"noisy_counts":[%s]}'
+        % (json.dumps(list(k), separators=(",", ":")), ",".join(format(v, ".17g") for v in row))
+        for k, row in zip(keys, noisy.tolist())
+    )
+    want = (
+        '{"qid_names":["q1","q\\u00b2"],"sensitive_name":"\\u00ff","categories":["u","v"],'
+        '"mechanism":"gaussian_pdp","epsilon":0.5,"delta":9.9999999999999995e-07,"seed":7,'
+        '"cells":[%s]}\n' % cells
+    )
+    text = sanitized_to_json(s)
+    assert text == want and text.isascii()
+    assert '"noisy_counts":[-0,4.9406564584124654e-324]' in text
+    assert '"noisy_counts":[3,-2.4999999999999999e-07]' in text
+    np.testing.assert_array_equal(sanitized_from_json(text).noisy, noisy)
 
 
 def test_sanitized_json_missing_field():

@@ -395,6 +395,22 @@ def test_risk_curve_matches_pointwise_evaluation(measure, mechanism, rng):
             assert close(rv.value, float(np.mean([local_risk(c, p).value for c in t.cells])))
 
 
+@pytest.mark.parametrize("mechanism", sorted(CURVE_MECHANISMS))
+def test_local_profile_bitwise_equals_per_cell_values(rng, mechanism):
+    """Evaluating each distinct count vector once and gathering the values
+    back gives the same bits as the per-cell local values."""
+    t = repeated_size_table(rng, m=200)
+    assert len(np.unique(t.counts, axis=0)) < t.n_cells
+    homogeneous = np.count_nonzero(t.counts, axis=1) == 1
+    params = CURVE_MECHANISMS[mechanism]
+    for p, pt in zip(params, risk_curve("local", params, table=t)):
+        vals = np.array([local_risk(row, p).value for row in t.counts])
+        c1 = np.where(homogeneous, vals, 0.0)
+        want = (float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
+        assert (pt.value, pt.scenario1, pt.scenario8) == want
+        assert average_local_risk(t, p)[:3] == want
+
+
 def test_curve_and_inversion_build_profile_once(rng, monkeypatch):
     calls = Counter()
 

@@ -1,10 +1,12 @@
-"""Accuracy of the special-function kernels against an mpmath oracle."""
+"""Accuracy of the special-function kernels, and of the erf and log_beta
+that tests/oracles.py uses, against an mpmath oracle."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from hadr.special import erf, inv_norm_cdf, log_beta, log_gamma
+from hadr.special import inv_norm_cdf, log_gamma, norm_cdf
+from oracles import erf, log_beta
 
 mpmath.mp.dps = 40
 
@@ -49,6 +51,14 @@ def test_erf_odd_symmetry():
     assert erf(0.0) == 0.0
     xs = np.linspace(0.1, 5, 17)
     assert np.allclose(erf(-xs), -erf(xs), rtol=0, atol=0)
+
+
+def test_norm_cdf_oracle_absolute_error():
+    for x in np.linspace(-9, 9, 181):
+        want = float(mpmath.ncdf(mpmath.mpf(float(x))))
+        assert abs(norm_cdf(float(x)) - want) < 1e-12, x
+    assert norm_cdf(0.0) == 0.5
+    assert isinstance(norm_cdf(np.array([0.0, 1.0])), np.ndarray)
 
 
 def test_inv_norm_cdf_oracle():

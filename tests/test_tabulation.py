@@ -11,11 +11,8 @@ import pytest
 
 from conftest import make_table
 from hadr import (
-    CellRecord,
     FrequencyTable,
-    classify_cell,
     cross_tabulate,
-    expand_table,
     read_table,
     tabulate_csv,
     write_table,
@@ -184,24 +181,24 @@ def test_table_invariants():
             qid_names=("g",),
             sensitive_name="y",
             categories=("u",),
-            cells=(CellRecord(key=("a",), counts=(1,)),),
+            keys=[("a",)],
+            counts=[(1,)],
         )
     with pytest.raises(ValueError, match="duplicate"):
         FrequencyTable(
             qid_names=("g",),
             sensitive_name="y",
             categories=("u", "v"),
-            cells=(
-                CellRecord(key=("a",), counts=(1, 0)),
-                CellRecord(key=("a",), counts=(0, 1)),
-            ),
+            keys=[("a",), ("a",)],
+            counts=[(1, 0), (0, 1)],
         )
     with pytest.raises(ValueError):
         FrequencyTable(
             qid_names=("g",),
             sensitive_name="y",
             categories=("u", "v"),
-            cells=(CellRecord(key=("a",), counts=(0, 0)),),
+            keys=[("a",)],
+            counts=[(0, 0)],
         )
 
 
@@ -210,19 +207,10 @@ def test_cells_sorted_canonically():
         qid_names=("g",),
         sensitive_name="y",
         categories=("u", "v"),
-        cells=(
-            CellRecord(key=("b",), counts=(1, 0)),
-            CellRecord(key=("a",), counts=(0, 2)),
-        ),
+        keys=[("b",), ("a",)],
+        counts=[(1, 0), (0, 2)],
     )
     assert [c.key for c in t.cells] == [("a",), ("b",)]
-
-
-def test_classify_cell():
-    hom = classify_cell(CellRecord(key=("a",), counts=(0, 5)))
-    assert hom.homogeneous and hom.category == 1
-    het = classify_cell(CellRecord(key=("a",), counts=(2, 5)))
-    assert not het.homogeneous and het.support == (0, 1)
 
 
 def test_json_round_trip_bytes(tmp_path):
@@ -281,6 +269,18 @@ def test_table_from_json_rejects_mistyped_names(field, value):
         table_from_json(json.dumps(doc))
 
 
+def expand_table(table: FrequencyTable) -> RawDataset:
+    """Inverse of cross_tabulate up to row order: one row per record."""
+    rows = []
+    for cell in table.cells:
+        for k, c in enumerate(cell.counts):
+            rows.extend([list(cell.key) + [table.categories[k]]] * c)
+    return RawDataset(
+        column_names=list(table.qid_names) + [table.sensitive_name],
+        rows=rows,
+    )
+
+
 def test_expand_table_inverse():
     t = make_table([(3, 1), (0, 7)])
     ds = expand_table(t)
@@ -296,3 +296,118 @@ def test_counts_matrix_and_sizes():
     assert t.counts_matrix().tolist() == [[3, 1], [0, 7]]
     assert t.sizes().tolist() == [4, 7]
     assert t.n_cells == 2 and t.n_categories == 2
+
+
+def test_counts_are_one_read_only_array():
+    t = make_table([(3, 1), (0, 7)])
+    assert t.counts_matrix() is t.counts and t.sizes() is t.sizes()
+    with pytest.raises(ValueError, match="read-only"):
+        t.counts[0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        t.sizes()[0] = 5
+    assert t.counts.tolist() == [[3, 1], [0, 7]]
+
+
+def test_constructor_copies_its_counts():
+    counts = np.array([[3, 1], [0, 7]])
+    t = FrequencyTable(("g",), "y", ("u", "v"), [("a",), ("b",)], counts)
+    counts[0, 0] = 9
+    assert t.counts.tolist() == [[3, 1], [0, 7]] and counts.flags.writeable
+
+
+def test_unsorted_input_sorted_with_rows_permuted():
+    keys = [("b", "x"), ("a", "z"), ("b", "a"), ("a", "y")]
+    counts = [(1, 0, 0), (0, 2, 0), (0, 0, 3), (4, 4, 0)]
+    t = FrequencyTable(("g", "h"), "y", ("u", "v", "w"), keys, counts)
+    assert t.keys() == (("a", "y"), ("a", "z"), ("b", "a"), ("b", "x"))
+    assert t.counts.tolist() == [[4, 4, 0], [0, 2, 0], [0, 0, 3], [1, 0, 0]]
+    assert t.sizes().tolist() == [8, 2, 3, 1]
+    assert t == FrequencyTable(("g", "h"), "y", ("u", "v", "w"), t.keys(), t.counts)
+
+
+def test_duplicate_key_found_after_sorting():
+    with pytest.raises(ValueError, match=r"^duplicate cell key \('b',\)$"):
+        FrequencyTable(("g",), "y", ("u", "v"), [("b",), ("a",), ("b",)], [(1, 0), (0, 1), (2, 2)])
+
+
+@pytest.mark.parametrize(
+    "keys,counts,message",
+    [
+        ([("a",)], [(1, 0), (0, 1)], "keys and counts differ in length"),
+        ([("a", "b")], [(1, 0)], "key length does not match qid_names"),
+        ([("a",), ("b",)], [(1, 0), (1,)], "counts length does not match categories"),
+        ([("a",)], np.ones((1, 3), dtype=int), "counts length does not match categories"),
+        ([("a",)], [(1.0, 2)], "non-negative integers"),
+        ([("a",)], [("1", 2)], "non-negative integers"),
+        ([("a",)], [(-1, 2)], "non-negative integers"),
+        ([("a",)], [(-(2**70), 2)], "non-negative integers"),
+        ([("b",), ("a",)], [(1, 0), (0, 0)], r"^cell \('a',\) is empty$"),
+        ([("a",)], [(2**63, 0)], r"^cell \('a',\) has a count that does not fit int64$"),
+        ([("a",)], np.array([[2**63, 0]], dtype=np.uint64), "count that does not fit int64"),
+        ([("a",)], [(2**62, 2**62)], r"^cell \('a',\) has a size that does not fit int64$"),
+    ],
+)
+def test_constructor_rejects(keys, counts, message):
+    with pytest.raises(ValueError, match=message):
+        FrequencyTable(("g",), "y", ("u", "v"), keys, counts)
+
+
+def test_largest_int64_size_accepted():
+    t = FrequencyTable(("g",), "y", ("u", "v"), [("a",)], [(2**63 - 2, 1)])
+    assert t.sizes().tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ([2**70, 1], r"cell \('b',\) has a count that does not fit int64"),
+        ([2**62, 2**62], r"cell \('b',\) has a size that does not fit int64"),
+    ],
+)
+def test_table_from_json_rejects_counts_beyond_int64(counts, message):
+    doc = {
+        "qid_names": ["g"],
+        "sensitive_name": "y",
+        "categories": ["u", "v"],
+        "cells": [{"key": ["a"], "counts": [1, 0]}, {"key": ["b"], "counts": counts}],
+    }
+    with pytest.raises(ValueError, match=message):
+        table_from_json(json.dumps(doc))
+
+
+def test_table_from_json_names_the_first_bad_cell():
+    doc = {
+        "qid_names": ["g"],
+        "sensitive_name": "y",
+        "categories": ["u", "v"],
+        "cells": [
+            {"key": ["a"], "counts": [1, 0]},
+            {"key": ["b"], "counts": [1, None]},
+            {"key": ["c"]},
+            "d",
+        ],
+    }
+    with pytest.raises(ValueError) as exc:
+        table_from_json(json.dumps(doc))
+    assert str(exc.value) == "table JSON cell 1: 'counts' must be a list of integers, got [1, None]"
+    del doc["cells"][1]
+    with pytest.raises(ValueError, match="^table JSON is missing field 'counts'$"):
+        table_from_json(json.dumps(doc))
+
+
+def test_json_bytes_match_json_dumps_and_round_trip():
+    keys = [("a9", 'q"uote'), ("a10", "back\\slash"), ("", "tab\tnew\nline"), ("é✓", "100%"),
+            ("\x00", " "), ("ab", "c"), ("a", "bc")]
+    counts = [(i, 2 * i + 1, 0) for i in range(len(keys))]
+    t = FrequencyTable(("q1", "q²"), "ÿ", ("u", "v", "w"), keys, counts)
+    doc = {
+        "qid_names": list(t.qid_names),
+        "sensitive_name": t.sensitive_name,
+        "categories": list(t.categories),
+        "cells": [{"key": list(k), "counts": c} for k, c in zip(t.keys(), t.counts.tolist())],
+    }
+    text = table_to_json(t)
+    assert text == json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n"
+    t2 = table_from_json(text)
+    assert t2 == t and t2.keys() == t.keys()
+    assert t2 != make_table([(1, 2, 3)]) and t != "not a table"

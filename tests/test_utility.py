@@ -9,24 +9,31 @@ import pytest
 
 import hadr._rng
 from conftest import make_table, recording_pool
-from hadr import PrivacyParams, marginal_probs, tvd, utility_report
-from hadr.tabulation import CellRecord, FrequencyTable
+from hadr import (
+    PrivacyParams,
+    marginal_probs,
+    mechanism_noise,
+    postprocess_counts,
+    tvd,
+    utility_report,
+)
+from hadr.tabulation import FrequencyTable
 from hadr.utility import tvd_report_to_csv
 
 
 def product_table(rng, levels=(2, 3), k_cat=2):
     """Table whose keys run over the full product of QID levels."""
     names = tuple(f"g{j}" for j in range(len(levels)))
-    keys = itertools.product(*[[f"q{j}v{v}" for v in range(nl)] for j, nl in enumerate(levels)])
-    cells = tuple(
-        CellRecord(key=key, counts=tuple(int(c) for c in rng.integers(1, 10, size=k_cat)))
-        for key in keys
+    keys = list(
+        itertools.product(*[[f"q{j}v{v}" for v in range(nl)] for j, nl in enumerate(levels)])
     )
+    counts = [tuple(int(c) for c in rng.integers(1, 10, size=k_cat)) for _ in keys]
     return FrequencyTable(
         qid_names=names,
         sensitive_name="y",
         categories=tuple(f"y{j}" for j in range(k_cat)),
-        cells=cells,
+        keys=keys,
+        counts=counts,
     )
 
 
@@ -58,11 +65,8 @@ def test_marginal_probs_hand_example():
         qid_names=("a", "b"),
         sensitive_name="y",
         categories=("u", "v"),
-        cells=(
-            CellRecord(key=("a0", "b0"), counts=(2, 1)),
-            CellRecord(key=("a0", "b1"), counts=(0, 3)),
-            CellRecord(key=("a1", "b0"), counts=(4, 0)),
-        ),
+        keys=(("a0", "b0"), ("a0", "b1"), ("a1", "b0")),
+        counts=((2, 1), (0, 3), (4, 0)),
     )
     np.testing.assert_allclose(marginal_probs(t, (0,)), [6 / 10, 4 / 10])
     np.testing.assert_allclose(marginal_probs(t, (1,)), [7 / 10, 3 / 10])
@@ -189,3 +193,50 @@ def test_tvd_csv_format(rng):
     assert two_way[1] == "g0*g1"
     assert text.endswith("\n")
     assert math.isfinite(float(two_way[2]))
+
+
+def tuple_marginal(table, spec, counts):
+    """Marginal by projecting each key tuple in Python: levels are the sorted
+    distinct projected tuples."""
+    proj = [tuple(key[j] for j in spec) for key in table.keys()]
+    index = {lvl: i for i, lvl in enumerate(sorted(set(proj)))}
+    sums = np.zeros(len(index))
+    for p, total in zip(proj, np.asarray(counts).sum(axis=1)):
+        sums[index[p]] += total
+    return sums / sums.sum()
+
+
+def tricky_table(rng):
+    """Keys whose order trips numeric codes or joined strings: "a9" sorts after
+    "a10", "" and "\\x00" and " " sit next to each other, non-ASCII text, and
+    ("ab", "c") against ("a", "bc")."""
+    first = ["a9", "a10", "", "\x00", " ", "é", "ab", "a"]
+    second = ["c", "bc", "", "ü✓", "a10", "a9"]
+    third = ["x", "", "ÿ"]
+    keys = [k for k in itertools.product(first, second, third) if rng.random() < 0.6]
+    counts = [tuple(int(c) for c in rng.integers(0, 6, size=2)) for _ in keys]
+    counts = [(c[0] + 1, c[1]) if sum(c) == 0 else c for c in counts]
+    return FrequencyTable(("q1", "q2", "q3"), "y", ("u", "v"), keys, counts)
+
+
+def test_projection_matches_per_key_tuple_oracle(rng):
+    t = tricky_table(rng)
+    params = PrivacyParams("laplace", 0.7)
+    specs = [s for k in (1, 2, 3) for s in itertools.combinations(range(3), k)]
+    for spec in specs:
+        assert marginal_probs(t, spec).tolist() == tuple_marginal(t, spec, t.counts).tolist()
+    report = utility_report(t, params, ks=(1, 2, 3), reps=6, seed=17)
+    m, k = t.counts.shape
+    draws = []
+    for j in range(6):
+        post = postprocess_counts(t.counts + mechanism_noise(params, 17, j * m * k, (m, k)))
+        draws.append(
+            [tvd(tuple_marginal(t, s, post), tuple_marginal(t, s, t.counts)) for s in specs]
+        )
+    draws = np.array(draws)
+    assert [r.spec for r in report.rows] == specs
+    for idx, row in enumerate(report.rows):
+        q1, med, q3 = np.quantile(draws[:, idx], [0.25, 0.5, 0.75])
+        assert (row.mean, row.q1, row.median, row.q3) == pytest.approx(
+            (draws[:, idx].mean(), q1, med, q3), rel=1e-12, abs=1e-15
+        )

@@ -43,11 +43,21 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_int(value, name: str, least: int = 1) -> int:
+    """Validate and return an integer of at least ``least`` as a plain int.
+
+    Exact integer types only: a float or a bool (a subclass of int) is
+    refused rather than truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {what}")
+    return int(value)
+
+
 def check_reps(reps) -> int:
     """Validate and return a replicate count as a plain positive int."""
-    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ValueError("reps must be a positive integer")
-    return int(reps)
+    return check_int(reps, "reps")
 
 
 def raw_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -90,10 +100,10 @@ def ordered_map(fn, tasks, threads: int) -> list:
     """``[fn(t) for t in tasks]``, run on min(threads, CPU count, tasks) threads.
 
     Results come back in task order; with one worker the tasks run
-    serially in the calling thread.
+    serially in the calling thread. ``threads`` must be a positive integer.
     """
     tasks = list(tasks)
-    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    workers = min(check_int(threads, "threads"), os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -23,6 +23,7 @@ the tests assert as an invariant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,9 @@ from scipy.optimize import brentq
 from .tabulation import FrequencyTable
 
 SIZE_FAMILIES = ("poisson", "negbin")
+
+# Most entries the inverse-cdf table of a size model holds (8 MiB of doubles).
+_CDF_TABLE_CAP = 1 << 20
 
 
 def _counts_of(data) -> np.ndarray:
@@ -120,6 +124,10 @@ class CellSizeModel:
     def __post_init__(self):
         if self.family not in SIZE_FAMILIES:
             raise ValueError(f"unknown size family {self.family!r}")
+        for name in ("lam", "r"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"size model {name} must be finite, got {value!r}")
         if self.family == "poisson":
             if not self.lam > 0:
                 raise ValueError("poisson rate must be positive")
@@ -136,6 +144,21 @@ class CellSizeModel:
         if self.family == "poisson":
             return stats.poisson(self.lam)
         return stats.nbinom(self.r, self.lam)
+
+    @cached_property
+    def _cdf_table(self) -> tuple[int, np.ndarray]:
+        """(s, cdf at sizes s, s + 1, ...), read only by truncated_ppf.
+
+        s is one below the lower 1e-16 tail quantile, so cdf[0] lies below
+        about 1e-16 (it is 0 when that quantile is 0). The table runs to the
+        upper 1e-16 tail quantile or to _CDF_TABLE_CAP entries, whichever
+        comes first. The running maximum keeps it sorted for
+        np.searchsorted; on a monotone cdf it changes nothing.
+        """
+        dist = self._frozen
+        start = int(dist.ppf(1e-16)) - 1
+        stop = min(self.tail_quantile(1e-16), start + _CDF_TABLE_CAP - 1)
+        return start, np.maximum.accumulate(dist.cdf(np.arange(start, stop + 1)))
 
     def _dist(self):
         """The frozen scipy distribution, built once per model."""
@@ -162,14 +185,28 @@ class CellSizeModel:
         """Quantiles of the size distribution conditioned on X >= 1.
 
         Maps uniforms on (0, 1) through the zero-truncated cdf, so the
-        result is distributionally identical to rejecting zero draws. A
-        uniform so close to 1 that the shift rounds to 1 is clamped to the
-        largest double below 1, where the quantile is still finite.
+        result is distributionally identical to rejecting zero draws: each
+        u becomes q = F(0) + u (1 - F(0)) and then the smallest n with
+        F(n) >= q. A uniform so close to 1 that the shift rounds to 1 is
+        clamped to the largest double below 1, where the quantile is still
+        finite.
+
+        The inversion searches a table of F built once per model (inversion
+        by table search, Devroye 1986, ch. III). It spans the sizes between
+        the lower and upper 1e-16 tail quantiles and holds at most 2**20
+        entries, 8 MiB. A q outside it, below its first entry or above its
+        last (a tail past the cap), goes through scipy's ppf instead.
         """
         dist = self._dist()
         f0 = float(dist.cdf(0))
-        shifted = np.minimum(f0 + np.asarray(u) * (1.0 - f0), np.nextafter(1.0, 0.0))
-        return np.maximum(dist.ppf(shifted), 1.0).astype(np.int64)
+        q = np.minimum(f0 + np.asarray(u) * (1.0 - f0), np.nextafter(1.0, 0.0))
+        start, cdf = self._cdf_table
+        i = np.searchsorted(cdf, q)
+        sizes = np.asarray(start + i, dtype=float)
+        outside = (i == 0) | (i == cdf.size)
+        if outside.any():
+            sizes[outside] = dist.ppf(q[outside])
+        return np.maximum(sizes, 1.0).astype(np.int64)
 
 
 def _check_size_sample(sizes) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import block_generator, check_reps, check_seed, ordered_map
+from ._rng import block_generator, check_int, check_reps, check_seed, ordered_map
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
 from .risk import expected_risk_cells
@@ -158,6 +158,8 @@ def _cell_counts(cell) -> np.ndarray:
     arr = np.asarray(cell.counts if isinstance(cell, CellRecord) else cell)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("counts must be a vector with at least 2 categories")
+    if not np.issubdtype(arr.dtype, np.integer):  # bool is not an integer dtype
+        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
     if np.any(arr < 0) or arr.sum() < 1:
         raise ValueError("counts must be non-negative with at least one record")
     return arr.astype(np.int64)
@@ -202,12 +204,11 @@ def mc_expected(
         raise ValueError("p must be a probability vector with at least 2 categories")
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("p must be non-negative and sum to 1")
-    if n < 1:
-        raise ValueError("cell size must be >= 1")
+    n = check_int(n, "cell size")
     p = p / p.sum()
 
     def draw(gen, c):
-        return gen.multinomial(int(n), p, size=c)
+        return gen.multinomial(n, p, size=c)
 
     return _event(reps, seed, threads, p.size, params, draw, block_offset=block_offset)
 
@@ -221,11 +222,10 @@ def mc_shrinkage(
     Pairs with risk.shrinkage_risk at a single size.
     """
     alpha = _check_alpha(alpha)
-    if n < 1:
-        raise ValueError("cell size must be >= 1")
+    n = check_int(n, "cell size")
 
     def draw(gen, c):
-        return gen.multinomial(int(n), gen.dirichlet(alpha, size=c))
+        return gen.multinomial(n, gen.dirichlet(alpha, size=c))
 
     return _event(reps, seed, threads, alpha.size, params, draw)
 
@@ -271,9 +271,7 @@ def mc_global_variant(
     the noise the closed form does not depend on that choice. Pairs with
     risk.global_risk_variant(zero_truncated=True).
     """
-    if n_categories < 2:
-        raise ValueError("n_categories must be at least 2")
-    k = int(n_categories)
+    k = check_int(n_categories, "n_categories", 2)
 
     def draw(gen, c):
         sizes = size_model.truncated_ppf(gen.random(c))

@@ -112,6 +112,9 @@ class FrequencyTable:
             raise ValueError("duplicate sensitive categories")
         if set(map(len, keys)) != {len(self.qid_names)}:
             raise ValueError("cell key length does not match qid_names")
+        if not set(map(type, chain.from_iterable(keys))) <= {str}:
+            bad = next(key for key in keys if not set(map(type, key)) <= {str})
+            raise ValueError(f"cell key {bad!r} holds a value that is not a string")
         counts = _counts_array(keys, counts, len(self.categories))
         sizes = counts.sum(axis=1)
         if not sizes.all():
@@ -318,10 +321,10 @@ def table_from_json(text: str) -> FrequencyTable:
     """Parse the table JSON; malformed fields are rejected, never coerced.
 
     Types are compared exactly, since bool is a subclass of int. The type
-    checks run over the whole document at once, and only when they fail
-    are the cells walked to name the first bad one; the table checks run
-    over the whole counts array. Table reads dominate the closed-form
-    workloads.
+    checks run over the whole document at once (the key strings inside the
+    table constructor), and only when they fail are the cells walked to
+    name the first bad one; the table checks run over the whole counts
+    array. Table reads dominate the closed-form workloads.
     """
     # The parse allocates a dict and two lists per cell and makes no
     # reference cycles, yet those allocations set off a cyclic collection of
@@ -338,16 +341,21 @@ def table_from_json(text: str) -> FrequencyTable:
             counts = list(map(itemgetter("counts"), cells))
             typed = (
                 set(map(type, keys)) | set(map(type, counts)) <= {list}
-                and set(map(type, chain.from_iterable(keys))) <= {str}
                 and set(map(type, chain.from_iterable(counts))) <= {int}
             )
         except (KeyError, TypeError):  # a missing field, or a cell that is not an object
             typed = False
         if not typed:
             _first_bad_cell(cells)
-        return FrequencyTable(
-            doc["qid_names"], doc["sensitive_name"], doc["categories"], keys, counts
-        )
+        try:
+            return FrequencyTable(
+                doc["qid_names"], doc["sensitive_name"], doc["categories"], keys, counts
+            )
+        except ValueError:
+            # the constructor checks the key strings; a bad one is named
+            # here as a bad cell, ahead of any other fault of the table
+            _first_bad_cell(cells)
+            raise
     except KeyError as exc:
         raise ValueError(f"table JSON is missing field {exc}") from None
     finally:

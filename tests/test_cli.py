@@ -464,6 +464,33 @@ def test_malformed_size_model_json_exits_1(capsys, tmp_path, text):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "verb,text,field",
+    [
+        ("mc", '{"family":"negbin","lambda":0.5,"r":Infinity}', "r"),
+        ("risk", '{"family":"poisson","lambda":Infinity}', "lam"),
+    ],
+)
+def test_non_finite_size_model_exits_1(capsys, tmp_path, verb, text, field):
+    (tmp_path / "sm.json").write_text(text)
+    if verb == "mc":
+        args = ["mc", "--estimator", "global_variant", "--reps", "1000", "--seed", "3"]
+    else:
+        args = ["risk", "--measure", "global_variant", "--epsilon-grid", "0.1:1:log3"]
+    code, _, err = run(
+        capsys,
+        *args,
+        "--categories", "2",
+        "--size-model", str(tmp_path / "sm.json"),
+        "--mechanism", "laplace",
+        "--epsilon", "1",
+        "--output", str(tmp_path / "out"),
+    )
+    assert code == 1 and err.startswith(f"error: size model {field} must be finite")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invert_prints_result(capsys, tmp_path):
     t = make_homog_table([10], k=2)
     write_table(t, tmp_path / "t.json")

@@ -177,6 +177,14 @@ def test_size_model_frozen_distribution_cached():
     fresh = CellSizeModel(family="negbin", lam=0.3, r=2.5)
     assert model._dist() is model._dist()
     model.pmf([1, 2])
+    # the inverse-cdf table is built on the first draw and kept
+    assert "_cdf_table" not in vars(model)
+    first = model.truncated_ppf(np.array([0.25, 0.5]))
+    table = vars(model)["_cdf_table"]
+    second = model.truncated_ppf(np.array([0.25, 0.5]))
+    assert vars(model)["_cdf_table"] is table
+    np.testing.assert_array_equal(first, second)
+    assert "_cdf_table" not in vars(fresh)
     assert model == fresh and hash(model) == hash(fresh)
     assert size_model_to_json(model) == size_model_to_json(fresh)
     assert repr(model) == repr(fresh)
@@ -193,6 +201,65 @@ def test_truncated_ppf_matches_conditional_quantiles():
     assert out[0] == 1 and out[1] == 1 and out[2] == 2
     assert out[3] > 5
     assert np.all(model.truncated_ppf(np.linspace(1e-6, 1 - 1e-6, 1000)) >= 1)
+
+
+# (model, whether the table reaches q = nextafter(1, 0))
+LOOKUP_MODELS = {
+    "poisson": (CellSizeModel(family="poisson", lam=4.6), True),
+    "negbin": (CellSizeModel(family="negbin", lam=0.1073, r=2.284), True),
+    "negbin_past_cap": (CellSizeModel(family="negbin", lam=1e-5, r=2.0), False),
+    "poisson_far_from_zero": (CellSizeModel(family="poisson", lam=5e6), True),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOKUP_MODELS))
+def test_truncated_ppf_is_smallest_size_reaching_q(name):
+    """Brute force: every draw n has cdf(n) >= q > cdf(n - 1) in scipy's cdf."""
+    model, reaches_one = LOOKUP_MODELS[name]
+    dist = stats.poisson(model.lam) if model.r is None else stats.nbinom(model.r, model.lam)
+    f0 = dist.cdf(0)
+    u = np.random.default_rng(19).random(1 << 15)
+    q = f0 + u * (1.0 - f0)
+    n = model.truncated_ppf(u)
+    assert n.dtype == np.int64
+    assert np.all(dist.cdf(n) >= q)
+    assert np.all((n == 1) | (q > dist.cdf(n - 1)))
+    assert model._cdf_table[1].size <= 1 << 20
+    top = np.nextafter(1.0, 0.0)
+    (last,) = model.truncated_ppf(np.array([top]))
+    if reaches_one:
+        assert dist.cdf(last) >= top > dist.cdf(last - 1)
+    else:
+        # the tail runs past the capped table, so the draw is scipy's ppf
+        assert model._cdf_table[1].size == 1 << 20
+        assert last == dist.ppf(top)
+
+
+def test_truncated_ppf_accepts_a_scalar():
+    model = CellSizeModel(family="poisson", lam=2.0)
+    assert model.truncated_ppf(0.5) == model.truncated_ppf(np.array([0.5]))[0]
+
+
+@pytest.mark.parametrize(
+    "family,lam,r,field",
+    [
+        ("poisson", math.inf, None, "lam"),
+        ("poisson", math.nan, None, "lam"),
+        ("negbin", 0.5, math.inf, "r"),
+        ("negbin", 0.5, math.nan, "r"),
+        ("negbin", -math.inf, 2.0, "lam"),
+    ],
+)
+def test_size_model_rejects_non_finite_parameters(family, lam, r, field):
+    with pytest.raises(ValueError, match=f"^size model {field} must be finite"):
+        CellSizeModel(family=family, lam=lam, r=r)
+
+
+def test_size_model_json_rejects_non_finite_parameters():
+    with pytest.raises(ValueError, match="size model r must be finite"):
+        size_model_from_json('{"family":"negbin","lambda":0.5,"r":Infinity}')
+    with pytest.raises(ValueError, match="size model lam must be finite"):
+        size_model_from_json('{"family":"poisson","lambda":NaN}')
 
 
 def test_size_model_json_round_trip():

@@ -409,6 +409,35 @@ def test_audit_checks_reps_and_seed_without_heterogeneous_cells(reps, seed):
         upper_bound_findings(make_homog_table([2, 5, 9]), LAP1, reps, seed)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: mc_expected(2.5, (0.5, 0.5), LAP1, 100, seed=1), "cell size"),
+        (lambda: mc_expected(True, (0.5, 0.5), LAP1, 100, seed=1), "cell size"),
+        (lambda: mc_shrinkage(3.7, (1.0, 1.0), LAP1, 100, seed=1), "cell size"),
+        (
+            lambda: mc_global_variant(CellSizeModel(family="poisson", lam=2.0), LAP1, 2.9, 100, 1),
+            "n_categories must be an integer >= 2",
+        ),
+        (lambda: mc_local([1.5, 0.7], LAP1, 100, seed=1), "counts must be integers"),
+        (lambda: mc_local((0, 4), LAP1, 100, seed=1, threads=0), "threads"),
+        (lambda: mc_local((0, 4), LAP1, 100, seed=1, threads=-3), "threads"),
+    ],
+    ids=[
+        "expected_float_n",
+        "expected_bool_n",
+        "shrinkage_float_n",
+        "variant_float_k",
+        "local_float_counts",
+        "zero_threads",
+        "negative_threads",
+    ],
+)
+def test_estimators_reject_inputs_they_would_coerce(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_check_reps_returns_a_plain_int():
     assert hadr._rng.check_reps(np.int64(7)) == 7
     assert type(hadr._rng.check_reps(np.int64(7))) is int

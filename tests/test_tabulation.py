@@ -345,6 +345,8 @@ def test_duplicate_key_found_after_sorting():
         ([("a",)], [(2**63, 0)], r"^cell \('a',\) has a count that does not fit int64$"),
         ([("a",)], np.array([[2**63, 0]], dtype=np.uint64), "count that does not fit int64"),
         ([("a",)], [(2**62, 2**62)], r"^cell \('a',\) has a size that does not fit int64$"),
+        ([(1,)], [(1, 0)], r"^cell key \(1,\) holds a value that is not a string$"),
+        ([("a",), (None,)], [(1, 0), (0, 1)], r"^cell key \(None,\) holds a value"),
     ],
 )
 def test_constructor_rejects(keys, counts, message):

@@ -48,20 +48,14 @@ from .risk import (
     LocalRisk,
     RiskPoint,
     RiskValue,
-    average_local_risk,
     evaluate_measure,
-    expected_risk,
-    global_risk,
-    global_risk_variant,
     invert_epsilon,
     local_risk,
     risk_curve,
     scenario8_peak_epsilon,
-    shrinkage_risk,
     write_curve_csv,
 )
 from .tabulation import (
-    CellRecord,
     FrequencyTable,
     cross_tabulate,
     read_table,
@@ -73,7 +67,6 @@ from .utility import TvdReport, marginal_probs, tvd, utility_report, write_tvd_c
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellRecord",
     "CellSizeModel",
     "DirichletFit",
     "FrequencyTable",
@@ -88,17 +81,13 @@ __all__ = [
     "RiskValue",
     "SanitizedTable",
     "TvdReport",
-    "average_local_risk",
     "cross_tabulate",
     "evaluate_measure",
-    "expected_risk",
     "fit_dirichlet_mom",
     "fit_negbin",
     "fit_poisson",
     "gaussian_sigma_adp",
     "gaussian_sigma_pdp",
-    "global_risk",
-    "global_risk_variant",
     "invert_epsilon",
     "laplace_scale",
     "local_risk",
@@ -118,7 +107,6 @@ __all__ = [
     "risk_curve",
     "sanitize",
     "scenario8_peak_epsilon",
-    "shrinkage_risk",
     "tabulate_csv",
     "tvd",
     "upper_bound_findings",

@@ -16,6 +16,8 @@ bits:
 
 ``ordered_map`` is the one worker pool of the package: tasks that each own
 their stream positions give the same results on any number of threads.
+The input checks shared by the closed forms and the simulations live here
+too, so neither route imports the other.
 """
 
 from __future__ import annotations
@@ -58,6 +60,33 @@ def check_int(value, name: str, least: int = 1) -> int:
 def check_reps(reps) -> int:
     """Validate and return a replicate count as a plain positive int."""
     return check_int(reps, "reps")
+
+
+def check_alpha(alpha) -> np.ndarray:
+    """Validate and return a Dirichlet concentration as a float vector of
+    at least 2 finite, positive entries."""
+    arr = np.asarray(alpha, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("alpha must be a vector with at least 2 entries")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError(f"alpha entries must be finite and positive, got {arr.tolist()}")
+    return arr
+
+
+def check_counts(counts) -> np.ndarray:
+    """Validate one cell's category counts and return them as int64.
+
+    Integer dtypes only: float or bool counts are refused rather than
+    truncated.
+    """
+    arr = np.asarray(counts)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("counts must be a vector with at least 2 categories")
+    if not np.issubdtype(arr.dtype, np.integer):  # bool is not an integer dtype
+        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
+    if np.any(arr < 0) or arr.sum() < 1:
+        raise ValueError("counts must be non-negative with at least one record")
+    return arr.astype(np.int64)
 
 
 def raw_words(seed: int, start: int, count: int) -> np.ndarray:

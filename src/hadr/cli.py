@@ -392,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True, choices=MEASURES)
     _add_mechanism_flags(p, grid=True)
     _add_model_flags(p)
-    p.add_argument("--threads", type=int, default=1, help="accepted; curves run on one thread")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_risk)
 

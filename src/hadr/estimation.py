@@ -38,10 +38,15 @@ SIZE_FAMILIES = ("poisson", "negbin")
 # Most entries the inverse-cdf table of a size model holds (8 MiB of doubles).
 _CDF_TABLE_CAP = 1 << 20
 
+# Largest mean size a model may have: sizes pass through doubles in
+# truncated_ppf, and 2**53 is the largest bound below which every integer
+# is a double.
+_MAX_MEAN_SIZE = 2.0**53
+
 
 def _counts_of(data) -> np.ndarray:
     if isinstance(data, FrequencyTable):
-        return data.counts_matrix()
+        return data.counts
     arr = np.asarray(data)
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValueError("need a cells-by-categories counts matrix with at least 2 of each")
@@ -138,6 +143,13 @@ class CellSizeModel:
                 raise ValueError("negbin success probability must lie in (0, 1)")
             if self.r is None or not self.r > 0:
                 raise ValueError("negbin model needs a positive shape r")
+        mean = self.lam if self.family == "poisson" else self.r * (1.0 - self.lam) / self.lam
+        if not mean <= _MAX_MEAN_SIZE:
+            what = "rate lam" if self.family == "poisson" else "mean r(1-p)/p, with p = lam,"
+            raise ValueError(
+                f"{self.family} size model {what} is {mean:g}, above 2**53, the largest size"
+                " held exactly"
+            )
 
     @cached_property
     def _frozen(self):

@@ -37,11 +37,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import block_generator, check_int, check_reps, check_seed, ordered_map
+from ._rng import (
+    block_generator,
+    check_alpha,
+    check_counts,
+    check_int,
+    check_reps,
+    check_seed,
+    ordered_map,
+)
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
 from .risk import expected_risk_cells
-from .tabulation import CellRecord, FrequencyTable
+from .tabulation import FrequencyTable
 
 BLOCK_REPS = 1 << 16
 _CHUNK_ELEMS = 1 << 21
@@ -147,34 +155,16 @@ def _event(reps, seed, threads, k, params, draw, *, block_offset=0) -> McEstimat
     return _simulate(reps, seed, threads, per, step, block_offset=block_offset)
 
 
-def _check_alpha(alpha) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size < 2 or not np.all(alpha > 0):
-        raise ValueError("alpha must be a positive vector with at least 2 entries")
-    return alpha
-
-
-def _cell_counts(cell) -> np.ndarray:
-    arr = np.asarray(cell.counts if isinstance(cell, CellRecord) else cell)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("counts must be a vector with at least 2 categories")
-    if not np.issubdtype(arr.dtype, np.integer):  # bool is not an integer dtype
-        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
-    if np.any(arr < 0) or arr.sum() < 1:
-        raise ValueError("counts must be non-negative with at least one record")
-    return arr.astype(np.int64)
-
-
 def mc_local(
-    cell, params: PrivacyParams, reps: int, seed: int, *, threads: int = 1, block_offset: int = 0
+    counts, params: PrivacyParams, reps: int, seed: int, *, threads: int = 1, block_offset: int = 0
 ) -> McEstimate:
     """Disclosure frequency with the observed counts held fixed.
 
-    Pairs with risk.local_risk; accepts a CellRecord or a counts vector.
+    Pairs with risk.local_risk; ``counts`` is an integer vector.
     ``block_offset`` shifts the substream index so several cells can share
     one seed without stream overlap.
     """
-    counts = _cell_counts(cell)
+    counts = check_counts(counts)
     k = counts.size
 
     def draw(gen, c):
@@ -219,9 +209,9 @@ def mc_shrinkage(
     """Disclosure frequency for a size-n cell with Dirichlet(alpha) mix.
 
     Draw order per replicate: mixing proportions, then counts, then noise.
-    Pairs with risk.shrinkage_risk at a single size.
+    Pairs with the "shrinkage" measure on a table whose cells all have size n.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     n = check_int(n, "cell size")
 
     def draw(gen, c):
@@ -242,12 +232,12 @@ def mc_global(
     """Disclosure frequency with both the size and the mix drawn.
 
     Sizes come from the model conditioned on being at least 1 (empty cells
-    never enter a table), so the matching closed form is risk.global_risk
-    with zero_truncated=True; against the unnormalized series the estimate
-    differs by the deterministic factor 1 - P(size = 0). Draw order per
-    replicate: size, mix, counts, noise.
+    never enter a table), so the matching closed form is the "global"
+    measure with zero_truncated=True; against the unnormalized series the
+    estimate differs by the deterministic factor 1 - P(size = 0). Draw
+    order per replicate: size, mix, counts, noise.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
 
     def draw(gen, c):
         sizes = size_model.truncated_ppf(gen.random(c))
@@ -269,7 +259,7 @@ def mc_global_variant(
 
     The occupied category is uniform over the K categories; by symmetry of
     the noise the closed form does not depend on that choice. Pairs with
-    risk.global_risk_variant(zero_truncated=True).
+    the "global_variant" measure with zero_truncated=True.
     """
     k = check_int(n_categories, "n_categories", 2)
 
@@ -304,7 +294,7 @@ def mc_threshold_dr(
     """
     if mode not in THRESHOLD_MODES:
         raise ValueError(f"mode must be one of {THRESHOLD_MODES}")
-    counts = table.counts_matrix()
+    counts = table.counts
     occupied = counts >= 1
     homog = occupied.sum(axis=1) == 1
     m, k = counts.shape
@@ -351,7 +341,7 @@ def upper_bound_findings(
     reps = check_reps(reps)
     check_seed(seed)
     closed = expected_risk_cells(table, params)
-    counts, sizes, keys = table.counts_matrix(), table.sizes(), table.keys()
+    counts, sizes, keys = table.counts, table.sizes(), table.keys()
     cells = np.flatnonzero(np.count_nonzero(counts, axis=1) > 1).tolist()
 
     def run(i):

@@ -189,7 +189,7 @@ def sanitize(table: FrequencyTable, params: PrivacyParams, seed: int) -> Sanitiz
     module docstring for the stream layout.
     """
     seed = _rng.check_seed(seed)
-    counts = table.counts_matrix().astype(float)
+    counts = table.counts.astype(float)
     noise = mechanism_noise(params, seed, 0, counts.shape)
     return SanitizedTable(
         qid_names=table.qid_names,

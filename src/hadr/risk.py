@@ -39,7 +39,8 @@ moment weights w1 and w2, so work that does not depend on eps is done
 once and each eps point costs O(distinct sizes); the local profile keeps
 the distinct count vectors instead, so each eps point costs O(distinct
 vectors) before the per-cell values are gathered back.
-``risk_curve`` and ``invert_epsilon`` build one profile for all points.
+``evaluate_measure`` is the public route to one point, and ``risk_curve``
+and ``invert_epsilon`` build one profile for all of their points.
 
 All Gamma and Beta ratios are evaluated in log space and exponentiated
 last. Series over cell sizes are truncated once the remaining size mass
@@ -54,6 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._rng import check_alpha, check_counts
 from .estimation import CellSizeModel
 from .mechanisms import PrivacyParams, noise_model
 from .special import log_gamma
@@ -81,28 +83,6 @@ class LocalRisk(NamedTuple):
     scenario1: float
     scenario8: float
     exact: bool
-
-
-def _check_alpha(alpha) -> np.ndarray:
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("alpha must be a vector with at least 2 entries")
-    if not np.all(arr > 0):
-        raise ValueError("alpha entries must be positive")
-    return arr
-
-
-def _check_sizes(sizes) -> np.ndarray:
-    arr = np.asarray(sizes)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("sizes must be a non-empty vector")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError("cell sizes must be integers")
-        arr = arr.astype(np.int64)
-    if not np.all(arr >= 1):
-        raise ValueError("cell sizes must be >= 1")
-    return arr.astype(np.int64)
 
 
 def _tail_factors(nm, n_categories: int, n: np.ndarray):
@@ -182,16 +162,21 @@ class _SizeProfile(NamedTuple):
 def _expected_profile(table: FrequencyTable) -> _SizeProfile:
     """Cell average of the plug-in moment sums, grouped by cell size."""
     sizes = table.sizes()
-    m1, m2 = _plugin_moments(table.counts_matrix().astype(float), sizes.astype(float))
+    m1, m2 = _plugin_moments(table.counts.astype(float), sizes.astype(float))
     n, inv = np.unique(sizes, return_inverse=True)
     w1 = np.bincount(inv, weights=m1) / sizes.size
     w2 = np.bincount(inv, weights=m2) / sizes.size
     return _SizeProfile(n.astype(float), w1, w2, table.n_categories)
 
 
-def _shrinkage_profile(sizes, alpha) -> _SizeProfile:
-    n, cells = np.unique(_check_sizes(sizes), return_counts=True)
-    alpha = _check_alpha(alpha)
+def _shrinkage_profile(table: FrequencyTable, alpha) -> _SizeProfile:
+    """Cell share of each size times the Dirichlet(alpha) moment sums."""
+    alpha = check_alpha(alpha)
+    if alpha.size != table.n_categories:
+        raise ValueError(
+            f"alpha has {alpha.size} entries but the table has {table.n_categories} categories"
+        )
+    n, cells = np.unique(table.sizes(), return_counts=True)
     m1, m2 = _dirichlet_moments(n, alpha)
     share = cells / cells.sum()
     return _SizeProfile(n.astype(float), share * m1, share * m2, alpha.size)
@@ -200,7 +185,7 @@ def _shrinkage_profile(sizes, alpha) -> _SizeProfile:
 def _global_profile(alpha, size_model: CellSizeModel, zero_truncated: bool, n_categories=None):
     """Size-model series; alpha None is the always-homogeneous prior (M1 = 1, M2 = 0)."""
     if alpha is not None:
-        alpha = _check_alpha(alpha)
+        alpha = check_alpha(alpha)
         n_categories = alpha.size
     elif n_categories < 2:
         raise ValueError("n_categories must be at least 2")
@@ -223,7 +208,7 @@ class _LocalProfile:
     distinct count values with each entry's index into them."""
 
     def __init__(self, table: FrequencyTable):
-        rows, inv = np.unique(table.counts_matrix(), axis=0, return_inverse=True)
+        rows, inv = np.unique(table.counts, axis=0, return_inverse=True)
         self.row = inv.ravel()
         self.values, index = np.unique(rows.astype(float), return_inverse=True)
         self.index = index.reshape(rows.shape)
@@ -239,23 +224,19 @@ class _LocalProfile:
         return RiskValue(float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
 
 
-def local_risk(cell, params: PrivacyParams) -> LocalRisk:
+def local_risk(counts, params: PrivacyParams) -> LocalRisk:
     """Event probability for one cell with fixed observed counts.
 
-    Accepts a CellRecord or a counts vector. The value is the exact
-    probability (over the noise alone) that the sanitized support collapses
-    onto a single occupied category: the disjoint union over occupied k of
+    ``counts`` is an integer vector; float or bool counts are refused
+    rather than truncated. The value is the exact probability (over the
+    noise alone) that the sanitized support collapses onto a single
+    occupied category: the disjoint union over occupied k of
     "count k stays present, every other count drops below threshold". On a
     homogeneous cell that IS the disclosure probability (exact=True); on a
     heterogeneous cell it upper-bounds the fraction of records actually
     disclosed, since only the collapsed-to category's records leak.
     """
-    arr = np.asarray(cell.counts if hasattr(cell, "counts") else cell)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("counts must be a vector with at least 2 categories")
-    if not np.all(arr >= 0) or arr.sum() < 1:
-        raise ValueError("counts must be non-negative with at least one record")
-    arr = arr.astype(np.int64)[None, :]
+    arr = check_counts(counts)[None, :]
     t = 0.5 - arr.astype(float)
     nm = noise_model(params)
     total = float(_collapse_probs(nm.sf(t), nm.cdf(t), arr >= 1)[0])
@@ -264,59 +245,12 @@ def local_risk(cell, params: PrivacyParams) -> LocalRisk:
     return LocalRisk(value=total, scenario1=0.0, scenario8=total, exact=False)
 
 
-def average_local_risk(table: FrequencyTable, params: PrivacyParams) -> RiskValue:
-    """Cell average of the exact local event probability."""
-    return _LocalProfile(table).at(params)
-
-
-def expected_risk(table: FrequencyTable, params: PrivacyParams) -> RiskValue:
-    """Two-term expected measure with plug-in cell proportions, general K."""
-    return _expected_profile(table).at(params)
-
-
 def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndarray:
     """Per-cell two-term expected values, before averaging over cells."""
     n = table.sizes().astype(float)
-    m1, m2 = _plugin_moments(table.counts_matrix().astype(float), n)
+    m1, m2 = _plugin_moments(table.counts.astype(float), n)
     f1, f2 = _tail_factors(noise_model(params), table.n_categories, n)
     return m1 * f1 + m2 * f2
-
-
-def shrinkage_risk(sizes, alpha, params: PrivacyParams) -> RiskValue:
-    """Expected measure with Dirichlet(alpha)-averaged proportions."""
-    return _shrinkage_profile(sizes, alpha).at(params)
-
-
-def global_risk(
-    alpha,
-    size_model: CellSizeModel,
-    params: PrivacyParams,
-    *,
-    zero_truncated: bool = False,
-) -> RiskValue:
-    """Shrinkage measure integrated over the cell-size model.
-
-    The series runs over n >= 1 with the model's raw probabilities by
-    default; with ``zero_truncated=True`` the weights are renormalized by
-    the mass on n >= 1, matching a sampler that rejects empty cells.
-    """
-    return _global_profile(alpha, size_model, zero_truncated).at(params)
-
-
-def global_risk_variant(
-    size_model: CellSizeModel,
-    params: PrivacyParams,
-    n_categories: int,
-    *,
-    zero_truncated: bool = False,
-) -> RiskValue:
-    """Global measure under the degenerate always-homogeneous prior.
-
-    Only component 1 survives: every drawn cell has all n records on one
-    category, so the value is the size-weighted sum of
-    cdf(0.5)**(K-1) * sf(0.5 - n).
-    """
-    return _global_profile(None, size_model, zero_truncated, n_categories).at(params)
 
 
 def scenario8_peak_epsilon(n) -> float:
@@ -366,7 +300,7 @@ def _profile(
     if measure == "shrinkage":
         if table is None or alpha is None:
             raise ValueError("measure 'shrinkage' requires a table and alpha")
-        return _shrinkage_profile(table.sizes(), alpha)
+        return _shrinkage_profile(table, alpha)
     if measure == "global":
         if alpha is None or size_model is None:
             raise ValueError("measure 'global' requires alpha and a size model")
@@ -377,12 +311,13 @@ def _profile(
 
 
 def evaluate_measure(measure: str, params: PrivacyParams, **inputs) -> RiskValue:
-    """Dispatch a measure name to its closed form.
+    """Evaluate a named measure at one privacy setting.
 
     ``inputs`` are the keywords the measure needs: ``table`` (local,
     expected, shrinkage), ``alpha`` (shrinkage, global), ``size_model``
     and ``zero_truncated`` (global, global_variant), and ``n_categories``
-    (global_variant).
+    (global_variant). ``zero_truncated=True`` renormalizes the size series
+    by the mass on n >= 1, matching a sampler that rejects empty cells.
     """
     return _profile(measure, **inputs).at(params)
 

@@ -44,14 +44,6 @@ class RawDataset:
             raise ValueError(f"no column named {name!r}") from None
 
 
-@dataclass(frozen=True)
-class CellRecord:
-    """One QID combination with its per-category sensitive counts."""
-
-    key: tuple[str, ...]
-    counts: tuple[int, ...]
-
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -143,14 +135,6 @@ class FrequencyTable:
     @property
     def n_categories(self) -> int:
         return len(self.categories)
-
-    @property
-    def cells(self) -> tuple[CellRecord, ...]:
-        """The cells as records, built from the columns on each access."""
-        return tuple(map(CellRecord, self._keys, map(tuple, self.counts.tolist())))
-
-    def counts_matrix(self) -> np.ndarray:
-        return self.counts
 
     def sizes(self) -> np.ndarray:
         return self._sizes

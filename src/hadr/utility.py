@@ -72,7 +72,7 @@ def marginal_probs(table: FrequencyTable, spec, counts=None) -> np.ndarray:
     table line up for comparison.
     """
     spec = _check_spec(table, spec)
-    counts = table.counts_matrix() if counts is None else np.asarray(counts)
+    counts = table.counts if counts is None else np.asarray(counts)
     if counts.shape != (table.n_cells, table.n_categories):
         raise ValueError("counts must match the table's cells-by-categories shape")
     return _marginal(_projection(_qid_codes(table), spec), counts.sum(axis=1))
@@ -149,7 +149,7 @@ def utility_report(
     codes = _qid_codes(table)
     proj = [_projection(codes, spec) for spec in specs]
     base = [_marginal(groups, table.sizes()) for groups in proj]
-    counts = table.counts_matrix()
+    counts = table.counts
     m, k_cat = counts.shape
     words_per_rep = m * k_cat
 

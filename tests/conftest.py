@@ -55,6 +55,11 @@ def make_table(rows, categories=None, qid_names=("g",)) -> FrequencyTable:
     )
 
 
+def cells_of(table) -> dict:
+    """Each cell key with its counts as a tuple."""
+    return {key: tuple(c) for key, c in zip(table.keys(), table.counts.tolist())}
+
+
 def make_homog_table(sizes, k=2) -> FrequencyTable:
     """All-homogeneous table; each cell's records sit on a rotating category."""
     rows = []

@@ -43,9 +43,9 @@ def homogeneous_risk(table, params) -> RiskValue:
     category stays present while the other K - 1 stay absent; the average
     lies strictly between 2**-K and 1.
     """
-    for cell in table.cells:
-        if np.count_nonzero(cell.counts) != 1:
-            raise ValueError(f"cell {cell.key!r} is heterogeneous")
+    for key, counts in zip(table.keys(), table.counts):
+        if np.count_nonzero(counts) != 1:
+            raise ValueError(f"cell {key!r} is heterogeneous")
     nm = noise_model(params)
     n = table.sizes().astype(float)
     t1 = nm.cdf(0.5) ** (table.n_categories - 1) * nm.sf(0.5 - n)
@@ -57,7 +57,7 @@ def expected_risk_k2(table, params) -> RiskValue:
     if table.n_categories != 2:
         raise ValueError("expected_risk_k2 requires exactly 2 categories")
     nm = noise_model(params)
-    counts = table.counts_matrix().astype(float)
+    counts = table.counts.astype(float)
     n = table.sizes().astype(float)
     p = counts[:, 0] / n
     q = counts[:, 1] / n

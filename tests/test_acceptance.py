@@ -17,19 +17,17 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_homog_table, make_table, record_caveat
+from conftest import cells_of, make_homog_table, make_table, record_caveat
 from hadr import (
     PrivacyParams,
-    average_local_risk,
     cross_tabulate,
-    expected_risk,
+    evaluate_measure,
     fit_dirichlet_mom,
     fit_poisson,
     local_risk,
     mc_local,
     mc_threshold_dr,
     scenario8_peak_epsilon,
-    shrinkage_risk,
     tabulate_csv,
     utility_report,
     write_table,
@@ -81,9 +79,9 @@ def test_criterion_01_floor_law():
     with budget(1):
         sizes = [1, 2, 3, 5, 8, 12, 20]
         params = PrivacyParams("laplace", 1e-4)
-        v2 = expected_risk(make_homog_table(sizes, k=2), params).value
+        v2 = evaluate_measure("expected", params, table=make_homog_table(sizes, k=2)).value
         assert 0.25 <= v2 <= 0.251
-        v3 = expected_risk(make_homog_table(sizes, k=3), params).value
+        v3 = evaluate_measure("expected", params, table=make_homog_table(sizes, k=3)).value
         assert 0.125 <= v3 <= 0.126
 
 
@@ -92,9 +90,10 @@ def test_criterion_02_ceiling_law():
     # sf(-0.5) bites twice and the pDP value at eps = 10^1.5 dips to 0.98
     with budget(1):
         table = make_homog_table([2, 3, 5, 8, 12, 20], k=2)
-        assert expected_risk(table, PrivacyParams("laplace", 10.0)).value >= 0.99
+        lap = PrivacyParams("laplace", 10.0)
+        assert evaluate_measure("expected", lap, table=table).value >= 0.99
         gauss = PrivacyParams("gaussian_pdp", 10**1.5, delta=DELTA)
-        assert expected_risk(table, gauss).value >= 0.99
+        assert evaluate_measure("expected", gauss, table=table).value >= 0.99
 
 
 def test_criterion_03_oracle_equivalence():
@@ -143,15 +142,16 @@ def test_criterion_05_specialization_identities():
             table = make_table(rng.integers(0, 25, size=(6, 2)) + [[1, 0]])
             alpha = rng.uniform(0.2, 5.0, size=2)
             sizes = rng.integers(1, 31, size=8)
+            homog = make_homog_table(sizes, k=len(alpha))
             for j, eps in enumerate(eps_grid):
                 if (i + j) % 2:
                     params = PrivacyParams("laplace", float(eps))
                 else:
                     params = PrivacyParams("gaussian_pdp", float(eps), delta=DELTA)
-                a = expected_risk(table, params)
+                a = evaluate_measure("expected", params, table=table)
                 b = expected_risk_k2(table, params)
                 assert abs(a.value - b.value) <= 1e-12
-                c = shrinkage_risk(sizes, alpha, params)
+                c = evaluate_measure("shrinkage", params, table=homog, alpha=alpha)
                 d = shrinkage_risk_k2(sizes, alpha, params)
                 assert abs(c.value - d.value) <= 1e-12
 
@@ -164,7 +164,7 @@ def test_criterion_05_specialization_identities():
             table = make_homog_table(rng.integers(1, 40, size=7), k=k)
             for eps in eps_grid:
                 params = PrivacyParams("laplace", float(eps))
-                gen = expected_risk(table, params)
+                gen = evaluate_measure("expected", params, table=table)
                 exact = homogeneous_risk(table, params)
                 assert abs(gen.value - exact.value) <= 1e-14 * exact.value
                 assert gen.scenario8 == 0.0
@@ -189,8 +189,10 @@ def test_criterion_07_pdp_adp_gap():
         table = make_homog_table([2, 4, 7, 11, 16, 20], k=2)
         for eps in np.linspace(0.05, 0.95, 19):
             for delta in (1e-5, 1e-3, 1e-1):
-                p = expected_risk(table, PrivacyParams("gaussian_pdp", float(eps), delta=delta))
-                a = expected_risk(table, PrivacyParams("gaussian_adp", float(eps), delta=delta))
+                pdp = PrivacyParams("gaussian_pdp", float(eps), delta=delta)
+                adp = PrivacyParams("gaussian_adp", float(eps), delta=delta)
+                p = evaluate_measure("expected", pdp, table=table)
+                a = evaluate_measure("expected", adp, table=table)
                 assert abs(p.value - a.value) < 0.05
 
 
@@ -202,7 +204,9 @@ def test_criterion_08_delta_insensitivity():
         values = np.array(
             [
                 [
-                    expected_risk(table, PrivacyParams("gaussian_pdp", float(e), delta=d)).value
+                    evaluate_measure(
+                        "expected", PrivacyParams("gaussian_pdp", float(e), delta=d), table=table
+                    ).value
                     for d in deltas
                 ]
                 for e in eps_grid
@@ -325,7 +329,7 @@ def test_adult_table_on_rows_in_adult_format(tmp_path):
     ]
     table = _adult_table(lines, tmp_path)
     assert table.categories == ("<=50K", ">50K") and table.dropped_rows == 0
-    assert {c.key: c.counts for c in table.cells} == {
+    assert cells_of(table) == {
         ("35-40", "Not-in-family", "Bachelors", "White", "Male", "40-50"): (1, 1),
         ("50-55", "Husband", "HS-grad", "Black", "Male", "10-20"): (0, 1),
         ("25-30", "Wife", "Some-college", "White", "Female", "40-50"): (1, 0),
@@ -418,7 +422,7 @@ def test_criterion_14_thresholding_floor_shift():
     with budget(60):
         table = make_homog_table([3, 5, 8, 2, 12, 7], k=2)
         params = PrivacyParams("laplace", 1e-3)
-        pure = average_local_risk(table, params).value
+        pure = evaluate_measure("local", params, table=table).value
         est = mc_threshold_dr(table, params, reps=60_000, seed=140_008, mode="hard")
         assert est.value - 3.0 * est.se > pure
 

@@ -121,27 +121,27 @@ def test_tabulate_bad_bin_spec(data_dir, capsys):
 def test_risk_curve_and_thread_byte_identity(data_dir, capsys, tmp_path):
     table_path, _ = tabulate(data_dir, capsys)
     out = tmp_path / "curve.csv"
+    args = [
+        "risk",
+        "--table", str(table_path),
+        "--measure", "expected",
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.01:10:log7",
+    ]
     snapshots = []
-    for threads in ("1", "4"):
-        code, stdout, _ = run(
-            capsys,
-            "risk",
-            "--table", str(table_path),
-            "--measure", "expected",
-            "--mechanism", "laplace",
-            "--epsilon-grid", "0.01:10:log7",
-            "--threads", threads,
-            "--output", str(out),
-        )
+    for _ in range(2):
+        code, stdout, _ = run(capsys, *args, "--output", str(out))
         assert code == 0
         assert "7 curve points" in stdout
         snapshots.append((out.read_bytes(), (tmp_path / "curve.csv.manifest.json").read_bytes()))
-    assert snapshots[0][0] == snapshots[1][0]
-    # --threads stays out of the manifest, so the manifests match bytewise too
-    assert snapshots[0][1] == snapshots[1][1]
+    assert snapshots[0] == snapshots[1]
     lines = snapshots[0][0].decode().splitlines()
     assert lines[0].startswith("epsilon,delta,mechanism,measure,value")
     assert len(lines) == 8
+    # a curve runs on one thread, so risk takes no --threads flag
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--threads", "2", "--output", str(out)])
+    assert exc.value.code == 2
 
 
 def test_risk_rejects_delta_for_laplace(data_dir, capsys):
@@ -491,6 +491,78 @@ def test_non_finite_size_model_exits_1(capsys, tmp_path, verb, text, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", ["risk", "mc"])
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ('{"family":"negbin","lambda":1e-20,"r":2}', "mean r(1-p)/p, with p = lam,"),
+        ('{"family":"negbin","lambda":1e-300,"r":2}', "mean r(1-p)/p, with p = lam,"),
+        ('{"family":"poisson","lambda":1e20}', "rate lam"),
+    ],
+    ids=["negbin_p_1e-20", "negbin_p_1e-300", "poisson_1e20"],
+)
+def test_size_model_mean_beyond_2_53_exits_1(capsys, tmp_path, verb, text, named):
+    (tmp_path / "sm.json").write_text(text)
+    if verb == "mc":
+        args = ["mc", "--estimator", "global_variant", "--epsilon", "1"]
+        args += ["--reps", "10", "--seed", "3"]
+    else:
+        args = ["risk", "--measure", "global_variant", "--epsilon-grid", "0.1:1:log3"]
+    code, _, err = run(
+        capsys,
+        *args,
+        "--categories", "2",
+        "--size-model", str(tmp_path / "sm.json"),
+        "--mechanism", "laplace",
+        "--output", str(tmp_path / "out"),
+    )
+    assert code == 1 and err.startswith("error: ") and named in err and "2**53" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "alpha,message",
+    [
+        ("inf,1", "finite and positive"),
+        ("1,1,1,1,1", "alpha has 5 entries but the table has 2 categories"),
+    ],
+)
+def test_risk_rejects_bad_alpha(capsys, tmp_path, alpha, message):
+    write_table(make_homog_table([3, 5, 8], k=2), tmp_path / "t.json")
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--table", str(tmp_path / "t.json"),
+        "--measure", "shrinkage",
+        "--alpha", alpha,
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3",
+        "--output", str(tmp_path / "c.csv"),
+    )
+    assert code == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_mc_rejects_infinite_alpha(capsys, tmp_path):
+    code, _, err = run(
+        capsys,
+        "mc",
+        "--estimator", "shrinkage",
+        "--n", "5",
+        "--alpha", "inf,1",
+        "--mechanism", "laplace",
+        "--epsilon", "1",
+        "--reps", "1000",
+        "--seed", "3",
+        "--output", str(tmp_path / "m.json"),
+    )
+    assert code == 1 and "finite and positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_invert_prints_result(capsys, tmp_path):
     t = make_homog_table([10], k=2)
     write_table(t, tmp_path / "t.json")
@@ -544,15 +616,18 @@ def test_threads_validation(capsys, tmp_path):
     write_table(t, tmp_path / "t.json")
     code, _, err = run(
         capsys,
-        "risk",
+        "utility",
         "--table", str(tmp_path / "t.json"),
-        "--measure", "expected",
         "--mechanism", "laplace",
-        "--epsilon-grid", "0.1:1:log3",
+        "--epsilon", "1",
+        "--ks", "1",
+        "--reps", "3",
+        "--seed", "1",
         "--threads", "0",
-        "--output", str(tmp_path / "c.csv"),
+        "--output", str(tmp_path / "u.csv"),
     )
     assert code == 1 and "at least 1" in err
+    assert not (tmp_path / "u.csv").exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -262,6 +262,28 @@ def test_size_model_json_rejects_non_finite_parameters():
         size_model_from_json('{"family":"poisson","lambda":NaN}')
 
 
+HUGE_MEAN_MODELS = [
+    ("negbin", 1e-20, 2.0, r"mean r\(1-p\)/p, with p = lam, is 2e\+20"),
+    ("negbin", 1e-300, 2.0, r"mean r\(1-p\)/p, with p = lam, is 2e\+300"),
+    ("poisson", 1e20, None, r"rate lam is 1e\+20"),
+]
+
+
+@pytest.mark.parametrize("family,lam,r,message", HUGE_MEAN_MODELS)
+def test_size_model_rejects_a_mean_beyond_2_53(family, lam, r, message):
+    """Sizes pass through doubles, which hold every integer only up to 2**53."""
+    with pytest.raises(ValueError, match=message + ", above 2\\*\\*53"):
+        CellSizeModel(family=family, lam=lam, r=r)
+    doc = {"family": family, "lambda": lam} | ({} if r is None else {"r": r})
+    with pytest.raises(ValueError, match=message):
+        size_model_from_json(json.dumps(doc))
+
+
+def test_size_model_mean_bound_is_inclusive():
+    assert CellSizeModel(family="poisson", lam=2.0**53).lam == 2.0**53
+    CellSizeModel(family="negbin", lam=0.5, r=2.0**53)  # mean r(1-p)/p is exactly 2**53
+
+
 def test_size_model_json_round_trip():
     for model in (
         CellSizeModel(family="poisson", lam=3.25),

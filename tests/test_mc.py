@@ -19,8 +19,7 @@ from conftest import make_homog_table, make_table, recording_pool
 from hadr import (
     CellSizeModel,
     PrivacyParams,
-    global_risk,
-    global_risk_variant,
+    evaluate_measure,
     local_risk,
     mc_expected,
     mc_global,
@@ -28,12 +27,10 @@ from hadr import (
     mc_local,
     mc_shrinkage,
     mc_threshold_dr,
-    shrinkage_risk,
     upper_bound_findings,
 )
 from hadr.mc import BLOCK_REPS, McEstimate, mc_to_json
-from hadr.risk import expected_risk, expected_risk_cells
-from hadr.tabulation import CellRecord
+from hadr.risk import expected_risk_cells
 from oracles import classify_scenario, homogeneous_risk
 
 LAP1 = PrivacyParams("laplace", 1.0)
@@ -119,7 +116,7 @@ def test_mc_local_heterogeneous_matches_union_form():
 
 
 def test_mc_local_tallies_and_cellrecord():
-    est = mc_local(CellRecord(key=("a",), counts=(1, 4)), LAP1, 10_000, seed=5)
+    est = mc_local((1, 4), LAP1, 10_000, seed=5)
     assert sum(est.scenarios.values()) == est.reps == 10_000
     assert est.mode is None
     assert 0.0 <= est.value <= 1.0
@@ -136,7 +133,7 @@ def test_mc_expected_scenario1_component():
     """The first closed-form term is the exact scenario-1 probability."""
     t = make_table([(4, 2)])
     assert expected_risk_cells(t, LAP1).shape == (1,)
-    closed_s1 = expected_risk(t, LAP1).scenario1
+    closed_s1 = evaluate_measure("expected", LAP1, table=t).scenario1
     est = mc_expected(6, (4 / 6, 2 / 6), LAP1, REPS, seed=11)
     rate1 = est.scenarios["1"] / est.reps
     assert abs(rate1 - closed_s1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
@@ -154,7 +151,8 @@ def test_mc_expected_validation():
 def test_mc_shrinkage_scenario1_component():
     alpha = (2.0, 3.0)
     est = mc_shrinkage(10, alpha, LAP1, REPS, seed=13)
-    closed = shrinkage_risk([10], alpha, LAP1)
+    table = make_homog_table([10], k=len(alpha))
+    closed = evaluate_measure("shrinkage", LAP1, table=table, alpha=alpha)
     rate1 = est.scenarios["1"] / est.reps
     assert abs(rate1 - closed.scenario1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
 
@@ -163,7 +161,7 @@ def test_mc_global_scenario1_component():
     alpha = (1.0, 2.0)
     sm = CellSizeModel(family="poisson", lam=3.0)
     est = mc_global(alpha, sm, LAP1, REPS, seed=17)
-    closed = global_risk(alpha, sm, LAP1, zero_truncated=True)
+    closed = evaluate_measure("global", LAP1, alpha=alpha, size_model=sm, zero_truncated=True)
     rate1 = est.scenarios["1"] / est.reps
     assert abs(rate1 - closed.scenario1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
 
@@ -173,7 +171,9 @@ def test_mc_global_variant_matches_closed_form():
     sm = CellSizeModel(family="poisson", lam=2.43)
     for k, seed in ((2, 19), (3, 23)):
         est = mc_global_variant(sm, LAP1, k, REPS, seed=seed)
-        closed = global_risk_variant(sm, LAP1, k, zero_truncated=True)
+        closed = evaluate_measure(
+            "global_variant", LAP1, size_model=sm, n_categories=k, zero_truncated=True
+        )
         assert within_3se(est, closed.value)
         assert est.scenarios["8"] == 0
 
@@ -420,6 +420,11 @@ def test_audit_checks_reps_and_seed_without_heterogeneous_cells(reps, seed):
             "n_categories must be an integer >= 2",
         ),
         (lambda: mc_local([1.5, 0.7], LAP1, 100, seed=1), "counts must be integers"),
+        (lambda: mc_shrinkage(3, (np.inf, 1.0), LAP1, 100, seed=1), "finite and positive"),
+        (
+            lambda: mc_global((1.0, np.nan), CellSizeModel("poisson", 2.0), LAP1, 100, 1),
+            "finite and positive",
+        ),
         (lambda: mc_local((0, 4), LAP1, 100, seed=1, threads=0), "threads"),
         (lambda: mc_local((0, 4), LAP1, 100, seed=1, threads=-3), "threads"),
     ],
@@ -429,6 +434,8 @@ def test_audit_checks_reps_and_seed_without_heterogeneous_cells(reps, seed):
         "shrinkage_float_n",
         "variant_float_k",
         "local_float_counts",
+        "shrinkage_infinite_alpha",
+        "global_nan_alpha",
         "zero_threads",
         "negative_threads",
     ],

@@ -166,7 +166,7 @@ def test_sanitize_deterministic_and_offset():
     s2 = sanitize(t, params, seed=42)
     np.testing.assert_array_equal(s1.noisy, s2.noisy)
     noise = mechanism_noise(params, 42, 0, (3, 2))
-    np.testing.assert_array_equal(s1.noisy, t.counts_matrix() + noise)
+    np.testing.assert_array_equal(s1.noisy, t.counts + noise)
     s3 = sanitize(t, params, seed=43)
     assert not np.array_equal(s1.noisy, s3.noisy)
 

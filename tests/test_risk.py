@@ -15,23 +15,19 @@ import pytest
 from scipy import optimize
 
 from conftest import make_homog_table, make_table, random_table
+import hadr.risk
 from hadr import (
     CellSizeModel,
     PrivacyParams,
-    average_local_risk,
     evaluate_measure,
-    expected_risk,
-    global_risk,
-    global_risk_variant,
     invert_epsilon,
     local_risk,
     noise_model,
     risk_curve,
     scenario8_peak_epsilon,
-    shrinkage_risk,
 )
 from hadr.risk import MEASURES, curve_to_csv, expected_risk_cells
-from hadr.tabulation import CellRecord, FrequencyTable
+from hadr.tabulation import FrequencyTable
 from oracles import expected_risk_k2, global_risk_k2, homogeneous_risk, shrinkage_risk_k2
 
 LAP1 = PrivacyParams("laplace", 1.0)
@@ -47,7 +43,7 @@ PEAK_N3 = 0.462098120373
 def homogeneous_value(table, params):
     """The library's expected measure on an all-homogeneous table, after
     checking it against the independent homogeneous oracle."""
-    rv = expected_risk(table, params)
+    rv = evaluate_measure("expected", params, table=table)
     assert rv.value == pytest.approx(homogeneous_risk(table, params).value, rel=1e-14, abs=0)
     assert rv.scenario1 == rv.value and rv.scenario8 == 0.0
     return rv.value
@@ -93,13 +89,13 @@ def test_homogeneous_floor_and_ceiling():
 
 
 def test_expected_second_term_frozen():
-    rv = expected_risk(make_table([(1, 1)]), LAP1)
+    rv = evaluate_measure("expected", LAP1, table=make_table([(1, 1)]))
     assert rv.scenario8 == pytest.approx(SECOND_TERM_11_LAP1, rel=1e-11)
     assert rv.value == pytest.approx(rv.scenario1 + rv.scenario8, abs=1e-15)
 
 
 def test_expected_no_second_term_for_singletons():
-    rv = expected_risk(make_table([(1, 0), (0, 1)]), LAP1)
+    rv = evaluate_measure("expected", LAP1, table=make_table([(1, 0), (0, 1)]))
     assert rv.scenario8 == 0.0
 
 
@@ -116,7 +112,7 @@ def test_expected_no_second_term_for_singletons():
 def test_expected_matches_k2_form(params, rng):
     for _ in range(30):
         t = random_table(rng, m=10, k=2, n_max=40)
-        a = expected_risk(t, params)
+        a = evaluate_measure("expected", params, table=t)
         b = expected_risk_k2(t, params)
         assert abs(a.value - b.value) <= 1e-12
         assert abs(a.scenario1 - b.scenario1) <= 1e-12
@@ -134,14 +130,14 @@ def test_expected_specializes_to_homogeneous_exactly(k):
 
 def test_average_local_matches_homogeneous():
     t = make_homog_table([1, 4, 9], k=3)
-    a = average_local_risk(t, LAP1)
+    a = evaluate_measure("local", LAP1, table=t)
     b = homogeneous_risk(t, LAP1)
     assert a.value == pytest.approx(b.value, rel=1e-13)
     assert a.scenario8 == 0.0
 
 
 def test_local_risk_branches():
-    hom = local_risk(CellRecord(key=("a",), counts=(0, 7)), LAP1)
+    hom = local_risk((0, 7), LAP1)
     assert hom.exact and hom.scenario1 == hom.value and hom.scenario8 == 0.0
     het = local_risk([2, 3], LAP1)
     assert not het.exact and het.scenario8 == het.value and het.scenario1 == 0.0
@@ -155,6 +151,15 @@ def test_local_risk_validation():
         local_risk([5], LAP1)
     with pytest.raises(ValueError):
         local_risk([3, -1], LAP1)
+
+
+@pytest.mark.parametrize(
+    "counts", [[2.7, 0.3], [2.0, 0.0], np.array([True, False])], ids=["fraction", "float", "bool"]
+)
+def test_local_risk_rejects_non_integer_counts(counts):
+    """Counts are refused, not truncated, by the same rule as mc_local's."""
+    with pytest.raises(ValueError, match="counts must be integers"):
+        local_risk(counts, LAP1)
 
 
 def test_local_risk_union_of_disjoint_collapses():
@@ -178,7 +183,7 @@ def test_monotone_in_epsilon():
 
 def test_components_sum_to_value(rng):
     t = random_table(rng, m=12, k=3, n_max=25)
-    rv = expected_risk(t, LAP1)
+    rv = evaluate_measure("expected", LAP1, table=t)
     assert rv.value == pytest.approx(rv.scenario1 + rv.scenario8, abs=1e-12)
 
 
@@ -216,7 +221,8 @@ def test_shrinkage_matches_k2_form(params, rng):
     sizes = np.arange(1, 31)
     for _ in range(20):
         alpha = rng.uniform(0.2, 5.0, size=2)
-        a = shrinkage_risk(sizes, alpha, params)
+        table = make_homog_table(sizes, k=len(alpha))
+        a = evaluate_measure("shrinkage", params, table=table, alpha=alpha)
         b = shrinkage_risk_k2(sizes, alpha, params)
         assert abs(a.value - b.value) <= 1e-12
         assert abs(a.scenario1 - b.scenario1) <= 1e-12
@@ -224,14 +230,27 @@ def test_shrinkage_matches_k2_form(params, rng):
 
 
 def test_shrinkage_input_validation():
+    t = make_homog_table([3], k=2)
     with pytest.raises(ValueError):
-        shrinkage_risk([0, 3], [1.0, 1.0], LAP1)
+        evaluate_measure("shrinkage", LAP1, table=t, alpha=[1.0, -1.0])
     with pytest.raises(ValueError):
-        shrinkage_risk([1.5], [1.0, 1.0], LAP1)
-    with pytest.raises(ValueError):
-        shrinkage_risk([3], [1.0, -1.0], LAP1)
-    with pytest.raises(ValueError):
-        shrinkage_risk([3], [2.0], LAP1)
+        evaluate_measure("shrinkage", LAP1, table=t, alpha=[2.0])
+
+
+@pytest.mark.parametrize("measure", ["shrinkage", "global"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_alpha_must_be_finite(measure, bad):
+    inputs = dict(table=make_homog_table([3, 5], k=2), size_model=CellSizeModel("poisson", 3.0))
+    with pytest.raises(ValueError, match="finite and positive"):
+        evaluate_measure(measure, LAP1, alpha=[bad, 1.0], **inputs)
+
+
+def test_shrinkage_alpha_must_match_the_categories():
+    t = make_homog_table([3, 5], k=2)
+    with pytest.raises(ValueError, match="alpha has 5 entries but the table has 2 categories"):
+        evaluate_measure("shrinkage", LAP1, table=t, alpha=[1.0] * 5)
+    with pytest.raises(ValueError, match="alpha has 2 entries but the table has 3 categories"):
+        risk_curve("shrinkage", [LAP1], table=make_homog_table([3], k=3), alpha=[1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -255,8 +274,8 @@ def test_dirichlet_moments_match_sampling(alpha, n, rng):
 def test_global_zero_truncation_factor():
     sm = CellSizeModel(family="poisson", lam=4.6)
     alpha = np.array([1.0, 2.0])
-    raw = global_risk(alpha, sm, LAP1)
-    trunc = global_risk(alpha, sm, LAP1, zero_truncated=True)
+    raw = evaluate_measure("global", LAP1, alpha=alpha, size_model=sm)
+    trunc = evaluate_measure("global", LAP1, alpha=alpha, size_model=sm, zero_truncated=True)
     f0 = sm.zero_mass()
     assert raw.value == pytest.approx((1.0 - f0) * trunc.value, rel=1e-12)
     assert raw.scenario1 == pytest.approx((1.0 - f0) * trunc.scenario1, rel=1e-12)
@@ -267,11 +286,15 @@ def test_global_matches_sizewise_shrinkage():
     """The series equals the size-weighted average of per-size evaluations."""
     sm = CellSizeModel(family="poisson", lam=3.2)
     alpha = np.array([0.8, 1.7])
-    rv = global_risk(alpha, sm, LAP1, zero_truncated=True)
+    rv = evaluate_measure("global", LAP1, alpha=alpha, size_model=sm, zero_truncated=True)
     n = np.arange(1, rv.truncated_at + 1)
     w = sm.pmf(n) / (1.0 - sm.zero_mass())
     acc = sum(
-        float(wi) * shrinkage_risk([int(ni)], alpha, LAP1).value for ni, wi in zip(n, w)
+        float(wi)
+        * evaluate_measure(
+            "shrinkage", LAP1, table=make_homog_table([int(ni)], k=len(alpha)), alpha=alpha
+        ).value
+        for ni, wi in zip(n, w)
     )
     assert rv.value == pytest.approx(acc, rel=1e-12)
 
@@ -281,7 +304,7 @@ def test_global_matches_k2_form(epsilon):
     params = PrivacyParams("laplace", epsilon)
     sm = CellSizeModel(family="poisson", lam=3.0)
     alpha = np.array([1.2, 0.8])
-    a = global_risk(alpha, sm, params)
+    a = evaluate_measure("global", params, alpha=alpha, size_model=sm)
     b = global_risk_k2(alpha, sm, params)
     assert abs(a.value - b.value) <= 1e-12
     assert a.truncated_at == b.truncated_at
@@ -290,18 +313,19 @@ def test_global_matches_k2_form(epsilon):
 def test_global_series_cap_error():
     sm = CellSizeModel(family="poisson", lam=2e6)
     with pytest.raises(ValueError, match="exceeding the cap"):
-        global_risk(np.array([1.0, 1.0]), sm, LAP1)
+        evaluate_measure("global", LAP1, alpha=np.array([1.0, 1.0]), size_model=sm)
 
 
 def test_variant_s_shape():
     sm = CellSizeModel(family="poisson", lam=2.43)
-    lo = global_risk_variant(sm, PrivacyParams("laplace", 1e-3), 2, zero_truncated=True)
-    hi = global_risk_variant(sm, PrivacyParams("laplace", 1e2), 2, zero_truncated=True)
+    inputs = dict(size_model=sm, n_categories=2, zero_truncated=True)
+    lo = evaluate_measure("global_variant", PrivacyParams("laplace", 1e-3), **inputs)
+    hi = evaluate_measure("global_variant", PrivacyParams("laplace", 1e2), **inputs)
     assert lo.value == pytest.approx(0.25, abs=0.01)
     assert hi.value == pytest.approx(1.0, abs=0.01)
     grid = np.geomspace(1e-3, 1e2, 25)
     vals = [
-        global_risk_variant(sm, PrivacyParams("laplace", float(e)), 2, zero_truncated=True).value
+        evaluate_measure("global_variant", PrivacyParams("laplace", float(e)), **inputs).value
         for e in grid
     ]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -312,17 +336,20 @@ def test_evaluate_measure_dispatch(rng):
     t = random_table(rng, m=6, k=2, n_max=20)
     alpha = np.array([1.0, 2.0])
     sm = CellSizeModel(family="poisson", lam=3.0)
-    assert evaluate_measure("local", LAP1, table=t) == average_local_risk(t, LAP1)
-    assert evaluate_measure("expected", LAP1, table=t) == expected_risk(t, LAP1)
-    assert evaluate_measure("shrinkage", LAP1, table=t, alpha=alpha) == shrinkage_risk(
-        t.sizes(), alpha, LAP1
-    )
-    assert evaluate_measure("global", LAP1, alpha=alpha, size_model=sm) == global_risk(
-        alpha, sm, LAP1
-    )
-    assert evaluate_measure(
-        "global_variant", LAP1, size_model=sm, n_categories=2
-    ) == global_risk_variant(sm, LAP1, 2)
+    # each name against a value computed without the size-profile kernel
+    local = evaluate_measure("local", LAP1, table=t)
+    assert close(local.value, float(np.mean([local_risk(c, LAP1).value for c in t.counts])))
+    expected = evaluate_measure("expected", LAP1, table=t)
+    assert close(expected.value, float(np.mean(expected_risk_cells(t, LAP1))))
+    assert close(expected.scenario8, expected_risk_k2(t, LAP1).scenario8)
+    shrinkage = evaluate_measure("shrinkage", LAP1, table=t, alpha=alpha)
+    assert close(shrinkage.value, shrinkage_risk_k2(t.sizes(), alpha, LAP1).value)
+    glob = evaluate_measure("global", LAP1, alpha=alpha, size_model=sm)
+    assert close(glob.value, global_risk_k2(alpha, sm, LAP1).value)
+    variant = evaluate_measure("global_variant", LAP1, size_model=sm, n_categories=2)
+    n = np.arange(1, variant.truncated_at + 1, dtype=float)
+    nm = noise_model(LAP1)
+    assert close(variant.value, float(np.sum(sm.pmf(n) * nm.cdf(0.5) * nm.sf(0.5 - n))))
 
 
 def test_evaluate_measure_requirements(rng):
@@ -392,7 +419,7 @@ def test_risk_curve_matches_pointwise_evaluation(measure, mechanism, rng):
         if measure == "expected":
             assert close(rv.value, float(np.mean(expected_risk_cells(t, p))))
         if measure == "local":
-            assert close(rv.value, float(np.mean([local_risk(c, p).value for c in t.cells])))
+            assert close(rv.value, float(np.mean([local_risk(c, p).value for c in t.counts])))
 
 
 @pytest.mark.parametrize("mechanism", sorted(CURVE_MECHANISMS))
@@ -408,23 +435,38 @@ def test_local_profile_bitwise_equals_per_cell_values(rng, mechanism):
         c1 = np.where(homogeneous, vals, 0.0)
         want = (float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
         assert (pt.value, pt.scenario1, pt.scenario8) == want
-        assert average_local_risk(t, p)[:3] == want
+        assert evaluate_measure("local", p, table=t)[:3] == want
 
 
 def test_curve_and_inversion_build_profile_once(rng, monkeypatch):
+    """A curve or an inversion does each measure's eps-independent work
+    (size grouping, distinct count vectors, Gamma ratios, the size series)
+    as often as a single point does, however many points it evaluates."""
     calls = Counter()
 
     def counting(owner, name):
         fn = getattr(owner, name)
 
-        def wrapped(self, *args, **kwargs):
+        def wrapped(*args, **kwargs):
             calls[name] += 1
-            return fn(self, *args, **kwargs)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapped)
 
+    class CountingNumpy:
+        """numpy as hadr.risk sees it, with np.unique counted."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def unique(self, *args, **kwargs):
+            calls["unique"] += 1
+            return np.unique(*args, **kwargs)
+
+    monkeypatch.setattr(hadr.risk, "np", CountingNumpy())
+    counting(hadr.risk, "log_gamma")
     counting(CellSizeModel, "tail_quantile")
-    counting(FrequencyTable, "counts_matrix")
+    counting(FrequencyTable, "sizes")
     inputs = dict(
         table=repeated_size_table(rng),
         alpha=[0.4, 0.7, 1.1, 2.0],
@@ -434,12 +476,16 @@ def test_curve_and_inversion_build_profile_once(rng, monkeypatch):
     grid = [PrivacyParams("laplace", e) for e in np.geomspace(0.01, 100.0, 25)]
     for measure in MEASURES:
         calls.clear()
+        evaluate_measure(measure, grid[0], **inputs)
+        one_point = dict(calls)
+        assert one_point  # every measure's profile passes a counted call
+        calls.clear()
         pts = risk_curve(measure, grid, **inputs)
-        assert max(calls.values(), default=0) <= 1
+        assert calls == one_point
         target = 0.5 * (pts[0].value + max(p.value for p in pts))
         calls.clear()
         invert_epsilon(measure, target, "laplace", lo=0.01, hi=100.0, **inputs)
-        assert max(calls.values(), default=0) <= 1
+        assert calls == one_point
 
 
 def test_invert_matches_frozen_epsilons():
@@ -475,8 +521,8 @@ def test_invert_round_trip():
     res = invert_epsilon("expected", 0.7, "laplace", table=t)
     assert res.risk <= 0.7
     assert res.risk == pytest.approx(0.7, abs=1e-5)
-    above = expected_risk(t, PrivacyParams("laplace", res.epsilon + 1e-4)).value
-    assert above > 0.7
+    above = evaluate_measure("expected", PrivacyParams("laplace", res.epsilon + 1e-4), table=t)
+    assert above.value > 0.7
     # the known reference point: risk 0.6967... sits just below epsilon 1
     assert invert_epsilon("expected", HOMOG_N10_K2_LAP1 + 1e-7, "laplace", table=t).epsilon == pytest.approx(
         1.0, abs=1e-4

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import cells_of, make_table
 from hadr import (
     FrequencyTable,
     cross_tabulate,
@@ -24,10 +24,6 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def cells_of(table):
-    return {c.key: c.counts for c in table.cells}
 
 
 def test_load_csv_basic(tmp_path):
@@ -141,12 +137,15 @@ def test_tabulate_csv_matches_hand_count_on_messy_input(tmp_path):
     t = tabulate_csv(path, ["age", "zip"], "y", bins=bins)
     truth, dropped = _counted_by_hand(path, ["age", "zip"], "y", bins)
     got = {
-        (c.key, cat): n for c in t.cells for cat, n in zip(t.categories, c.counts) if n
+        (key, cat): n
+        for key, counts in zip(t.keys(), t.counts.tolist())
+        for cat, n in zip(t.categories, counts)
+        if n
     }
     assert got == truth
     assert t.dropped_rows == dropped > 0
     assert t.categories == ("u", "v", "w")
-    assert {"-7.5--5", "-2.5-0", "0-2.5", "17.5-20"} <= {c.key[0] for c in t.cells}
+    assert {"-7.5--5", "-2.5-0", "0-2.5", "17.5-20"} <= {key[0] for key in t.keys()}
 
 
 def test_cross_tabulate_counts_and_drops():
@@ -157,7 +156,7 @@ def test_cross_tabulate_counts_and_drops():
     t = cross_tabulate(ds, ["g"], "y")
     assert t.dropped_rows == 2
     assert t.categories == ("u", "v")
-    assert {c.key: c.counts for c in t.cells} == {("a",): (2, 1), ("b",): (1, 0)}
+    assert cells_of(t) == {("a",): (2, 1), ("b",): (1, 0)}
 
 
 def test_cross_tabulate_validations():
@@ -210,7 +209,7 @@ def test_cells_sorted_canonically():
         keys=[("b",), ("a",)],
         counts=[(1, 0), (0, 2)],
     )
-    assert [c.key for c in t.cells] == [("a",), ("b",)]
+    assert t.keys() == (("a",), ("b",))
 
 
 def test_json_round_trip_bytes(tmp_path):
@@ -272,9 +271,9 @@ def test_table_from_json_rejects_mistyped_names(field, value):
 def expand_table(table: FrequencyTable) -> RawDataset:
     """Inverse of cross_tabulate up to row order: one row per record."""
     rows = []
-    for cell in table.cells:
-        for k, c in enumerate(cell.counts):
-            rows.extend([list(cell.key) + [table.categories[k]]] * c)
+    for key, counts in zip(table.keys(), table.counts.tolist()):
+        for k, c in enumerate(counts):
+            rows.extend([list(key) + [table.categories[k]]] * c)
     return RawDataset(
         column_names=list(table.qid_names) + [table.sensitive_name],
         rows=rows,
@@ -285,22 +284,22 @@ def test_expand_table_inverse():
     t = make_table([(3, 1), (0, 7)])
     ds = expand_table(t)
     t2 = cross_tabulate(ds, list(t.qid_names), t.sensitive_name)
-    assert {c.key: c.counts for c in t2.cells} == {c.key: c.counts for c in t.cells}
+    assert cells_of(t2) == cells_of(t)
     assert t2.categories == t.categories
     assert len(ds.rows) == int(t.sizes().sum())
 
 
 def test_counts_matrix_and_sizes():
     t = make_table([(3, 1), (0, 7)])
-    assert t.counts_matrix().dtype == np.int64
-    assert t.counts_matrix().tolist() == [[3, 1], [0, 7]]
+    assert t.counts.dtype == np.int64
+    assert t.counts.tolist() == [[3, 1], [0, 7]]
     assert t.sizes().tolist() == [4, 7]
     assert t.n_cells == 2 and t.n_categories == 2
 
 
 def test_counts_are_one_read_only_array():
     t = make_table([(3, 1), (0, 7)])
-    assert t.counts_matrix() is t.counts and t.sizes() is t.sizes()
+    assert t.sizes() is t.sizes()
     with pytest.raises(ValueError, match="read-only"):
         t.counts[0, 0] = 5
     with pytest.raises(ValueError, match="read-only"):

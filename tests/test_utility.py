@@ -87,7 +87,7 @@ def test_marginal_consistency(rng):
 
 def test_marginal_probs_with_sanitized_counts(rng):
     t = product_table(rng)
-    counts = t.counts_matrix() + 1  # any same-shape array works
+    counts = t.counts + 1  # any same-shape array works
     probs = marginal_probs(t, (0,), counts=counts)
     assert probs.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError, match="shape"):
@@ -103,7 +103,7 @@ def test_marginal_probs_validation(rng):
     with pytest.raises(ValueError, match="out of range"):
         marginal_probs(t, (0, 5))
     with pytest.raises(ValueError, match="zero"):
-        marginal_probs(t, (0,), counts=np.zeros_like(t.counts_matrix()))
+        marginal_probs(t, (0,), counts=np.zeros_like(t.counts))
 
 
 def test_report_zero_noise_limit(rng):

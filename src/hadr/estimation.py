@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
-from scipy.optimize import brentq
 
 from .tabulation import FrequencyTable
 
@@ -153,6 +151,13 @@ class CellSizeModel:
 
     @cached_property
     def _frozen(self):
+        """The frozen scipy distribution, built once per model.
+
+        scipy.stats is imported here, not with the module, since importing
+        it takes most of the start-up time of every CLI verb.
+        """
+        from scipy import stats
+
         if self.family == "poisson":
             return stats.poisson(self.lam)
         return stats.nbinom(self.r, self.lam)
@@ -167,28 +172,36 @@ class CellSizeModel:
         comes first. The running maximum keeps it sorted for
         np.searchsorted; on a monotone cdf it changes nothing.
         """
+        upper = self.tail_quantile(1e-16)  # first, as it checks the quantiles are finite
         dist = self._frozen
         start = int(dist.ppf(1e-16)) - 1
-        stop = min(self.tail_quantile(1e-16), start + _CDF_TABLE_CAP - 1)
+        stop = min(upper, start + _CDF_TABLE_CAP - 1)
         return start, np.maximum.accumulate(dist.cdf(np.arange(start, stop + 1)))
 
-    def _dist(self):
-        """The frozen scipy distribution, built once per model."""
-        return self._frozen
-
     def pmf(self, n) -> np.ndarray:
-        return self._dist().pmf(np.asarray(n))
+        return self._frozen.pmf(np.asarray(n))
 
     def zero_mass(self) -> float:
-        return float(self._dist().pmf(0))
+        return float(self._frozen.pmf(0))
 
     def mean(self) -> float:
-        return float(self._dist().mean())
+        return float(self._frozen.mean())
 
     def tail_quantile(self, mass: float) -> int:
-        """Smallest N with P(X > N) < mass."""
-        dist = self._dist()
-        n = max(int(dist.isf(mass)), 1)
+        """Smallest N with P(X > N) < mass.
+
+        scipy's quantiles of a poisson model with a rate from about 1e12 up
+        are NaN; that raises, naming the model.
+        """
+        dist = self._frozen
+        quantile = float(dist.isf(mass))
+        if not math.isfinite(quantile):
+            shape = "" if self.r is None else f", r={self.r!r}"
+            raise ValueError(
+                f"{self.family} size model (lam={self.lam!r}{shape}) has no finite"
+                f" quantile for tail mass {mass:g}"
+            )
+        n = max(int(quantile), 1)
         while dist.sf(n) >= mass:
             n += 1
         return n
@@ -209,7 +222,7 @@ class CellSizeModel:
         entries, 8 MiB. A q outside it, below its first entry or above its
         last (a tail past the cap), goes through scipy's ppf instead.
         """
-        dist = self._dist()
+        dist = self._frozen
         f0 = float(dist.cdf(0))
         q = np.minimum(f0 + np.asarray(u) * (1.0 - f0), np.nextafter(1.0, 0.0))
         start, cdf = self._cdf_table
@@ -246,6 +259,8 @@ def fit_poisson(sizes, *, zero_truncated: bool = False) -> CellSizeModel:
             "zero-truncated fit needs a sample mean above 1; every positive rate "
             "gives a truncated mean above 1"
         )
+    from scipy.optimize import brentq
+
     lam = brentq(lambda x: x / (1.0 - np.exp(-x)) - m, 1e-12, m)
     return CellSizeModel("poisson", float(lam))
 

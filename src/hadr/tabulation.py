@@ -15,11 +15,10 @@ import functools
 import gc
 import json
 import math
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter, lt
+from itertools import chain, islice, repeat
+from operator import is_, itemgetter, lt
 
 import numpy as np
 
@@ -143,14 +142,137 @@ class FrequencyTable:
         return self._keys
 
 
-def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> FrequencyTable:
-    """Build the QID-by-sensitive frequency table from raw rows.
+# Rows read and counted at a time: between chunks only the distinct values
+# and the distinct code rows are kept.
+_CHUNK_ROWS = 1 << 16
 
-    Rows with a missing value in any selected column are dropped (the count
-    is kept on the returned table). Values are compared as strings, and the
-    categories of the sensitive attribute are sorted, so the table depends
-    only on the multiset of rows, not on their order.
+
+def _gc_paused(fn):
+    """Wrap ``fn``, a pass that makes no reference cycles, to run with the collector paused.
+
+    Such a pass allocates many lists, tuples and dicts, which set off
+    collections of the whole heap that cost about as much as the pass
+    itself; reference counting frees what the pass drops. The collector
+    resumes only after the frame of ``fn`` has released its locals, so
+    none of them is left for it to scan.
     """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
+
+
+class _Codes(dict):
+    """Memo from a raw value to the integer code of its label.
+
+    ``clean`` maps a raw value to its label, or to None when the value is
+    missing, and runs once per distinct raw value. Code 0 is missing and
+    ``labels[c]`` is the label of code c > 0; raw values with equal labels
+    share a code.
+    """
+
+    def __init__(self, clean):
+        super().__init__()
+        self._clean = clean
+        self._code_of = {None: 0}
+        self.labels = [None]
+
+    def __missing__(self, raw):
+        label = self._clean(raw)
+        code = self._code_of.get(label)
+        if code is None:
+            code = self._code_of[label] = len(self.labels)
+            self.labels.append(label)
+        self[raw] = code
+        return code
+
+    def codes(self, values, n: int) -> np.ndarray:
+        """The codes of the n raw ``values``."""
+        return np.fromiter(map(self.__getitem__, values), np.int64, n)
+
+
+def _fold(codes: np.ndarray, cards) -> np.ndarray:
+    """One int64 per column of ``codes``, equal exactly where the columns are.
+
+    Row j holds codes below cards[j], read as mixed-radix digits. Where the
+    next digit would overflow int64, the key so far is first replaced by
+    its rank among the distinct keys, so a key stays below the number of
+    columns times a card.
+    """
+    key, bound = codes[0], cards[0]
+    for row, card in zip(codes[1:], cards[1:]):
+        if bound * card > _INT64_MAX:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * card + row
+        bound *= card
+    return key
+
+
+def _merge(seen, tally, codes, cards):
+    """The distinct columns of ``seen`` and ``codes`` with their counts.
+
+    Column j of ``seen`` counts tally[j] records and each of ``codes`` one.
+    A function of its own, so that its temporaries are freed before the
+    next chunk is read.
+    """
+    both = np.concatenate([seen, codes], axis=1)
+    _, first, where = np.unique(_fold(both, cards), return_index=True, return_inverse=True)
+    # float weights add up exactly: no input has 2**53 records
+    weights = np.concatenate([tally, np.ones(codes.shape[1], np.int64)])
+    return both[:, first], np.bincount(where, weights).astype(np.int64)
+
+
+@_gc_paused
+def _tally(chunks, memos, qid_names, sensitive_name) -> FrequencyTable:
+    """The frequency table of the code arrays that ``chunks`` yields.
+
+    A chunk has one row per QID column and then one for the sensitive
+    column, coded by ``memos`` in that order, and one column per record.
+    Between chunks only the distinct code columns and their counts are
+    kept, so memory grows with the distinct cells, not with the records.
+    """
+    seen = np.zeros((len(memos), 0), np.int64)
+    tally = np.zeros(0, np.int64)
+    for codes in chunks:
+        seen, tally = _merge(seen, tally, codes, [len(memo.labels) for memo in memos])
+
+    complete = seen.all(axis=0)
+    dropped = int(tally[~complete].sum())
+    seen, tally = seen[:, complete], tally[complete]
+    if not tally.size:
+        raise ValueError("no complete rows to tabulate")
+    labels = [memo.labels for memo in memos]
+    present = sorted(set(seen[-1].tolist()), key=labels[-1].__getitem__)
+    if len(present) < 2:
+        raise ValueError("sensitive attribute must take at least 2 categories")
+    category = np.zeros(len(labels[-1]), np.int64)
+    category[present] = np.arange(len(present))
+    key = _fold(seen[:-1], [len(label) for label in labels[:-1]])
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    counts = np.zeros((len(first), len(present)), np.int64)
+    counts[cell, category[seen[-1]]] = tally  # each (cell, category) occurs once
+    qid_codes = seen[:-1, first].tolist()
+    return FrequencyTable(
+        qid_names=qid_names,
+        sensitive_name=sensitive_name,
+        categories=[labels[-1][c] for c in present],
+        keys=zip(*(map(label.__getitem__, row) for label, row in zip(labels, qid_codes))),
+        counts=counts,
+        dropped_rows=dropped,
+    )
+
+
+def _used_columns(dataset: RawDataset, qid_columns, sensitive_column: str):
+    """The QID names and the indices of the QID columns, then the sensitive one."""
     qid_columns = list(qid_columns)
     if not qid_columns:
         raise ValueError("at least one QID column is required")
@@ -159,37 +281,39 @@ def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> F
     if sensitive_column in qid_columns:
         raise ValueError("sensitive column cannot also be a QID")
     columns = [dataset.column_index(c) for c in qid_columns + [sensitive_column]]
-
-    tally = Counter(map(itemgetter(*columns), dataset.rows))
-    dropped = 0
-    counts: dict[tuple[str, ...], Counter] = {}
-    for used, c in tally.items():
-        if None in used:
-            dropped += c
-            continue
-        key = tuple(map(str, used[:-1]))
-        counts.setdefault(key, Counter())[str(used[-1])] += c
-    if not counts:
-        raise ValueError("no complete rows to tabulate")
-    categories = sorted(set().union(*counts.values()))
-    if len(categories) < 2:
-        raise ValueError("sensitive attribute must take at least 2 categories")
-    return FrequencyTable(
-        qid_names=tuple(qid_columns),
-        sensitive_name=sensitive_column,
-        categories=tuple(categories),
-        keys=tuple(counts),
-        counts=[[by_cat[cat] for cat in categories] for by_cat in counts.values()],
-        dropped_rows=dropped,
-    )
+    return tuple(qid_columns), columns
 
 
-@functools.lru_cache(maxsize=4096)
+def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> FrequencyTable:
+    """Build the QID-by-sensitive frequency table from raw rows.
+
+    Rows with a missing value (None) in any selected column are dropped
+    (the count is kept on the returned table). Values are compared as
+    their ``str()``, so 1 and "1" fall in one cell while 1 and 1.0 do not,
+    and the categories of the sensitive attribute are sorted, so the table
+    depends only on the multiset of rows, not on their order.
+    """
+    qid_names, columns = _used_columns(dataset, qid_columns, sensitive_column)
+    memos = [_Codes(str) for _ in columns]
+    rows = iter(dataset.rows)
+
+    def chunks():
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            n = len(chunk)
+            codes = np.empty((len(columns), n), np.int64)
+            for j, (i, memo) in enumerate(zip(columns, memos)):
+                values = list(map(itemgetter(i), chunk))
+                codes[j] = memo.codes(map(str, values), n)
+                codes[j, np.fromiter(map(is_, values, repeat(None)), bool, n)] = 0
+            yield codes
+
+    return _tally(chunks(), memos, qid_names, sensitive_column)
+
+
 def _bin_label(text: str, width: float) -> str:
     """Label "lo-hi" of the half-open bin [k*width, (k+1)*width) holding text.
 
-    Cached because a numeric column repeats few distinct values; an error
-    names the value only, and the caller adds its column and line.
+    An error names the value only; the caller adds its column and line.
     """
     try:
         k = float(text) / width
@@ -201,21 +325,62 @@ def _bin_label(text: str, width: float) -> str:
     return f"{k * width:g}-{(k + 1) * width:g}"
 
 
-def _csv_rows(reader, header, binned, missing):
-    """Stripped rows of ``reader`` with missing tokens as None and bins labelled."""
-    for lineno, row in enumerate(reader, start=2):
+def _clean_field(field: str, missing, width) -> str | None:
+    """The stripped field, None if it is a missing token, or its bin label."""
+    value = field.strip()
+    if value in missing:
+        return None
+    return value if width is None else _bin_label(value, width)
+
+
+def _first_fault(rows, header, binned, missing, start: int) -> None:
+    """Raise for the first faulty row of ``rows``, whose first is at line ``start``.
+
+    A row is faulty when it is ragged or a binned field in it, missing
+    tokens aside, has no bin; the message names the line and, for a bin,
+    the column.
+    """
+    for lineno, row in enumerate(rows, start):
         if len(row) != len(header):
             raise ValueError(
                 f"ragged row at line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        vals = [None if v in missing else v for v in map(str.strip, row)]
+            ) from None
         for i, width in binned.items():
-            if vals[i] is not None:
-                try:
-                    vals[i] = _bin_label(vals[i], width)
-                except ValueError as exc:
-                    raise ValueError(f"{exc} in column {header[i]!r} at line {lineno}") from None
-        yield vals
+            try:
+                _clean_field(row[i], missing, width)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in column {header[i]!r} at line {lineno}") from None
+
+
+def _csv_chunks(reader, header, binned, missing, memos, columns):
+    """Code arrays of ``columns`` (see ``_tally``), one chunk of rows at a time.
+
+    ``memos`` holds a memo for every used or binned column, so a binned
+    value without a bin raises even in a column that is not tabulated. A
+    chunk with a fault is replayed row by row, which raises the first fault
+    in row order.
+    """
+    chunk, lineno = [], 2
+    while True:
+        try:
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except (csv.Error, ValueError):
+            # a fault in a row read before a parse or decode error comes first
+            _first_fault(chunk, header, binned, missing, lineno)
+            raise
+        if not chunk:
+            return
+        n = len(chunk)
+        try:
+            if set(map(len, chunk)) != {len(header)}:
+                raise ValueError("ragged row")
+            codes = {i: memo.codes(map(itemgetter(i), chunk), n) for i, memo in memos.items()}
+        except ValueError:
+            _first_fault(chunk, header, binned, missing, lineno)
+            raise
+        chunk.clear()  # the rows are freed before the codes are counted
+        lineno += n
+        yield np.array([codes[i] for i in columns])
 
 
 def tabulate_csv(
@@ -223,13 +388,20 @@ def tabulate_csv(
 ) -> FrequencyTable:
     """Cross-tabulate an RFC-4180-style delimited file with a header row.
 
-    The file is read once and no row is kept. Fields are compared after
-    stripping whitespace; tokens in ``missing_tokens`` are missing in any
-    column. Each ``(column, width)`` in ``bins`` replaces a numeric column
-    by the label "lo-hi" of its lower-inclusive bin anchored at 0: value v
-    falls in [k*width, (k+1)*width) with k = floor(v / width). A binned
-    value that does not parse or is not finite raises, naming its column
-    and line, whether or not the column is tabulated.
+    The file is read once, 2**16 rows at a time, and only the QID, the
+    sensitive and the binned columns are looked at. Each distinct field of
+    a column is cleaned once and coded as an integer, so memory holds one
+    chunk of rows besides the distinct values and the distinct cells. The
+    cyclic garbage collector is paused during the pass.
+
+    Fields are compared after stripping whitespace; tokens in
+    ``missing_tokens`` are missing in any column. Each ``(column, width)``
+    in ``bins`` replaces a numeric column by the label "lo-hi" of its
+    lower-inclusive bin anchored at 0: value v falls in [k*width,
+    (k+1)*width) with k = floor(v / width). A ragged row, and a binned
+    value that does not parse or is not finite, raise with the line of the
+    first such row and, for a value, its column, whether or not the column
+    is tabulated.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -248,8 +420,14 @@ def tabulate_csv(
             if i in binned:
                 raise ValueError(f"column {column!r} is binned twice")
             binned[i] = float(width)
-        dataset.rows = _csv_rows(reader, header, binned, {str(t) for t in missing_tokens})
-        return cross_tabulate(dataset, qid_columns, sensitive_column)
+        qid_names, columns = _used_columns(dataset, qid_columns, sensitive_column)
+        missing = {str(t) for t in missing_tokens}
+        memos = {
+            i: _Codes(functools.partial(_clean_field, missing=missing, width=binned.get(i)))
+            for i in (*columns, *binned)
+        }
+        chunks = _csv_chunks(reader, header, binned, missing, memos, columns)
+        return _tally(chunks, [memos[i] for i in columns], qid_names, sensitive_column)
 
 
 def table_to_json(table: FrequencyTable) -> str:
@@ -301,6 +479,7 @@ def _first_bad_cell(cells) -> None:
             )
 
 
+@_gc_paused  # the parse allocates a dict and two lists per cell
 def table_from_json(text: str) -> FrequencyTable:
     """Parse the table JSON; malformed fields are rejected, never coerced.
 
@@ -310,12 +489,6 @@ def table_from_json(text: str) -> FrequencyTable:
     name the first bad one; the table checks run over the whole counts
     array. Table reads dominate the closed-form workloads.
     """
-    # The parse allocates a dict and two lists per cell and makes no
-    # reference cycles, yet those allocations set off a cyclic collection of
-    # the whole heap that costs about as much as the parse itself. Reference
-    # counting frees the containers, so the collector is paused meanwhile.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         doc = json.loads(text)
         check_header(doc, "table JSON")
@@ -342,9 +515,6 @@ def table_from_json(text: str) -> FrequencyTable:
             raise
     except KeyError as exc:
         raise ValueError(f"table JSON is missing field {exc}") from None
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def write_table(table: FrequencyTable, path) -> None:

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior: verbs, exit codes, manifests, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import make_homog_table, make_table
+import hadr
 from hadr import write_table
 from hadr.cli import main
 
@@ -687,3 +691,14 @@ def test_table_counts_beyond_int64_exit_1(capsys, tmp_path, counts):
     )
     assert code == 1 and "cell ('b',)" in err and "does not fit int64" in err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats loads where a size model is first used, not at start-up."""
+    src = os.path.dirname(os.path.dirname(hadr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hadr.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,9 +151,22 @@ def test_size_model_probabilities():
 def test_tail_quantile(model):
     for mass in (1e-6, 1e-12):
         n = model.tail_quantile(mass)
-        dist = model._dist()
+        dist = model._frozen
         assert dist.sf(n) < mass
         assert n == 1 or dist.sf(n - 1) >= mass
+
+
+@pytest.mark.parametrize("lam", [1e12, 1e15])
+def test_tail_quantile_names_a_model_without_finite_quantiles(lam):
+    """scipy's poisson quantiles are NaN from a rate of about 1e12 up."""
+    model = CellSizeModel(family="poisson", lam=lam)
+    message = re.escape(
+        f"poisson size model (lam={lam!r}) has no finite quantile for tail mass 1e-16"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model.tail_quantile(1e-16)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model.truncated_ppf(np.array([0.5]))
 
 
 def test_truncated_ppf_finite_for_largest_uniform():
@@ -175,7 +189,7 @@ def test_truncated_ppf_finite_for_largest_uniform():
 def test_size_model_frozen_distribution_cached():
     model = CellSizeModel(family="negbin", lam=0.3, r=2.5)
     fresh = CellSizeModel(family="negbin", lam=0.3, r=2.5)
-    assert model._dist() is model._dist()
+    assert model._frozen is model._frozen
     model.pmf([1, 2])
     # the inverse-cdf table is built on the first draw and kept
     assert "_cdf_table" not in vars(model)

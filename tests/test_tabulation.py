@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,8 @@ from hadr import (
     tabulate_csv,
     write_table,
 )
-from hadr.tabulation import RawDataset, table_from_json, table_to_json
+from hadr import tabulation
+from hadr.tabulation import RawDataset, _fold, table_from_json, table_to_json
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -122,7 +124,8 @@ def _counted_by_hand(path, qids, sensitive, bins, missing=("", "?", "NA")):
     return dict(tally), dropped
 
 
-def test_tabulate_csv_matches_hand_count_on_messy_input(tmp_path):
+def _messy_csv(tmp_path):
+    """400 rows with padded fields, missing tokens and negative ages."""
     rng = random.Random(20_260_418)
     tokens = ["", "?", "NA", " ? ", "  "]
     lines = ["age, zip ,note,y"]
@@ -132,8 +135,10 @@ def test_tabulate_csv_matches_hand_count_on_messy_input(tmp_path):
         note = rng.choice(["ok", " x ", "oops"] + tokens)
         y = rng.choice(["u", " v", "w ", "u"] + tokens[:3])
         lines.append(f"{age},{zip_},{note},{y}")
-    path = write_csv(tmp_path, "\n".join(lines) + "\n")
-    bins = [("age", 2.5)]
+    return write_csv(tmp_path, "\n".join(lines) + "\n")
+
+
+def _check_against_hand_count(path, bins):
     t = tabulate_csv(path, ["age", "zip"], "y", bins=bins)
     truth, dropped = _counted_by_hand(path, ["age", "zip"], "y", bins)
     got = {
@@ -145,7 +150,63 @@ def test_tabulate_csv_matches_hand_count_on_messy_input(tmp_path):
     assert got == truth
     assert t.dropped_rows == dropped > 0
     assert t.categories == ("u", "v", "w")
+    return t
+
+
+def test_tabulate_csv_matches_hand_count_on_messy_input(tmp_path):
+    t = _check_against_hand_count(_messy_csv(tmp_path), [("age", 2.5)])
     assert {"-7.5--5", "-2.5-0", "0-2.5", "17.5-20"} <= {key[0] for key in t.keys()}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+def test_tabulate_csv_chunks_match_hand_count(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+    path = _messy_csv(tmp_path)
+    _check_against_hand_count(path, [("age", 2.5)])
+    _check_against_hand_count(path, [])
+
+
+def _faulty_csv(tmp_path, faults):
+    """Columns a, b (both binned) and y over 30 rows; ``faults`` maps line to row."""
+    lines = ["a,b,y"] + [f"{i % 5},{i % 3},{'uv'[i % 2]}" for i in range(30)]
+    for lineno, row in faults.items():
+        lines[lineno - 1] = row
+    return write_csv(tmp_path, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 1 << 16])
+@pytest.mark.parametrize(
+    "faults,qids,message",
+    [
+        ({12: "1,2", 14: "x,1,u"}, ["a"], "ragged row at line 12: expected 3 fields, got 2"),
+        ({12: "1,2,u,v", 14: "1"}, ["a"], "ragged row at line 12: expected 3 fields, got 4"),
+        ({12: "1,oops,u", 14: "1"}, ["a"],
+         "unparseable numeric value 'oops' in column 'b' at line 12"),
+        # row order decides, not column order: b's fault on line 10 comes first
+        ({10: "1,inf,u", 11: "nan,1,u"}, ["a", "b"],
+         "no finite bin for value 'inf' in column 'b' at line 10"),
+        ({10: "1, x ,u", 11: "1,2"}, ["a"],
+         "unparseable numeric value 'x' in column 'b' at line 10"),
+        ({25: "1,2"}, ["a", "b"], "ragged row at line 25: expected 3 fields, got 2"),
+        # a fault in a row read before a parse error comes first
+        ({11: "z,1,u", 13: "1,1," + "y" * 200_000}, ["a"],
+         "unparseable numeric value 'z' in column 'a' at line 11"),
+    ],
+)
+def test_tabulate_csv_chunks_report_the_first_fault(
+    tmp_path, monkeypatch, chunk_rows, faults, qids, message
+):
+    """The fault found first in row order is named, at any chunk size."""
+    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+    path = _faulty_csv(tmp_path, faults)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tabulate_csv(path, qids, "y", bins=[("a", 1.0), ("b", 1.0)])
+
+
+def test_csv_parse_error_without_an_earlier_fault_propagates(tmp_path):
+    path = _faulty_csv(tmp_path, {13: "1,1," + "y" * 200_000})
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        tabulate_csv(path, ["a"], "y", bins=[("a", 1.0)])
 
 
 def test_cross_tabulate_counts_and_drops():
@@ -172,6 +233,37 @@ def test_cross_tabulate_validations():
     # a single observed category cannot make a 2-category table
     with pytest.raises(ValueError):
         cross_tabulate(ds, ["g"], "y")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 1 << 16])
+def test_cross_tabulate_keys_are_str_of_values(monkeypatch, chunk_rows):
+    """Values that compare equal but print differently stay apart."""
+    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+    rows = [(1, "u"), (1.0, "v"), (True, "u"), ("1", "v"), (0.0, "u"), (-0.0, "v"),
+            (None, "u"), ("None", "v"), (2, 1), (2, 1.0), (2, "1")]
+    t = cross_tabulate(RawDataset(column_names=("g", "y"), rows=rows), ["g"], "y")
+    assert t.categories == ("1", "1.0", "u", "v")
+    assert cells_of(t) == {
+        ("1",): (0, 0, 1, 1),
+        ("1.0",): (0, 0, 0, 1),
+        ("True",): (0, 0, 1, 0),
+        ("0.0",): (0, 0, 1, 0),
+        ("-0.0",): (0, 0, 0, 1),
+        ("None",): (0, 0, 0, 1),
+        ("2",): (2, 1, 0, 0),
+    }
+    assert t.dropped_rows == 1
+
+
+def test_fold_keys_equal_where_columns_are_without_overflow():
+    rng = np.random.default_rng(3)
+    codes = rng.integers(0, 3, size=(4, 200))
+    for cards in ([3, 3, 3, 3], [2**40, 2**40, 3, 2**40]):  # the latter needs ranks
+        key = _fold(codes, cards)
+        assert key.min() >= 0
+        _, pattern = np.unique(key, return_inverse=True)
+        _, truth = np.unique(codes, axis=1, return_inverse=True)
+        assert np.array_equal(pattern, truth.ravel())
 
 
 def test_table_invariants():

@@ -22,7 +22,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .estimation import (
@@ -54,6 +53,8 @@ _MANIFEST_EXCLUDE = {"verb", "threads", "func"}
 
 
 def _manifest(output_path: str, args: argparse.Namespace, seed=None) -> None:
+    import scipy  # the package alone, for its version; no submodule is loaded
+
     recorded = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -464,18 +465,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Verbs that can fit or read a cell-size model. They import scipy.stats,
-# which the estimation module loads on first use, before reading their
-# inputs: loaded in the middle of a verb, after the verb's data had been
-# allocated and freed, it left every later verb run in the same process
-# about 5% slower.
+# scipy is not loaded at start-up. A verb that will need it imports it here,
+# before reading its inputs: loaded in the middle of a verb, after the verb's
+# data had been allocated and freed, scipy.stats left every later verb run in
+# the same process about 5% slower. The size-model verbs need scipy.stats
+# (which brings in scipy.special); sanitize and utility need scipy.special
+# for Gaussian noise only; tabulate needs neither.
 _SIZE_MODEL_VERBS = ("estimate", "risk", "invert", "mc")
+_NOISE_VERBS = ("sanitize", "utility")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb in _SIZE_MODEL_VERBS:
         import scipy.stats  # noqa: F401
+    elif args.verb in _NOISE_VERBS and args.mechanism != "laplace":
+        import scipy.special  # noqa: F401
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 1

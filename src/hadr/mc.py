@@ -117,6 +117,7 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
     """
     check_seed(seed)
     reps = check_reps(reps)
+    block_offset = check_int(block_offset, "block_offset", 0)
     blocks = list(enumerate(_chunks(reps, BLOCK_REPS), start=block_offset))
 
     def run(block):

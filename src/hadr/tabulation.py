@@ -364,9 +364,11 @@ def _csv_chunks(reader, header, binned, missing, memos, columns):
     while True:
         try:
             chunk.extend(islice(reader, _CHUNK_ROWS))
-        except (csv.Error, ValueError):
+        except (csv.Error, ValueError) as exc:
             # a fault in a row read before a parse or decode error comes first
             _first_fault(chunk, header, binned, missing, lineno)
+            if isinstance(exc, csv.Error):  # not a ValueError: name the row that failed
+                raise ValueError(f"{exc} at line {lineno + len(chunk)}") from None
             raise
         if not chunk:
             return
@@ -401,7 +403,9 @@ def tabulate_csv(
     (k+1)*width) with k = floor(v / width). A ragged row, and a binned
     value that does not parse or is not finite, raise with the line of the
     first such row and, for a value, its column, whether or not the column
-    is tabulated.
+    is tabulated. A row the csv module cannot parse (say, a field over its
+    field size limit) raises ValueError with its line, unless an earlier
+    row has one of those faults.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -409,6 +413,8 @@ def tabulate_csv(
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError("empty input: missing header row") from None
+        except csv.Error as exc:
+            raise ValueError(f"{exc} at line 1") from None
         dataset = RawDataset(column_names=header, rows=())
         binned: dict[int, float] = {}
         for column, width in bins:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: verbs, exit codes, manifests, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -106,6 +107,15 @@ def test_tabulate_rejects_bad_bin_input(tmp_path, capsys, age, bins, message):
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_tabulate_field_over_the_csv_limit_exits_1(tmp_path, capsys):
+    (tmp_path / "wide.csv").write_text("g,y\na,u\n" + "b" * 200_000 + ",v\n")
+    argv = ["tabulate", "--input", str(tmp_path / "wide.csv"), "--qids", "g", "--sensitive", "y"]
+    code, _, err = run(capsys, *argv, "--output", str(tmp_path / "t.json"))
+    assert code == 1
+    assert err == "error: field larger than field limit (131072) at line 3\n"
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_tabulate_bad_bin_spec(data_dir, capsys):
@@ -693,12 +703,78 @@ def test_table_counts_beyond_int64_exit_1(capsys, tmp_path, counts):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats loads where a size model is first used, not at start-up."""
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this hadr."""
     src = os.path.dirname(os.path.dirname(hadr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hadr.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+# scipy's heavy modules, and numpy modules only scipy.special pulls in
+_HEAVY = "{'scipy.special', 'scipy.stats', 'scipy.optimize', 'numpy.f2py'}"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.special and scipy.stats load where they are first used, not at start-up."""
+    assert _fresh(f"import sys, hadr.cli; print(sorted({_HEAVY} & set(sys.modules)))") == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tabulate", "--input", "micro.csv", "--qids", "g,h", "--sensitive", "y"],
+        ["sanitize", "--table", "table.json", "--mechanism", "laplace", "--epsilon", "1",
+         "--seed", "3"],
+        ["utility", "--table", "table.json", "--mechanism", "laplace", "--epsilon", "1",
+         "--ks", "1", "--reps", "2", "--seed", "3"],
+    ],
+    ids=["tabulate", "sanitize-laplace", "utility-laplace"],
+)
+def test_tabulate_and_laplace_verbs_leave_scipy_unloaded(data_dir, capsys, argv):
+    """A whole run loads neither, and its manifest still records scipy's version."""
+    import scipy
+
+    tabulate(data_dir, capsys)
+    argv = [str(data_dir / a) if a in ("micro.csv", "table.json") else a for a in argv]
+    argv += ["--output", str(data_dir / "out")]
+    code = (
+        "import sys, hadr.cli\n"
+        f"assert hadr.cli.main({argv!r}) == 0\n"
+        f"print(sorted({_HEAVY} & set(sys.modules)))"
+    )
+    assert _fresh(code).splitlines()[-1] == "[]"
+    manifest = json.loads((data_dir / "out.manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+def test_gaussian_release_loads_scipy_special_before_its_inputs(tmp_path):
+    """scipy.special is loaded even when the verb fails on its first input."""
+    argv = ["sanitize", "--table", str(tmp_path / "nope.json"), "--mechanism", "gaussian_pdp",
+            "--epsilon", "1", "--delta", "1e-6", "--seed", "3", "--output", str(tmp_path / "s")]
+    code = (
+        "import sys, hadr.cli\n"
+        f"assert hadr.cli.main({argv!r}) == 1\n"
+        "print(sorted({'scipy.special', 'scipy.stats'} & set(sys.modules)))"
+    )
+    assert _fresh(code) == "['scipy.special']"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="ordered_map needs two CPUs for two threads")
+def test_first_norm_cdf_calls_from_two_threads():
+    """Two threads that both import scipy.special on their first call get right values."""
+    code = (
+        "import json, sys, threading\n"
+        "from hadr._rng import ordered_map\n"
+        "from hadr.special import norm_cdf\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "both = threading.Barrier(2, timeout=30)\n"
+        "def first(x):\n"
+        "    both.wait()\n"
+        "    return norm_cdf(x)\n"
+        "print(json.dumps(ordered_map(first, [-1.0, 2.0], 2)))"
+    )
+    want = [0.5 * math.erfc(1 / math.sqrt(2)), 0.5 * math.erfc(-2 / math.sqrt(2))]
+    assert json.loads(_fresh(code)) == pytest.approx(want, rel=1e-14)

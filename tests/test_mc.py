@@ -310,6 +310,16 @@ def test_block_offset_shifts_stream():
     assert b == again
 
 
+@pytest.mark.parametrize("offset", [True, 5.0, -1])
+def test_block_offset_must_be_a_non_negative_integer(offset):
+    """A bool or a float is refused rather than taken as an index."""
+    message = "^block_offset must be an integer >= 0$"
+    with pytest.raises(ValueError, match=message):
+        mc_local((0, 5), LAP1, 16, seed=37, block_offset=offset)
+    with pytest.raises(ValueError, match=message):
+        mc_expected(5, (0.5, 0.5), LAP1, 16, seed=37, block_offset=offset)
+
+
 def test_upper_bound_findings_catches_known_violation():
     """(1,1) is the known case where the printed second term undercounts."""
     t = make_table([(1, 1), (0, 9)])

@@ -191,6 +191,9 @@ def _faulty_csv(tmp_path, faults):
         # a fault in a row read before a parse error comes first
         ({11: "z,1,u", 13: "1,1," + "y" * 200_000}, ["a"],
          "unparseable numeric value 'z' in column 'a' at line 11"),
+        # a parse error without an earlier fault names its own line
+        ({13: "1,1," + "y" * 200_000}, ["a"],
+         "field larger than field limit (131072) at line 13"),
     ],
 )
 def test_tabulate_csv_chunks_report_the_first_fault(
@@ -203,10 +206,10 @@ def test_tabulate_csv_chunks_report_the_first_fault(
         tabulate_csv(path, qids, "y", bins=[("a", 1.0), ("b", 1.0)])
 
 
-def test_csv_parse_error_without_an_earlier_fault_propagates(tmp_path):
-    path = _faulty_csv(tmp_path, {13: "1,1," + "y" * 200_000})
-    with pytest.raises(csv.Error, match="field larger than field limit"):
-        tabulate_csv(path, ["a"], "y", bins=[("a", 1.0)])
+def test_csv_parse_error_in_the_header_is_a_value_error(tmp_path):
+    path = _faulty_csv(tmp_path, {1: "a,b," + "y" * 200_000})
+    with pytest.raises(ValueError, match=r"^field larger than field limit \(131072\) at line 1$"):
+        tabulate_csv(path, ["a"], "y")
 
 
 def test_cross_tabulate_counts_and_drops():

@@ -465,22 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# scipy is not loaded at start-up. A verb that will need it imports it here,
-# before reading its inputs: loaded in the middle of a verb, after the verb's
-# data had been allocated and freed, scipy.stats left every later verb run in
-# the same process about 5% slower. The size-model verbs need scipy.stats
-# (which brings in scipy.special); sanitize and utility need scipy.special
-# for Gaussian noise only; tabulate needs neither.
+# scipy is not loaded at start-up. The size-model verbs import scipy.stats
+# (which brings in scipy.special) here, before reading their inputs: loaded in
+# the middle of a verb, after the verb's data had been allocated and freed,
+# scipy.stats left every later verb run in the same process about 5% slower.
+# Any other verb loads scipy.special at its first hadr.special call, if any.
 _SIZE_MODEL_VERBS = ("estimate", "risk", "invert", "mc")
-_NOISE_VERBS = ("sanitize", "utility")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb in _SIZE_MODEL_VERBS:
         import scipy.stats  # noqa: F401
-    elif args.verb in _NOISE_VERBS and args.mechanism != "laplace":
-        import scipy.special  # noqa: F401
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 1

@@ -105,18 +105,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _parse_float_list(text: str, what: str) -> tuple:
+def _parse_list(text: str, what: str, kind=float) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"{what} must be a comma-separated list of numbers") from None
-
-
-def _parse_int_list(text: str, what: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"{what} must be a comma-separated list of integers") from None
+        noun = "numbers" if kind is float else "integers"
+        raise ValueError(f"{what} must be a comma-separated list of {noun}") from None
 
 
 def _seed_for(args: argparse.Namespace) -> int:
@@ -137,7 +131,7 @@ def _resolve_alpha(args: argparse.Namespace, table):
     if args.alpha is not None and args.estimate_alpha:
         raise ValueError("give either --alpha or --estimate-alpha, not both")
     if args.alpha is not None:
-        return _parse_float_list(args.alpha, "--alpha")
+        return _parse_list(args.alpha, "--alpha")
     if args.estimate_alpha:
         if table is None:
             table = _load_table(args)
@@ -241,7 +235,7 @@ def _cmd_utility(args) -> int:
     table = _load_table(args)
     params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
     seed = _seed_for(args)
-    ks = _parse_int_list(args.ks, "--ks")
+    ks = _parse_list(args.ks, "--ks", int)
     report = utility_report(table, params, ks, args.reps, seed, threads=args.threads)
     write_tvd_csv(report, args.output)
     _manifest(args.output, args, seed=seed)
@@ -253,14 +247,12 @@ def _cmd_estimate(args) -> int:
     table = _load_table(args)
     if args.what == "alpha":
         text = dirichlet_to_json(fit_dirichlet_mom(table))
+    elif args.family == "negbin":
+        if args.zero_truncated:
+            raise ValueError("the zero-truncated fit applies to the poisson family")
+        text = size_model_to_json(fit_negbin(table.sizes()))
     else:
-        if args.family == "negbin":
-            if args.zero_truncated:
-                raise ValueError("the zero-truncated fit applies to the poisson family")
-            model = fit_negbin(table.sizes())
-        else:
-            model = fit_poisson(table.sizes(), zero_truncated=args.zero_truncated)
-        text = size_model_to_json(model)
+        text = size_model_to_json(fit_poisson(table.sizes(), zero_truncated=args.zero_truncated))
     with open(args.output, "w") as fh:
         fh.write(text)
     _manifest(args.output, args)
@@ -278,7 +270,7 @@ def _cmd_mc(args) -> int:
         if args.cell is None:
             raise ValueError("estimator 'local' requires --cell")
         est = mc_local(
-            np.array(_parse_int_list(args.cell, "--cell")),
+            np.array(_parse_list(args.cell, "--cell", int)),
             params,
             args.reps,
             seed,
@@ -288,7 +280,7 @@ def _cmd_mc(args) -> int:
         if args.n is None or args.p is None:
             raise ValueError("estimator 'expected' requires --n and --p")
         est = mc_expected(
-            args.n, _parse_float_list(args.p, "--p"), params, args.reps, seed,
+            args.n, _parse_list(args.p, "--p"), params, args.reps, seed,
             threads=args.threads,
         )
     elif est_name == "shrinkage":
@@ -465,18 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# scipy is not loaded at start-up. The size-model verbs import scipy.stats
-# (which brings in scipy.special) here, before reading their inputs: loaded in
-# the middle of a verb, after the verb's data had been allocated and freed,
-# scipy.stats left every later verb run in the same process about 5% slower.
-# Any other verb loads scipy.special at its first hadr.special call, if any.
-_SIZE_MODEL_VERBS = ("estimate", "risk", "invert", "mc")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verb in _SIZE_MODEL_VERBS:
-        import scipy.stats  # noqa: F401
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 1

@@ -36,9 +36,9 @@ SIZE_FAMILIES = ("poisson", "negbin")
 # Most entries the inverse-cdf table of a size model holds (8 MiB of doubles).
 _CDF_TABLE_CAP = 1 << 20
 
-# Largest mean size a model may have: sizes pass through doubles in
-# truncated_ppf, and 2**53 is the largest bound below which every integer
-# is a double.
+# Largest mean size a model may have: the size-model kernels take sizes as
+# doubles, and 2**53 is the largest bound below which every integer is a
+# double.
 _MAX_MEAN_SIZE = 2.0**53
 
 
@@ -111,13 +111,32 @@ def fit_dirichlet_mom(data) -> DirichletFit:
     )
 
 
+def _first_size(holds, lo) -> np.ndarray:
+    """Smallest integers n >= lo with holds(n), elementwise, for a holds that
+    turns from false to true once as n grows (a cdf reaching a level, an sf
+    falling below one). Strides from lo double until holds is true, then
+    bisection narrows the bracket: about 2 log2(n - lo) calls."""
+    lo = np.array(lo, dtype=np.int64)
+    hi, step = lo, 1
+    while not (done := holds(hi)).all():
+        hi = np.where(done, hi, lo + step)
+        step *= 2
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        done = holds(mid)
+        hi = np.where(done, mid, hi)
+        lo = np.where(done, lo, mid + 1)
+    return hi
+
+
 @dataclass(frozen=True)
 class CellSizeModel:
-    """Count distribution for cell sizes, wrapping a frozen pmf family.
+    """Count distribution for cell sizes.
 
     For the ``poisson`` family ``lam`` is the rate. For ``negbin`` it is
-    the success probability of scipy's nbinom and ``r`` the shape, chosen
-    so the moments match the data.
+    the success probability p and ``r`` the shape, so a size counts the
+    failures before the r-th success; both are chosen so the moments match
+    the data.
     """
 
     family: str
@@ -141,26 +160,13 @@ class CellSizeModel:
                 raise ValueError("negbin success probability must lie in (0, 1)")
             if self.r is None or not self.r > 0:
                 raise ValueError("negbin model needs a positive shape r")
-        mean = self.lam if self.family == "poisson" else self.r * (1.0 - self.lam) / self.lam
+        mean = self.mean()
         if not mean <= _MAX_MEAN_SIZE:
             what = "rate lam" if self.family == "poisson" else "mean r(1-p)/p, with p = lam,"
             raise ValueError(
                 f"{self.family} size model {what} is {mean:g}, above 2**53, the largest size"
                 " held exactly"
             )
-
-    @cached_property
-    def _frozen(self):
-        """The frozen scipy distribution, built once per model.
-
-        scipy.stats is imported here, not with the module, since importing
-        it takes most of the start-up time of every CLI verb.
-        """
-        from scipy import stats
-
-        if self.family == "poisson":
-            return stats.poisson(self.lam)
-        return stats.nbinom(self.r, self.lam)
 
     @cached_property
     def _cdf_table(self) -> tuple[int, np.ndarray]:
@@ -172,39 +178,47 @@ class CellSizeModel:
         comes first. The running maximum keeps it sorted for
         np.searchsorted; on a monotone cdf it changes nothing.
         """
-        upper = self.tail_quantile(1e-16)  # first, as it checks the quantiles are finite
-        dist = self._frozen
-        start = int(dist.ppf(1e-16)) - 1
-        stop = min(upper, start + _CDF_TABLE_CAP - 1)
-        return start, np.maximum.accumulate(dist.cdf(np.arange(start, stop + 1)))
+        start = int(_first_size(lambda n: self.cdf(n) >= 1e-16, 0)) - 1
+        stop = min(self.tail_quantile(1e-16), start + _CDF_TABLE_CAP - 1)
+        return start, np.maximum.accumulate(self.cdf(np.arange(start, stop + 1)))
 
     def pmf(self, n) -> np.ndarray:
-        return self._frozen.pmf(np.asarray(n))
+        from scipy import special
+
+        k = np.asarray(n, dtype=float)
+        if self.r is None:
+            return np.exp(special.xlogy(k, self.lam) - special.gammaln(k + 1) - self.lam)
+        log_choose = special.gammaln(self.r + k) - special.gammaln(k + 1) - special.gammaln(self.r)
+        return np.exp(log_choose + self.r * math.log(self.lam) + special.xlog1py(k, -self.lam))
+
+    def cdf(self, n) -> np.ndarray:
+        """P(X <= n) at integers n >= -1: gammaincc(n + 1, lam) is pdtr(n, lam)
+        but is also 0 at n = -1, as betainc(r, 0, p) is."""
+        from scipy import special
+
+        k = np.asarray(n, dtype=float)
+        if self.r is None:
+            return special.gammaincc(k + 1, self.lam)
+        return special.betainc(self.r, k + 1, self.lam)
+
+    def sf(self, n) -> np.ndarray:
+        """P(X > n) at integers n >= -1, the complement of cdf."""
+        from scipy import special
+
+        k = np.asarray(n, dtype=float)
+        if self.r is None:
+            return special.gammainc(k + 1, self.lam)
+        return special.betainc(k + 1, self.r, 1.0 - self.lam)
 
     def zero_mass(self) -> float:
-        return float(self._frozen.pmf(0))
+        return float(self.pmf(0))
 
     def mean(self) -> float:
-        return float(self._frozen.mean())
+        return self.lam if self.r is None else self.r * (1.0 - self.lam) / self.lam
 
     def tail_quantile(self, mass: float) -> int:
-        """Smallest N with P(X > N) < mass.
-
-        scipy's quantiles of a poisson model with a rate from about 1e12 up
-        are NaN; that raises, naming the model.
-        """
-        dist = self._frozen
-        quantile = float(dist.isf(mass))
-        if not math.isfinite(quantile):
-            shape = "" if self.r is None else f", r={self.r!r}"
-            raise ValueError(
-                f"{self.family} size model (lam={self.lam!r}{shape}) has no finite"
-                f" quantile for tail mass {mass:g}"
-            )
-        n = max(int(quantile), 1)
-        while dist.sf(n) >= mass:
-            n += 1
-        return n
+        """Smallest N >= 1 with P(X > N) < mass."""
+        return int(_first_size(lambda n: self.sf(n) < mass, 1))
 
     def truncated_ppf(self, u) -> np.ndarray:
         """Quantiles of the size distribution conditioned on X >= 1.
@@ -220,18 +234,17 @@ class CellSizeModel:
         by table search, Devroye 1986, ch. III). It spans the sizes between
         the lower and upper 1e-16 tail quantiles and holds at most 2**20
         entries, 8 MiB. A q outside it, below its first entry or above its
-        last (a tail past the cap), goes through scipy's ppf instead.
+        last (a tail past the cap), is found by a search on F instead.
         """
-        dist = self._frozen
-        f0 = float(dist.cdf(0))
+        f0 = float(self.cdf(0))
         q = np.minimum(f0 + np.asarray(u) * (1.0 - f0), np.nextafter(1.0, 0.0))
         start, cdf = self._cdf_table
         i = np.searchsorted(cdf, q)
-        sizes = np.asarray(start + i, dtype=float)
+        sizes = np.asarray(start + i, dtype=np.int64)
         outside = (i == 0) | (i == cdf.size)
         if outside.any():
-            sizes[outside] = dist.ppf(q[outside])
-        return np.maximum(sizes, 1.0).astype(np.int64)
+            sizes[outside] = _first_size(lambda n: self.cdf(n) >= q[outside], 0)
+        return np.maximum(sizes, 1)
 
 
 def _check_size_sample(sizes) -> np.ndarray:
@@ -248,7 +261,8 @@ def fit_poisson(sizes, *, zero_truncated: bool = False) -> CellSizeModel:
 
     Plain fit sets the rate to the sample mean. The zero-truncated fit
     accounts for empty cells never being observed, solving
-    lam / (1 - exp(-lam)) = mean for lam; that requires mean > 1.
+    lam / (1 - exp(-lam)) = mean for lam by bisection on (0, mean], where
+    the left side rises from 1 to above the mean; that requires mean > 1.
     """
     arr = _check_size_sample(sizes)
     m = float(arr.mean())
@@ -259,10 +273,13 @@ def fit_poisson(sizes, *, zero_truncated: bool = False) -> CellSizeModel:
             "zero-truncated fit needs a sample mean above 1; every positive rate "
             "gives a truncated mean above 1"
         )
-    from scipy.optimize import brentq
-
-    lam = brentq(lambda x: x / (1.0 - np.exp(-x)) - m, 1e-12, m)
-    return CellSizeModel("poisson", float(lam))
+    lo, hi = 0.0, m
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid / -math.expm1(-mid) < m:
+            lo = mid
+        else:
+            hi = mid
+    return CellSizeModel("poisson", hi)
 
 
 def fit_negbin(sizes) -> CellSizeModel:

@@ -8,12 +8,12 @@ precision oracle in the test suite):
 * norm_cdf: absolute error <= 1e-12
 * inv_norm_cdf: absolute error <= 1e-9 for p in [1e-15, 1 - 1e-15]
 
-scipy.special is imported by the first call of a kernel, not with this
-module: it is most of the start-up cost of ``import hadr`` (through
-array_api_compat it pulls in numpy.f2py, numpy.testing and numpy.ma), and
-tabulation and Laplace noise never need it. Later calls find it in
-``sys.modules``; the import lock makes a first call from several threads
-at once safe.
+scipy.special is imported by the first call of a kernel, here and in the
+size-model kernels of ``hadr.estimation``, not at module import: it is most
+of the start-up cost of ``import hadr`` (through array_api_compat it pulls
+in numpy.f2py, numpy.testing and numpy.ma), and tabulation and Laplace
+noise never need it. Later calls find it in ``sys.modules``; the import
+lock makes a first call from several threads at once safe.
 """
 
 from __future__ import annotations

@@ -498,6 +498,27 @@ def test_non_finite_size_model_exits_1(capsys, tmp_path, verb, text, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lam", ["1e12", "1e15", "9007199254740992"])
+def test_huge_poisson_rate_exceeds_the_series_cap(capsys, tmp_path, lam):
+    """Such a model has finite quantiles, but its series is longer than the cap allows."""
+    (tmp_path / "sm.json").write_text(f'{{"family":"poisson","lambda":{lam}}}\n')
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--measure", "global_variant",
+        "--categories", "2",
+        "--size-model", str(tmp_path / "sm.json"),
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3",
+        "--output", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert re.fullmatch(
+        r"error: size-model series needs \d+ terms, exceeding the cap of 1000000\n", err
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("verb", ["risk", "mc"])
 @pytest.mark.parametrize(
     "text,named",
@@ -741,6 +762,40 @@ def test_tabulate_and_laplace_verbs_leave_scipy_unloaded(data_dir, capsys, argv)
     assert _fresh(code).splitlines()[-1] == "[]"
     manifest = json.loads((data_dir / "out.manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--table", "T", "--what", "sizes", "--zero-truncated"],
+        ["estimate", "--table", "T", "--what", "sizes", "--family", "negbin"],
+        ["risk", "--measure", "global", "--alpha", "1,2", "--size-model", "S", "--zero-truncated",
+         "--mechanism", "laplace", "--epsilon-grid", "0.1:1:log3"],
+        ["invert", "--measure", "global", "--alpha", "1,2", "--size-model", "S",
+         "--mechanism", "laplace", "--target-risk", "0.3"],
+        ["mc", "--estimator", "global", "--alpha", "1,2", "--size-model", "S",
+         "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
+        ["mc", "--estimator", "global_variant", "--categories", "2", "--size-model", "S",
+         "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
+    ],
+    ids=["estimate-poisson-zt", "estimate-negbin", "risk-global", "invert-global", "mc-global",
+         "mc-global_variant"],
+)
+def test_size_model_verbs_load_only_scipy_special(tmp_path, argv):
+    """Fits and size models run on scipy.special kernels: no scipy.stats or scipy.optimize."""
+    # overdispersed sizes (1 to 42), so the negbin fit is defined
+    rows = [(1, 0), (2, 1), (5, 3), (9, 1), (20, 4), (3, 3), (40, 2), (1, 1)]
+    write_table(make_table(rows), str(tmp_path / "table.json"))
+    (tmp_path / "sm.json").write_text('{"family":"negbin","lambda":0.3,"r":2.5}\n')
+    paths = {"T": str(tmp_path / "table.json"), "S": str(tmp_path / "sm.json")}
+    argv = [paths.get(a, a) for a in argv] + ["--output", str(tmp_path / "out")]
+    code = (
+        "import sys, hadr.cli\n"
+        f"assert hadr.cli.main({argv!r}) == 0\n"
+        f"print(sorted({_HEAVY} & set(sys.modules) - {{'scipy.special', 'numpy.f2py'}}))"
+    )
+    assert _fresh(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "out.manifest.json").exists()
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="ordered_map needs two CPUs for two threads")

@@ -168,7 +168,7 @@ def _measure_inputs(args: argparse.Namespace) -> dict:
         alpha=alpha,
         size_model=size_model,
         n_categories=n_categories,
-        zero_truncated=args.zero_truncated,
+        zero_truncated=getattr(args, "zero_truncated", False),
     )
 
 
@@ -348,11 +348,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--size-family", choices=["poisson", "negbin"], default="poisson")
     p.add_argument("--categories", type=int, help="K for the global variant; default: the table's")
-    p.add_argument(
-        "--zero-truncated",
-        action="store_true",
-        help="renormalize the size series over sizes >= 1",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,6 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="optional result JSON (plus manifest)")
     p.set_defaults(func=_cmd_invert)
 
+    for verb in ("risk", "invert"):  # not mc: its global draws are always zero-truncated
+        sub.choices[verb].add_argument(
+            "--zero-truncated", action="store_true",
+            help="renormalize the size series over sizes >= 1",
+        )
     return parser
 
 

@@ -48,6 +48,8 @@ def _counts_of(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValueError("need a cells-by-categories counts matrix with at least 2 of each")
+    if not np.issubdtype(arr.dtype, np.integer):  # float or bool counts are refused, not truncated
+        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
     if not np.all(arr >= 0):
         raise ValueError("counts must be non-negative")
     return arr.astype(np.int64)
@@ -172,13 +174,18 @@ class CellSizeModel:
     def _cdf_table(self) -> tuple[int, np.ndarray]:
         """(s, cdf at sizes s, s + 1, ...), read only by truncated_ppf.
 
-        s is one below the lower 1e-16 tail quantile, so cdf[0] lies below
-        about 1e-16 (it is 0 when that quantile is 0). The table runs to the
-        upper 1e-16 tail quantile or to _CDF_TABLE_CAP entries, whichever
-        comes first. The running maximum keeps it sorted for
-        np.searchsorted; on a monotone cdf it changes nothing.
+        The table spans one below the lower 1e-16 tail quantile, where the
+        cdf lies below about 1e-16 (it is 0 when that quantile is 0), to
+        the upper 1e-16 tail quantile. A span of more than _CDF_TABLE_CAP
+        entries is cut to that many: s moves up to the median minus half
+        the cap (a size model is right-skewed, so a span that fits is never
+        cut), and the bulk of the draws still fall inside. The running
+        maximum keeps it sorted for np.searchsorted; on a monotone cdf it
+        changes nothing.
         """
         start = int(_first_size(lambda n: self.cdf(n) >= 1e-16, 0)) - 1
+        median = int(_first_size(lambda n: self.cdf(n) >= 0.5, 0))
+        start = max(start, median - _CDF_TABLE_CAP // 2)
         stop = min(self.tail_quantile(1e-16), start + _CDF_TABLE_CAP - 1)
         return start, np.maximum.accumulate(self.cdf(np.arange(start, stop + 1)))
 
@@ -233,8 +240,9 @@ class CellSizeModel:
         The inversion searches a table of F built once per model (inversion
         by table search, Devroye 1986, ch. III). It spans the sizes between
         the lower and upper 1e-16 tail quantiles and holds at most 2**20
-        entries, 8 MiB. A q outside it, below its first entry or above its
-        last (a tail past the cap), is found by a search on F instead.
+        entries, 8 MiB; a longer span is cut to the 2**20 sizes around the
+        median. A q outside it, below its first entry or above its last (a
+        tail past the cap), is found by a search on F instead.
         """
         f0 = float(self.cdf(0))
         q = np.minimum(f0 + np.asarray(u) * (1.0 - f0), np.nextafter(1.0, 0.0))

@@ -328,7 +328,6 @@ def upper_bound_findings(
     reps: int,
     seed: int,
     *,
-    z_threshold: float = 3.0,
     threads: int = 1,
 ) -> dict:
     """Check the two-term expected value against simulation, cell by cell.
@@ -336,8 +335,8 @@ def upper_bound_findings(
     For homogeneous cells the two-term value is exact. For heterogeneous
     cells its second term covers only one extreme configuration, and the
     simulated disclosure frequency can exceed it; each such cell (excess
-    beyond z_threshold standard errors) is reported as a finding rather
-    than treated as a simulation failure.
+    beyond 3 standard errors) is reported as a finding rather than treated
+    as a simulation failure.
     """
     reps = check_reps(reps)
     check_seed(seed)
@@ -352,7 +351,7 @@ def upper_bound_findings(
     findings = []
     for i, est in zip(cells, ordered_map(run, cells, threads)):
         excess = est.value - float(closed[i])
-        if est.se > 0 and excess > z_threshold * est.se:
+        if est.se > 0 and excess > 3.0 * est.se:
             findings.append(
                 {
                     "key": list(keys[i]),

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _rng
 from .special import inv_norm_cdf, norm_cdf
-from .tabulation import FrequencyTable, check_header
+from .tabulation import FrequencyTable, read_cells
 
 MECHANISMS = ("laplace", "gaussian_adp", "gaussian_pdp")
 PRESENCE_THRESHOLD = 0.5
@@ -245,29 +245,14 @@ def sanitized_to_json(sanitized: SanitizedTable) -> str:
 
 
 def sanitized_from_json(text: str) -> SanitizedTable:
-    """Parse the sanitized JSON; malformed fields are rejected, never coerced.
+    """Parse the sanitized JSON, whose cells hold 'noisy_counts', as ``read_cells`` reads it.
 
     Noisy counts, epsilon and delta must be JSON numbers: integers count,
     because ``.17g`` writes 3.0 as ``3``, and bool and str do not.
     """
     what = "sanitized table JSON"
-    doc = json.loads(text)
+    doc, keys, noisy = read_cells(text, what, "noisy_counts", {int, float})
     try:
-        check_header(doc, what)
-        k = len(doc["categories"])
-        keys, noisy = [], []
-        for i, cell in enumerate(doc["cells"]):
-            if not isinstance(cell, dict):
-                raise ValueError(f"{what} cell {i} is not an object")
-            key, vals = cell["key"], cell["noisy_counts"]
-            if type(key) is not list or not set(map(type, key)) <= {str}:
-                raise ValueError(f"{what} cell {i}: 'key' must be a list of strings, got {key!r}")
-            if type(vals) is not list or len(vals) != k or not set(map(type, vals)) <= {int, float}:
-                raise ValueError(
-                    f"{what} cell {i}: 'noisy_counts' must be a list of {k} numbers, got {vals!r}"
-                )
-            keys.append(tuple(key))
-            noisy.append(vals)
         if doc["mechanism"] not in MECHANISMS:
             raise ValueError(f"{what} 'mechanism' must be one of {MECHANISMS}")
         if type(doc["epsilon"]) not in (int, float):
@@ -278,7 +263,7 @@ def sanitized_from_json(text: str) -> SanitizedTable:
             qid_names=tuple(doc["qid_names"]),
             sensitive_name=doc["sensitive_name"],
             categories=tuple(doc["categories"]),
-            keys=tuple(keys),
+            keys=tuple(map(tuple, keys)),
             noisy=np.array(noisy, dtype=float),
             mechanism=doc["mechanism"],
             epsilon=float(doc["epsilon"]),

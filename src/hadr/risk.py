@@ -372,18 +372,16 @@ def invert_epsilon(
     mechanism: str,
     *,
     delta: float | None = None,
-    sensitivity: float = 1.0,
     lo: float = 1e-4,
     hi: float = 1e4,
-    grid: int = 200,
     tol: float = 1e-6,
     **inputs,
 ) -> InversionResult:
     """Largest epsilon whose whole prefix keeps the risk at or below target.
 
-    A log grid locates the last crossing (the first grid point whose risk
-    exceeds the target, scanning upward); bisection then shrinks the
-    bracket below ``tol``. Curves are scanned rather than assumed
+    A 200-point log grid locates the last crossing (the first grid point
+    whose risk exceeds the target, scanning upward); bisection then shrinks
+    the bracket below ``tol``. Curves are scanned rather than assumed
     monotone, so a non-monotone mixed-table curve still gets its last safe
     prefix. Raises with both asymptote values when the target is outside
     the achievable range. ``inputs`` are as for ``evaluate_measure``.
@@ -397,9 +395,9 @@ def invert_epsilon(
     profile = _profile(measure, **inputs)
 
     def value_at(eps: float) -> float:
-        return profile.at(PrivacyParams(mechanism, eps, delta, sensitivity)).value
+        return profile.at(PrivacyParams(mechanism, eps, delta)).value
 
-    grid_eps = np.geomspace(lo, hi, grid)
+    grid_eps = np.geomspace(lo, hi, 200)
     values = [value_at(float(e)) for e in grid_eps]
     if values[0] > target:
         raise ValueError(

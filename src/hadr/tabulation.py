@@ -15,33 +15,12 @@ import functools
 import gc
 import json
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import is_, itemgetter, lt
+from itertools import chain, islice
+from operator import itemgetter, lt
 
 import numpy as np
 
-DEFAULT_MISSING_TOKENS = ("", "?", "NA")
-
-
-@dataclass
-class RawDataset:
-    """Column-named rows; entries are str, float, or None for missing.
-
-    ``rows`` may be any iterable, such as the row stream of ``tabulate_csv``;
-    ``cross_tabulate`` walks it once.
-    """
-
-    column_names: list[str]
-    rows: Iterable[list]
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise ValueError(f"no column named {name!r}") from None
-
+MISSING_TOKENS = frozenset(("", "?", "NA"))
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -181,12 +160,12 @@ class _Codes(dict):
 
     def __init__(self, clean):
         super().__init__()
-        self._clean = clean
+        self.clean = clean
         self._code_of = {None: 0}
         self.labels = [None]
 
     def __missing__(self, raw):
-        label = self._clean(raw)
+        label = self.clean(raw)
         code = self._code_of.get(label)
         if code is None:
             code = self._code_of[label] = len(self.labels)
@@ -232,25 +211,26 @@ def _merge(seen, tally, codes, cards):
 
 
 @_gc_paused
-def _tally(chunks, memos, qid_names, sensitive_name) -> FrequencyTable:
-    """The frequency table of the code arrays that ``chunks`` yields.
+def _tally(rows, header, memos, columns, lineno: int, value=None) -> FrequencyTable:
+    """The frequency table of ``rows`` over the QID ``columns`` and then the sensitive one.
 
-    A chunk has one row per QID column and then one for the sensitive
-    column, coded by ``memos`` in that order, and one column per record.
-    Between chunks only the distinct code columns and their counts are
-    kept, so memory grows with the distinct cells, not with the records.
+    ``_chunks``, which takes the same arguments, codes the rows a chunk at
+    a time into arrays with one row per column of ``columns`` and one
+    column per record. Between chunks only the distinct code columns and
+    their counts are kept, so memory grows with the distinct cells, not
+    with the records. The table takes its names from ``header``.
     """
-    seen = np.zeros((len(memos), 0), np.int64)
+    seen = np.zeros((len(columns), 0), np.int64)
     tally = np.zeros(0, np.int64)
-    for codes in chunks:
-        seen, tally = _merge(seen, tally, codes, [len(memo.labels) for memo in memos])
+    labels = [memos[i].labels for i in columns]  # grown in place as the memos meet new values
+    for codes in _chunks(rows, header, memos, columns, lineno, value):
+        seen, tally = _merge(seen, tally, codes, list(map(len, labels)))
 
     complete = seen.all(axis=0)
     dropped = int(tally[~complete].sum())
     seen, tally = seen[:, complete], tally[complete]
     if not tally.size:
         raise ValueError("no complete rows to tabulate")
-    labels = [memo.labels for memo in memos]
     present = sorted(set(seen[-1].tolist()), key=labels[-1].__getitem__)
     if len(present) < 2:
         raise ValueError("sensitive attribute must take at least 2 categories")
@@ -262,8 +242,8 @@ def _tally(chunks, memos, qid_names, sensitive_name) -> FrequencyTable:
     counts[cell, category[seen[-1]]] = tally  # each (cell, category) occurs once
     qid_codes = seen[:-1, first].tolist()
     return FrequencyTable(
-        qid_names=qid_names,
-        sensitive_name=sensitive_name,
+        qid_names=[header[i] for i in columns[:-1]],
+        sensitive_name=header[columns[-1]],
         categories=[labels[-1][c] for c in present],
         keys=zip(*(map(label.__getitem__, row) for label, row in zip(labels, qid_codes))),
         counts=counts,
@@ -271,8 +251,15 @@ def _tally(chunks, memos, qid_names, sensitive_name) -> FrequencyTable:
     )
 
 
-def _used_columns(dataset: RawDataset, qid_columns, sensitive_column: str):
-    """The QID names and the indices of the QID columns, then the sensitive one."""
+def _column_index(column_names, name: str) -> int:
+    try:
+        return column_names.index(name)
+    except ValueError:
+        raise ValueError(f"no column named {name!r}") from None
+
+
+def _used_columns(column_names, qid_columns, sensitive_column: str) -> list[int]:
+    """The indices of the QID columns, then of the sensitive one."""
     qid_columns = list(qid_columns)
     if not qid_columns:
         raise ValueError("at least one QID column is required")
@@ -280,34 +267,7 @@ def _used_columns(dataset: RawDataset, qid_columns, sensitive_column: str):
         raise ValueError("duplicate QID columns")
     if sensitive_column in qid_columns:
         raise ValueError("sensitive column cannot also be a QID")
-    columns = [dataset.column_index(c) for c in qid_columns + [sensitive_column]]
-    return tuple(qid_columns), columns
-
-
-def cross_tabulate(dataset: RawDataset, qid_columns, sensitive_column: str) -> FrequencyTable:
-    """Build the QID-by-sensitive frequency table from raw rows.
-
-    Rows with a missing value (None) in any selected column are dropped
-    (the count is kept on the returned table). Values are compared as
-    their ``str()``, so 1 and "1" fall in one cell while 1 and 1.0 do not,
-    and the categories of the sensitive attribute are sorted, so the table
-    depends only on the multiset of rows, not on their order.
-    """
-    qid_names, columns = _used_columns(dataset, qid_columns, sensitive_column)
-    memos = [_Codes(str) for _ in columns]
-    rows = iter(dataset.rows)
-
-    def chunks():
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            n = len(chunk)
-            codes = np.empty((len(columns), n), np.int64)
-            for j, (i, memo) in enumerate(zip(columns, memos)):
-                values = list(map(itemgetter(i), chunk))
-                codes[j] = memo.codes(map(str, values), n)
-                codes[j, np.fromiter(map(is_, values, repeat(None)), bool, n)] = 0
-            yield codes
-
-    return _tally(chunks(), memos, qid_names, sensitive_column)
+    return [_column_index(column_names, c) for c in qid_columns + [sensitive_column]]
 
 
 def _bin_label(text: str, width: float) -> str:
@@ -325,48 +285,50 @@ def _bin_label(text: str, width: float) -> str:
     return f"{k * width:g}-{(k + 1) * width:g}"
 
 
-def _clean_field(field: str, missing, width) -> str | None:
+def _clean_field(field: str, width) -> str | None:
     """The stripped field, None if it is a missing token, or its bin label."""
     value = field.strip()
-    if value in missing:
+    if value in MISSING_TOKENS:
         return None
     return value if width is None else _bin_label(value, width)
 
 
-def _first_fault(rows, header, binned, missing, start: int) -> None:
+def _first_fault(rows, header, memos, start: int) -> None:
     """Raise for the first faulty row of ``rows``, whose first is at line ``start``.
 
-    A row is faulty when it is ragged or a binned field in it, missing
-    tokens aside, has no bin; the message names the line and, for a bin,
-    the column.
+    A row is faulty when it is ragged or the ``clean`` of a memo in
+    ``memos`` raises on its field; the message names the line and, for a
+    field, the column. Memos are tried in their order in ``memos``.
     """
     for lineno, row in enumerate(rows, start):
         if len(row) != len(header):
             raise ValueError(
                 f"ragged row at line {lineno}: expected {len(header)} fields, got {len(row)}"
             ) from None
-        for i, width in binned.items():
+        for i, memo in memos.items():
             try:
-                _clean_field(row[i], missing, width)
+                memo.clean(row[i])
             except ValueError as exc:
                 raise ValueError(f"{exc} in column {header[i]!r} at line {lineno}") from None
 
 
-def _csv_chunks(reader, header, binned, missing, memos, columns):
-    """Code arrays of ``columns`` (see ``_tally``), one chunk of rows at a time.
+def _chunks(rows, header, memos, columns, lineno: int, value=None):
+    """Code arrays of ``columns`` for ``_tally``, one chunk of ``rows`` at a time.
 
-    ``memos`` holds a memo for every used or binned column, so a binned
-    value without a bin raises even in a column that is not tabulated. A
-    chunk with a fault is replayed row by row, which raises the first fault
-    in row order.
+    ``rows`` yields one sequence of fields per name in ``header``, the
+    first of them numbered ``lineno``. ``memos`` holds the memo of every
+    column to code: the used ones and any other whose fields must be
+    checked. ``value``, when given, maps each field of those columns
+    before its memo sees it. A chunk with a fault is replayed row by row,
+    which raises the first fault in row order.
     """
-    chunk, lineno = [], 2
+    rows, chunk = iter(rows), []
     while True:
         try:
-            chunk.extend(islice(reader, _CHUNK_ROWS))
+            chunk.extend(islice(rows, _CHUNK_ROWS))
         except (csv.Error, ValueError) as exc:
             # a fault in a row read before a parse or decode error comes first
-            _first_fault(chunk, header, binned, missing, lineno)
+            _first_fault(chunk, header, memos, lineno)
             if isinstance(exc, csv.Error):  # not a ValueError: name the row that failed
                 raise ValueError(f"{exc} at line {lineno + len(chunk)}") from None
             raise
@@ -376,18 +338,37 @@ def _csv_chunks(reader, header, binned, missing, memos, columns):
         try:
             if set(map(len, chunk)) != {len(header)}:
                 raise ValueError("ragged row")
-            codes = {i: memo.codes(map(itemgetter(i), chunk), n) for i, memo in memos.items()}
+            fields = {i: map(itemgetter(i), chunk) for i in memos}
+            if value is not None:
+                fields = {i: map(value, column) for i, column in fields.items()}
+            codes = {i: memo.codes(fields[i], n) for i, memo in memos.items()}
         except ValueError:
-            _first_fault(chunk, header, binned, missing, lineno)
+            _first_fault(chunk, header, memos, lineno)
             raise
         chunk.clear()  # the rows are freed before the codes are counted
         lineno += n
         yield np.array([codes[i] for i in columns])
 
 
-def tabulate_csv(
-    path, qid_columns, sensitive_column: str, bins=(), missing_tokens=DEFAULT_MISSING_TOKENS
-) -> FrequencyTable:
+def cross_tabulate(column_names, rows, qid_columns, sensitive_column: str) -> FrequencyTable:
+    """Build the QID-by-sensitive frequency table from in-memory rows.
+
+    ``rows`` may be any iterable of sequences, each holding one value per
+    name in ``column_names``; it is walked once, 2**16 rows at a time, as
+    ``tabulate_csv`` walks a file. A row of any other length raises
+    ValueError naming it as a line, counted from 1. Rows with a missing
+    value (None) in any selected column are dropped (the count is kept on
+    the returned table). Values are compared as their ``str()``, so 1 and
+    "1" fall in one cell while 1 and 1.0 do not, and the categories of the
+    sensitive attribute are sorted, so the table depends only on the
+    multiset of rows, not on their order.
+    """
+    columns = _used_columns(column_names, qid_columns, sensitive_column)
+    memos = {i: _Codes(lambda label: label) for i in columns}
+    return _tally(rows, column_names, memos, columns, 1, lambda v: None if v is None else str(v))
+
+
+def tabulate_csv(path, qid_columns, sensitive_column: str, bins=()) -> FrequencyTable:
     """Cross-tabulate an RFC-4180-style delimited file with a header row.
 
     The file is read once, 2**16 rows at a time, and only the QID, the
@@ -396,16 +377,16 @@ def tabulate_csv(
     chunk of rows besides the distinct values and the distinct cells. The
     cyclic garbage collector is paused during the pass.
 
-    Fields are compared after stripping whitespace; tokens in
-    ``missing_tokens`` are missing in any column. Each ``(column, width)``
-    in ``bins`` replaces a numeric column by the label "lo-hi" of its
-    lower-inclusive bin anchored at 0: value v falls in [k*width,
-    (k+1)*width) with k = floor(v / width). A ragged row, and a binned
-    value that does not parse or is not finite, raise with the line of the
-    first such row and, for a value, its column, whether or not the column
-    is tabulated. A row the csv module cannot parse (say, a field over its
-    field size limit) raises ValueError with its line, unless an earlier
-    row has one of those faults.
+    Fields are compared after stripping whitespace; the tokens in
+    ``MISSING_TOKENS`` ("", "?" and "NA") are missing in any column. Each
+    ``(column, width)`` in ``bins`` replaces a numeric column by the label
+    "lo-hi" of its lower-inclusive bin anchored at 0: value v falls in
+    [k*width, (k+1)*width) with k = floor(v / width). A ragged row, and a
+    binned value that does not parse or is not finite, raise with the line
+    of the first such row and, for a value, its column, whether or not the
+    column is tabulated. A row the csv module cannot parse (say, a field
+    over its field size limit) raises ValueError with its line, unless an
+    earlier row has one of those faults.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -415,25 +396,23 @@ def tabulate_csv(
             raise ValueError("empty input: missing header row") from None
         except csv.Error as exc:
             raise ValueError(f"{exc} at line 1") from None
-        dataset = RawDataset(column_names=header, rows=())
         binned: dict[int, float] = {}
         for column, width in bins:
             if not width > 0:
                 raise ValueError("bin width must be positive")
             if width == math.inf:
                 raise ValueError("bin width must be finite")
-            i = dataset.column_index(column)
+            i = _column_index(header, column)
             if i in binned:
                 raise ValueError(f"column {column!r} is binned twice")
             binned[i] = float(width)
-        qid_names, columns = _used_columns(dataset, qid_columns, sensitive_column)
-        missing = {str(t) for t in missing_tokens}
+        columns = _used_columns(header, qid_columns, sensitive_column)
+        # binned columns first, so a row's first bad bin is found in ``bins`` order
         memos = {
-            i: _Codes(functools.partial(_clean_field, missing=missing, width=binned.get(i)))
-            for i in (*columns, *binned)
+            i: _Codes(functools.partial(_clean_field, width=binned.get(i)))
+            for i in (*binned, *columns)
         }
-        chunks = _csv_chunks(reader, header, binned, missing, memos, columns)
-        return _tally(chunks, [memos[i] for i in columns], qid_names, sensitive_column)
+        return _tally(reader, header, memos, columns, 2)
 
 
 def table_to_json(table: FrequencyTable) -> str:
@@ -455,72 +434,73 @@ def table_to_json(table: FrequencyTable) -> str:
     )
 
 
-def check_header(doc, what: str) -> None:
-    """Reject a table-shaped JSON document whose header is malformed.
+def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, list, list]:
+    """Parse a table-shaped JSON document into (doc, cell keys, cell values).
 
-    ``what`` names the format in messages. Types are compared exactly,
-    since bool is a subclass of int; a missing name field raises KeyError.
+    The document is an object with the string lists 'qid_names' and
+    'categories', the string 'sensitive_name' and the list 'cells'. Each
+    cell is an object whose 'key' is a list of strings and whose ``field``
+    is a list of one number per category, a number being a value whose
+    type is in ``number_types``. Types are compared exactly, since bool is
+    a subclass of int; malformed fields are rejected, never coerced. The
+    cell checks run over the whole document at once, and only when they
+    fail are the cells walked to name the first bad one. ``what`` names
+    the format in messages.
     """
+    doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("cells", []), list):
         raise ValueError(f"{what} must be an object whose 'cells' is a list")
-    for name in ("qid_names", "categories"):
-        names = doc[name]
-        if type(names) is not list or not set(map(type, names)) <= {str}:
-            raise ValueError(f"{what} '{name}' must be a list of strings, got {names!r}")
-    if type(doc["sensitive_name"]) is not str:
-        raise ValueError(f"{what} 'sensitive_name' must be a string")
-
-
-def _first_bad_cell(cells) -> None:
-    """Raise for the first cell that fails the table JSON's type checks."""
-    for i, cell in enumerate(cells):
-        if not isinstance(cell, dict):
-            raise ValueError(f"table JSON cell {i} is not an object")
-        key, counts = cell["key"], cell["counts"]
-        if type(key) is not list or not set(map(type, key)) <= {str}:
-            raise ValueError(f"table JSON cell {i}: 'key' must be a list of strings, got {key!r}")
-        if type(counts) is not list or not set(map(type, counts)) <= {int}:
-            raise ValueError(
-                f"table JSON cell {i}: 'counts' must be a list of integers, got {counts!r}"
-            )
-
-
-@_gc_paused  # the parse allocates a dict and two lists per cell
-def table_from_json(text: str) -> FrequencyTable:
-    """Parse the table JSON; malformed fields are rejected, never coerced.
-
-    Types are compared exactly, since bool is a subclass of int. The type
-    checks run over the whole document at once (the key strings inside the
-    table constructor), and only when they fail are the cells walked to
-    name the first bad one; the table checks run over the whole counts
-    array. Table reads dominate the closed-form workloads.
-    """
     try:
-        doc = json.loads(text)
-        check_header(doc, "table JSON")
-        cells = doc["cells"]
+        for name in ("qid_names", "categories"):
+            names = doc[name]
+            if type(names) is not list or not set(map(type, names)) <= {str}:
+                raise ValueError(f"{what} '{name}' must be a list of strings, got {names!r}")
+        if type(doc["sensitive_name"]) is not str:
+            raise ValueError(f"{what} 'sensitive_name' must be a string")
+        cells, k = doc["cells"], len(doc["categories"])
         try:
             keys = list(map(itemgetter("key"), cells))
-            counts = list(map(itemgetter("counts"), cells))
+            values = list(map(itemgetter(field), cells))
             typed = (
-                set(map(type, keys)) | set(map(type, counts)) <= {list}
-                and set(map(type, chain.from_iterable(counts))) <= {int}
+                set(map(type, keys)) | set(map(type, values)) <= {list}
+                and set(map(len, values)) <= {k}
+                and set(map(type, chain.from_iterable(values))) <= number_types
+                and set(map(type, chain.from_iterable(keys))) <= {str}
             )
         except (KeyError, TypeError):  # a missing field, or a cell that is not an object
             typed = False
         if not typed:
-            _first_bad_cell(cells)
-        try:
-            return FrequencyTable(
-                doc["qid_names"], doc["sensitive_name"], doc["categories"], keys, counts
-            )
-        except ValueError:
-            # the constructor checks the key strings; a bad one is named
-            # here as a bad cell, ahead of any other fault of the table
-            _first_bad_cell(cells)
-            raise
+            noun = "numbers" if float in number_types else "integers"
+            for i, cell in enumerate(cells):
+                if not isinstance(cell, dict):
+                    raise ValueError(f"{what} cell {i} is not an object")
+                key, vals = cell["key"], cell[field]
+                if type(key) is not list or not set(map(type, key)) <= {str}:
+                    raise ValueError(
+                        f"{what} cell {i}: 'key' must be a list of strings, got {key!r}"
+                    )
+                if type(vals) is not list or not set(map(type, vals)) <= number_types:
+                    raise ValueError(
+                        f"{what} cell {i}: '{field}' must be a list of {noun}, got {vals!r}"
+                    )
+                if len(vals) != k:
+                    raise ValueError(
+                        f"{what} cell {i}: '{field}' must hold {k} values, got {vals!r}"
+                    )
     except KeyError as exc:
-        raise ValueError(f"table JSON is missing field {exc}") from None
+        raise ValueError(f"{what} is missing field {exc}") from None
+    return doc, keys, values
+
+
+@_gc_paused  # the parse allocates a dict and two lists per cell
+def table_from_json(text: str) -> FrequencyTable:
+    """Parse the table JSON, whose cells hold 'counts', as ``read_cells`` reads it.
+
+    The table checks then run over the whole counts array. Table reads
+    dominate the closed-form workloads.
+    """
+    doc, keys, counts = read_cells(text, "table JSON", "counts", {int})
+    return FrequencyTable(doc["qid_names"], doc["sensitive_name"], doc["categories"], keys, counts)
 
 
 def write_table(table: FrequencyTable, path) -> None:

@@ -34,7 +34,6 @@ from hadr import (
 )
 from hadr.cli import main
 from hadr.risk import _dirichlet_moments, risk_curve
-from hadr.tabulation import RawDataset
 from oracles import expected_risk_k2, homogeneous_risk, shrinkage_risk_k2
 
 DELTA = 1e-5
@@ -363,11 +362,8 @@ def test_criterion_11_size_fit_identities(tmp_path):
     if bank is not None:
         with open(bank) as fh:
             rows = [ln.strip().split(",") for ln in fh if ln.strip()]
-        ds = RawDataset(
-            column_names=["ir", "mr", "ff", "cr", "co", "op", "class"],
-            rows=[list(r) for r in rows],
-        )
-        table = cross_tabulate(ds, ["ir", "mr", "ff", "cr", "co", "op"], "class")
+        names = ["ir", "mr", "ff", "cr", "co", "op", "class"]
+        table = cross_tabulate(names, rows, names[:-1], "class")
         lam = fit_poisson(table.sizes()).lam
         assert abs(lam - 2.43) <= 0.2, f"bankruptcy rate {lam:.3f}"
         checked.append("bankruptcy")
@@ -387,7 +383,7 @@ def test_criterion_12_utility_shape():
             + [str(rng.choice(["nb", "b"], p=[0.6, 0.4]))]
             for _ in range(n_rows)
         ]
-        table = cross_tabulate(RawDataset(qids + ["class"], rows), qids, "class")
+        table = cross_tabulate(qids + ["class"], rows, qids, "class")
 
         medians = {}
         for eps in (0.1, 1.0, 10.0):

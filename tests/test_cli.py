@@ -667,6 +667,18 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_mc_refuses_zero_truncated(capsys, tmp_path):
+    """mc's global draws are always zero-truncated; the flag is risk's and invert's."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "mc", "--estimator", "global", "--alpha", "1,2", "--size-model", "sm.json",
+            "--zero-truncated", "--mechanism", "laplace", "--epsilon", "1", "--reps", "10",
+            "--seed", "3", "--output", str(tmp_path / "out"),
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --zero-truncated" in capsys.readouterr().err
+
+
 def test_missing_table_file(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -86,6 +86,14 @@ def test_fit_error_messages():
         fit_dirichlet_mom([(3, -1), (2, 2)])
 
 
+def test_fit_dirichlet_mom_refuses_non_integer_counts():
+    """Float and bool matrices are refused rather than truncated to int64."""
+    counts = beta_binomial_cells(np.random.default_rng(9), m=300)
+    for bad in (counts + 0.6, counts.astype(float), counts > 5):
+        with pytest.raises(ValueError, match=f"^counts must be integers, got dtype {bad.dtype}$"):
+            fit_dirichlet_mom(bad)
+
+
 def test_fit_poisson_is_sample_mean():
     model = fit_poisson([3, 5, 7])
     assert model.family == "poisson" and model.lam == 5.0 and model.r is None
@@ -204,6 +212,21 @@ def test_huge_poisson_rates_have_finite_quantiles(lam):
     f0 = dist.cdf(0)
     q = f0 + 0.5 * (1.0 - f0)
     assert dist.cdf(size) >= q > dist.cdf(size - 1)
+
+
+def test_capped_table_sits_around_the_median():
+    """At lam = 1e12 the 1e-16 tail quantiles lie about 16 million sizes
+    apart, past the 2**20-entry cap; the table covers the median, so about
+    40% of the draws are found in it, and every draw is the smallest n with
+    F(n) >= q (the zero mass is 0, so q = u)."""
+    model = CellSizeModel(family="poisson", lam=1e12)
+    u = np.random.default_rng(23).random(4096)
+    n = model.truncated_ppf(u)
+    start, cdf = model._cdf_table
+    assert cdf.size == 1 << 20
+    assert 0.3 < np.mean((n > start) & (n < start + cdf.size)) < 0.5
+    dist = stats.poisson(1e12)
+    assert np.all(dist.cdf(n) >= u) and np.all(u > dist.cdf(n - 1))
 
 
 def test_truncated_ppf_finite_for_largest_uniform():

@@ -18,8 +18,9 @@ from hadr import (
     tabulate_csv,
     write_table,
 )
-from hadr import tabulation
-from hadr.tabulation import RawDataset, _fold, table_from_json, table_to_json
+from hadr import PrivacyParams, sanitize, tabulation
+from hadr.mechanisms import sanitized_from_json, sanitized_to_json
+from hadr.tabulation import _fold, table_from_json, table_to_json
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -213,29 +214,37 @@ def test_csv_parse_error_in_the_header_is_a_value_error(tmp_path):
 
 
 def test_cross_tabulate_counts_and_drops():
-    ds = RawDataset(
-        column_names=("g", "y"),
-        rows=(("a", "u"), ("a", "u"), ("a", "v"), ("b", "u"), (None, "u"), ("b", None)),
-    )
-    t = cross_tabulate(ds, ["g"], "y")
+    rows = (("a", "u"), ("a", "u"), ("a", "v"), ("b", "u"), (None, "u"), ("b", None))
+    t = cross_tabulate(("g", "y"), rows, ["g"], "y")
     assert t.dropped_rows == 2
     assert t.categories == ("u", "v")
     assert cells_of(t) == {("a",): (2, 1), ("b",): (1, 0)}
 
 
 def test_cross_tabulate_validations():
-    ds = RawDataset(column_names=("g", "y"), rows=(("a", "u"),))
+    names, rows = ("g", "y"), (("a", "u"),)
     with pytest.raises(ValueError):
-        cross_tabulate(ds, [], "y")
+        cross_tabulate(names, rows, [], "y")
     with pytest.raises(ValueError):
-        cross_tabulate(ds, ["g", "g"], "y")
+        cross_tabulate(names, rows, ["g", "g"], "y")
     with pytest.raises(ValueError):
-        cross_tabulate(ds, ["y"], "y")
+        cross_tabulate(names, rows, ["y"], "y")
     with pytest.raises(ValueError):
-        cross_tabulate(ds, ["missing"], "y")
+        cross_tabulate(names, rows, ["missing"], "y")
     # a single observed category cannot make a 2-category table
     with pytest.raises(ValueError):
-        cross_tabulate(ds, ["g"], "y")
+        cross_tabulate(names, rows, ["g"], "y")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1 << 16])
+@pytest.mark.parametrize("bad,got", [(("b",), 1), (("b", "u", "w"), 3), ((), 0)])
+def test_cross_tabulate_ragged_row_names_the_row(monkeypatch, chunk_rows, bad, got):
+    """A row of the wrong length is named as a line, counted from 1, as in a CSV file."""
+    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+    rows = iter([("a", "u"), ("a", "v"), bad, ("b", "u"), ("c",)])
+    message = f"^ragged row at line 3: expected 2 fields, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        cross_tabulate(("g", "y"), rows, ["g"], "y")
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 1 << 16])
@@ -244,7 +253,7 @@ def test_cross_tabulate_keys_are_str_of_values(monkeypatch, chunk_rows):
     monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
     rows = [(1, "u"), (1.0, "v"), (True, "u"), ("1", "v"), (0.0, "u"), (-0.0, "v"),
             (None, "u"), ("None", "v"), (2, 1), (2, 1.0), (2, "1")]
-    t = cross_tabulate(RawDataset(column_names=("g", "y"), rows=rows), ["g"], "y")
+    t = cross_tabulate(("g", "y"), rows, ["g"], "y")
     assert t.categories == ("1", "1.0", "u", "v")
     assert cells_of(t) == {
         ("1",): (0, 0, 1, 1),
@@ -363,25 +372,90 @@ def test_table_from_json_rejects_mistyped_names(field, value):
         table_from_json(json.dumps(doc))
 
 
-def expand_table(table: FrequencyTable) -> RawDataset:
+def _table_doc():
+    return json.loads(table_to_json(make_table([(3, 1), (0, 7)])))
+
+
+def _sanitized_doc():
+    table = make_table([(3, 1), (0, 7)])
+    return json.loads(sanitized_to_json(sanitize(table, PrivacyParams("laplace", 1.0), seed=9)))
+
+
+# format: (reader, document, its name in messages, the cell field, its noun)
+JSON_FORMATS = {
+    "table": (table_from_json, _table_doc, "table JSON", "counts", "integers"),
+    "sanitized": (
+        sanitized_from_json, _sanitized_doc, "sanitized table JSON", "noisy_counts", "numbers"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cell,message",
+    [
+        ("c1", "{what} cell 1 is not an object"),
+        ({"key": 3, "v": [1, 2]}, "{what} cell 1: 'key' must be a list of strings, got 3"),
+        (
+            {"key": ["c1", 3], "v": [1, 2]},
+            "{what} cell 1: 'key' must be a list of strings, got ['c1', 3]",
+        ),
+        ({"key": ["c1"], "v": "12"}, "{what} cell 1: '{field}' must be a list of {noun}, got '12'"),
+        (
+            {"key": ["c1"], "v": [True, 2]},
+            "{what} cell 1: '{field}' must be a list of {noun}, got [True, 2]",
+        ),
+        (
+            {"key": ["c1"], "v": [1, None]},
+            "{what} cell 1: '{field}' must be a list of {noun}, got [1, None]",
+        ),
+        ({"key": ["c1"], "v": [1]}, "{what} cell 1: '{field}' must hold 2 values, got [1]"),
+        (
+            {"key": ["c1"], "v": [1, 2, 3]},
+            "{what} cell 1: '{field}' must hold 2 values, got [1, 2, 3]",
+        ),
+        ({"key": ["c1"]}, "{what} is missing field '{field}'"),
+        ({"v": [1, 2]}, "{what} is missing field 'key'"),
+    ],
+    ids=["not-object", "key-int", "key-holds-int", "values-str", "values-bool", "values-null",
+         "values-short", "values-long", "no-values", "no-key"],
+)
+@pytest.mark.parametrize("later_fault", [False, True])
+@pytest.mark.parametrize("fmt", list(JSON_FORMATS))
+def test_json_readers_name_the_first_malformed_cell(fmt, later_fault, cell, message):
+    """Table and sanitized JSON share one cell reader and so one set of messages.
+
+    Alone, the bad cell must fail the whole-document checks; with a later
+    bad cell, the walk must still report the first.
+    """
+    read, make_doc, what, field, noun = JSON_FORMATS[fmt]
+    doc = make_doc()
+    if isinstance(cell, dict):
+        cell = {field if name == "v" else name: value for name, value in cell.items()}
+    doc["cells"][1] = cell
+    if later_fault:
+        doc["cells"].append("c2")
+    with pytest.raises(ValueError) as exc:
+        read(json.dumps(doc))
+    assert str(exc.value) == message.format(what=what, field=field, noun=noun)
+
+
+def expand_table(table: FrequencyTable) -> list:
     """Inverse of cross_tabulate up to row order: one row per record."""
     rows = []
     for key, counts in zip(table.keys(), table.counts.tolist()):
         for k, c in enumerate(counts):
             rows.extend([list(key) + [table.categories[k]]] * c)
-    return RawDataset(
-        column_names=list(table.qid_names) + [table.sensitive_name],
-        rows=rows,
-    )
+    return rows
 
 
 def test_expand_table_inverse():
     t = make_table([(3, 1), (0, 7)])
-    ds = expand_table(t)
-    t2 = cross_tabulate(ds, list(t.qid_names), t.sensitive_name)
+    rows = expand_table(t)
+    names = list(t.qid_names) + [t.sensitive_name]
+    t2 = cross_tabulate(names, rows, list(t.qid_names), t.sensitive_name)
     assert cells_of(t2) == cells_of(t)
     assert t2.categories == t.categories
-    assert len(ds.rows) == int(t.sizes().sum())
+    assert len(rows) == int(t.sizes().sum())
 
 
 def test_counts_matrix_and_sizes():

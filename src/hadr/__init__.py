@@ -29,14 +29,9 @@ from .mc import (
 from .mechanisms import (
     MECHANISMS,
     PRESENCE_THRESHOLD,
-    NoiseModel,
     PrivacyParams,
     SanitizedTable,
-    gaussian_sigma_adp,
-    gaussian_sigma_pdp,
-    laplace_scale,
     mechanism_noise,
-    noise_model,
     postprocess_counts,
     presence_support,
     read_sanitized,
@@ -74,7 +69,6 @@ __all__ = [
     "MECHANISMS",
     "MEASURES",
     "McEstimate",
-    "NoiseModel",
     "PRESENCE_THRESHOLD",
     "PrivacyParams",
     "RiskPoint",
@@ -86,10 +80,7 @@ __all__ = [
     "fit_dirichlet_mom",
     "fit_negbin",
     "fit_poisson",
-    "gaussian_sigma_adp",
-    "gaussian_sigma_pdp",
     "invert_epsilon",
-    "laplace_scale",
     "local_risk",
     "marginal_probs",
     "mc_expected",
@@ -99,7 +90,6 @@ __all__ = [
     "mc_shrinkage",
     "mc_threshold_dr",
     "mechanism_noise",
-    "noise_model",
     "postprocess_counts",
     "presence_support",
     "read_sanitized",

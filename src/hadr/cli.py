@@ -86,6 +86,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValueError(f"grid {text!r} has non-numeric bounds") from None
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"grid {text!r} has non-finite bounds")
     tag = parts[2]
     if tag[:3] not in ("log", "lin") or not tag[3:].isdigit():
         raise ValueError(f"grid {text!r} must end in logN or linN")
@@ -195,21 +197,17 @@ def _cmd_tabulate(args) -> int:
 
 def _risk_params(args) -> list:
     eps_grid = _parse_grid(args.epsilon_grid)
-    if args.mechanism == "laplace":
-        if args.delta is not None or args.delta_grid is not None:
-            raise ValueError("the laplace mechanism takes no delta")
-        return [PrivacyParams("laplace", float(e)) for e in eps_grid]
     if args.delta is not None and args.delta_grid is not None:
         raise ValueError("give either --delta or --delta-grid, not both")
     if args.delta is not None:
         deltas = [args.delta]
     elif args.delta_grid is not None:
         deltas = [float(d) for d in _parse_grid(args.delta_grid)]
+    elif args.mechanism == "laplace":
+        deltas = [None]
     else:
         raise ValueError(f"mechanism {args.mechanism!r} requires --delta or --delta-grid")
-    return [
-        PrivacyParams(args.mechanism, float(e), float(d)) for e in eps_grid for d in deltas
-    ]
+    return [PrivacyParams(args.mechanism, float(e), d) for e in eps_grid for d in deltas]
 
 
 def _cmd_risk(args) -> int:

@@ -4,7 +4,7 @@ Counts are released as n + E with i.i.d. per-entry noise E. Supported
 mechanisms and their scale calibrations for a count query of sensitivity
 ``s`` (default 1, the add/remove-one-record convention):
 
-* ``laplace``: b = s / epsilon, pure epsilon-DP.
+* ``laplace``: b = s / epsilon, pure epsilon-DP; it takes no delta.
 * ``gaussian_adp``: sigma = s * sqrt(2 ln(1.25/delta)) / epsilon, the
   classic analytic calibration; valid only for 0 < epsilon < 1 and
   0 < delta < 1.
@@ -13,6 +13,11 @@ mechanisms and their scale calibrations for a count query of sensitivity
   privacy-loss random variable exceeds epsilon in magnitude below delta;
   valid for epsilon > 0 and 0 < delta <= 1 (delta = 1 gives
   sigma = s / sqrt(2 epsilon)).
+
+``PrivacyParams`` is the one noise model: it checks epsilon, delta and
+the sensitivity once at construction (each must be finite, and so must
+the positive scale they give) and carries the calibrated ``scale`` with
+the noise tails ``cdf`` and ``sf`` that the closed-form risk measures use.
 
 A sanitized count is treated as present when it is at least 0.5, so the
 presence support of a sanitized cell is {k : noisy count >= 0.5} with the
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,89 +45,58 @@ MECHANISMS = ("laplace", "gaussian_adp", "gaussian_pdp")
 PRESENCE_THRESHOLD = 0.5
 
 
-def laplace_scale(epsilon: float, sensitivity: float = 1.0) -> float:
-    """Laplace scale b for epsilon-DP."""
-    if not epsilon > 0:
-        raise ValueError("laplace requires epsilon > 0")
-    if not sensitivity > 0:
-        raise ValueError("sensitivity must be positive")
-    return sensitivity / epsilon
-
-
-def gaussian_sigma_adp(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:
-    """Analytic Gaussian sigma; requires 0 < epsilon < 1 and 0 < delta < 1."""
-    if not 0 < epsilon < 1:
-        raise ValueError("gaussian_adp requires 0 < epsilon < 1")
-    if not 0 < delta < 1:
-        raise ValueError("gaussian_adp requires 0 < delta < 1")
-    if not sensitivity > 0:
-        raise ValueError("sensitivity must be positive")
-    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def gaussian_sigma_pdp(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:
-    """Probabilistic Gaussian sigma; requires epsilon > 0 and 0 < delta <= 1."""
-    if not epsilon > 0:
-        raise ValueError("gaussian_pdp requires epsilon > 0")
-    if not 0 < delta <= 1:
-        raise ValueError("gaussian_pdp requires 0 < delta <= 1")
-    if not sensitivity > 0:
-        raise ValueError("sensitivity must be positive")
-    z = inv_norm_cdf(delta / 2.0) if delta < 1 else 0.0
-    return sensitivity * (math.sqrt(z * z + 2.0 * epsilon) - z) / (2.0 * epsilon)
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Mechanism choice plus its privacy parameters."""
+    """Mechanism choice plus its privacy parameters, and the noise they give.
+
+    ``scale`` (Laplace b or Gaussian sigma) is calibrated and checked once,
+    at construction. ``cdf(t) = Pr(E < t)`` and ``sf(t) = Pr(E >= t)`` are
+    the tails of the noise E at that scale; both accept arrays and return a
+    float for a scalar. They are the only noise quantities the closed-form
+    risk expressions need.
+    """
 
     mechanism: str
     epsilon: float
     delta: float | None = None
     sensitivity: float = 1.0
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}; expected one of {MECHANISMS}")
-        # scale computation performs the per-mechanism domain checks
-        self.scale  # noqa: B018
-
-    @property
-    def scale(self) -> float:
-        """Noise scale: Laplace b or Gaussian sigma."""
-        if self.mechanism == "laplace":
-            return laplace_scale(self.epsilon, self.sensitivity)
-        if self.delta is None:
-            raise ValueError(f"{self.mechanism} requires delta")
-        if self.mechanism == "gaussian_adp":
-            return gaussian_sigma_adp(self.epsilon, self.delta, self.sensitivity)
-        return gaussian_sigma_pdp(self.epsilon, self.delta, self.sensitivity)
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.mechanism != "laplace"
-
-
-class NoiseModel:
-    """Tail probabilities of the noise distribution at a fixed scale.
-
-    cdf(t) = Pr(E < t) and sf(t) = Pr(E >= t); both accept arrays. These
-    are the only noise quantities the closed-form risk expressions need.
-    """
-
-    def __init__(self, mechanism: str, scale: float):
+        mechanism, eps, delta, s = self.mechanism, self.epsilon, self.delta, self.sensitivity
         if mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {mechanism!r}")
-        if not scale >= 0:
-            raise ValueError("noise scale must be non-negative")
-        self.mechanism = mechanism
-        self.scale = float(scale)
+            raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
+        if not all(map(math.isfinite, (eps, s, 0.0 if delta is None else delta))):
+            raise ValueError(
+                f"epsilon {eps!r}, delta {delta!r} and sensitivity {s!r} must be finite"
+            )
+        if not s > 0:
+            raise ValueError("sensitivity must be positive")
+        if mechanism == "laplace":
+            if delta is not None:
+                raise ValueError("the laplace mechanism takes no delta")
+            if not eps > 0:
+                raise ValueError("laplace requires epsilon > 0")
+            scale = s / eps
+        elif delta is None:
+            raise ValueError(f"{mechanism} requires delta")
+        elif mechanism == "gaussian_adp":
+            if not (0 < eps < 1 and 0 < delta < 1):
+                raise ValueError("gaussian_adp requires 0 < epsilon < 1 and 0 < delta < 1")
+            scale = s * math.sqrt(2.0 * math.log(1.25 / delta)) / eps
+        else:
+            if not (eps > 0 and 0 < delta <= 1):
+                raise ValueError("gaussian_pdp requires epsilon > 0 and 0 < delta <= 1")
+            z = inv_norm_cdf(delta / 2.0) if delta < 1 else 0.0
+            scale = s * (math.sqrt(z * z + 2.0 * eps) - z) / (2.0 * eps)
+        if not 0 < scale < math.inf:
+            raise ValueError(f"{self!r} gives noise scale {scale!r}, not finite and positive")
+        object.__setattr__(self, "scale", scale)
 
     def cdf(self, t):
+        """Pr(E < t)."""
         t = np.asarray(t, dtype=float)
-        if self.scale == 0.0:
-            out = np.where(t > 0, 1.0, 0.0)
-        elif self.mechanism == "laplace":
+        if self.mechanism == "laplace":
             half_tail = 0.5 * np.exp(-np.abs(t) / self.scale)
             out = np.where(t >= 0, 1.0 - half_tail, half_tail)
         else:
@@ -130,19 +104,8 @@ class NoiseModel:
         return float(out) if out.ndim == 0 else out
 
     def sf(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.scale == 0.0:
-            out = np.where(t > 0, 0.0, 1.0)
-        elif self.mechanism == "laplace":
-            half_tail = 0.5 * np.exp(-np.abs(t) / self.scale)
-            out = np.where(t >= 0, half_tail, 1.0 - half_tail)
-        else:
-            out = np.asarray(norm_cdf(-t / self.scale))
-        return float(out) if out.ndim == 0 else out
-
-
-def noise_model(params: PrivacyParams) -> NoiseModel:
-    return NoiseModel(params.mechanism, params.scale)
+        """Pr(E >= t), which is cdf(-t) because the noise is symmetric."""
+        return self.cdf(-np.asarray(t, dtype=float))
 
 
 def mechanism_noise(params: PrivacyParams, seed: int, start: int, shape) -> np.ndarray:
@@ -159,10 +122,11 @@ def mechanism_noise(params: PrivacyParams, seed: int, start: int, shape) -> np.n
 
 @dataclass(frozen=True)
 class SanitizedTable:
-    """Noisy release of a frequency table.
+    """Noisy release of a frequency table, checked like one at construction.
 
     Mirrors the source table's schema and cell keys; ``noisy`` holds the
-    float noisy counts, row-aligned with ``keys``.
+    finite float noisy counts, row-aligned with ``keys``; the mechanism,
+    epsilon and delta must form valid ``PrivacyParams``.
     """
 
     qid_names: tuple[str, ...]
@@ -176,9 +140,18 @@ class SanitizedTable:
     seed: int
 
     def __post_init__(self):
+        PrivacyParams(self.mechanism, self.epsilon, self.delta)
         noisy = np.asarray(self.noisy, dtype=float)
         if noisy.shape != (len(self.keys), len(self.categories)):
             raise ValueError("noisy counts shape does not match keys x categories")
+        if not np.isfinite(noisy).all():
+            raise ValueError("noisy counts must be finite")
+        if len(set(self.categories)) != len(self.categories):
+            raise ValueError("duplicate sensitive categories")
+        if set(map(len, self.keys)) - {len(self.qid_names)}:
+            raise ValueError("cell key length does not match qid_names")
+        if len(set(self.keys)) != len(self.keys):
+            raise ValueError("duplicate cell keys")
         object.__setattr__(self, "noisy", noisy)
 
 
@@ -247,14 +220,15 @@ def sanitized_to_json(sanitized: SanitizedTable) -> str:
 def sanitized_from_json(text: str) -> SanitizedTable:
     """Parse the sanitized JSON, whose cells hold 'noisy_counts', as ``read_cells`` reads it.
 
-    Noisy counts, epsilon and delta must be JSON numbers: integers count,
-    because ``.17g`` writes 3.0 as ``3``, and bool and str do not.
+    'mechanism' must be a string. Noisy counts, epsilon and delta must be
+    JSON numbers: integers count, because ``.17g`` writes 3.0 as ``3``, and
+    bool and str do not. ``SanitizedTable`` then checks their values.
     """
     what = "sanitized table JSON"
     doc, keys, noisy = read_cells(text, what, "noisy_counts", {int, float})
     try:
-        if doc["mechanism"] not in MECHANISMS:
-            raise ValueError(f"{what} 'mechanism' must be one of {MECHANISMS}")
+        if type(doc["mechanism"]) is not str:
+            raise ValueError(f"{what} 'mechanism' must be a string, got {doc['mechanism']!r}")
         if type(doc["epsilon"]) not in (int, float):
             raise ValueError(f"{what} 'epsilon' must be a number, got {doc['epsilon']!r}")
         if type(doc["delta"]) not in (int, float, type(None)):

@@ -57,7 +57,7 @@ import numpy as np
 
 from ._rng import check_alpha, check_counts
 from .estimation import CellSizeModel
-from .mechanisms import PrivacyParams, noise_model
+from .mechanisms import PrivacyParams
 from .special import log_gamma
 from .tabulation import FrequencyTable
 
@@ -85,17 +85,17 @@ class LocalRisk(NamedTuple):
     exact: bool
 
 
-def _tail_factors(nm, n_categories: int, n: np.ndarray):
+def _tail_factors(params: PrivacyParams, n_categories: int, n: np.ndarray):
     """Noise factors shared by every measure.
 
     Returns (t1_factor, t2_factor) where t1_factor[i] multiplies the
     component-1 moment of size n[i] and t2_factor[i] (already masked to
     n >= 2) multiplies the component-2 moment.
     """
-    stay_absent = nm.cdf(0.5)
-    drop_one = nm.cdf(-0.5)
-    stay_present = nm.sf(0.5 - n)
-    keep_majority = nm.sf(1.5 - n)
+    stay_absent = params.cdf(0.5)
+    drop_one = params.cdf(-0.5)
+    stay_present = params.sf(0.5 - n)
+    keep_majority = params.sf(1.5 - n)
     t1 = stay_absent ** (n_categories - 1) * stay_present
     t2 = np.where(n >= 2, keep_majority * drop_one * stay_absent ** (n_categories - 2), 0.0)
     return t1, t2
@@ -153,7 +153,7 @@ class _SizeProfile(NamedTuple):
     truncated_at: int | None = None
 
     def at(self, params: PrivacyParams) -> RiskValue:
-        f1, f2 = _tail_factors(noise_model(params), self.n_categories, self.n)
+        f1, f2 = _tail_factors(params, self.n_categories, self.n)
         c1 = float(np.sum(self.w1 * f1))
         c2 = float(np.sum(self.w2 * f2))
         return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=self.truncated_at)
@@ -216,9 +216,8 @@ class _LocalProfile:
         self.homogeneous = (self.present.sum(axis=1) == 1)[self.row]
 
     def at(self, params: PrivacyParams) -> RiskValue:
-        nm = noise_model(params)
-        stay = nm.sf(0.5 - self.values)[self.index]
-        gone = nm.cdf(0.5 - self.values)[self.index]
+        stay = params.sf(0.5 - self.values)[self.index]
+        gone = params.cdf(0.5 - self.values)[self.index]
         vals = _collapse_probs(stay, gone, self.present)[self.row]
         c1 = np.where(self.homogeneous, vals, 0.0)
         return RiskValue(float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
@@ -238,8 +237,7 @@ def local_risk(counts, params: PrivacyParams) -> LocalRisk:
     """
     arr = check_counts(counts)[None, :]
     t = 0.5 - arr.astype(float)
-    nm = noise_model(params)
-    total = float(_collapse_probs(nm.sf(t), nm.cdf(t), arr >= 1)[0])
+    total = float(_collapse_probs(params.sf(t), params.cdf(t), arr >= 1)[0])
     if np.count_nonzero(arr) == 1:
         return LocalRisk(value=total, scenario1=total, scenario8=0.0, exact=True)
     return LocalRisk(value=total, scenario1=0.0, scenario8=total, exact=False)
@@ -249,7 +247,7 @@ def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndar
     """Per-cell two-term expected values, before averaging over cells."""
     n = table.sizes().astype(float)
     m1, m2 = _plugin_moments(table.counts.astype(float), n)
-    f1, f2 = _tail_factors(noise_model(params), table.n_categories, n)
+    f1, f2 = _tail_factors(params, table.n_categories, n)
     return m1 * f1 + m2 * f2
 
 

@@ -13,7 +13,7 @@ it.
 import numpy as np
 from scipy import special
 
-from hadr import RiskValue, noise_model
+from hadr import RiskValue
 from hadr.risk import TAIL_MASS
 
 # The error function, a route to the normal cdf that does not pass through
@@ -46,9 +46,8 @@ def homogeneous_risk(table, params) -> RiskValue:
     for key, counts in zip(table.keys(), table.counts):
         if np.count_nonzero(counts) != 1:
             raise ValueError(f"cell {key!r} is heterogeneous")
-    nm = noise_model(params)
     n = table.sizes().astype(float)
-    t1 = nm.cdf(0.5) ** (table.n_categories - 1) * nm.sf(0.5 - n)
+    t1 = params.cdf(0.5) ** (table.n_categories - 1) * params.sf(0.5 - n)
     return _risk_from_cells(t1, np.zeros_like(t1))
 
 
@@ -56,15 +55,14 @@ def expected_risk_k2(table, params) -> RiskValue:
     """Printed two-category form of the expected measure."""
     if table.n_categories != 2:
         raise ValueError("expected_risk_k2 requires exactly 2 categories")
-    nm = noise_model(params)
     counts = table.counts.astype(float)
     n = table.sizes().astype(float)
     p = counts[:, 0] / n
     q = counts[:, 1] / n
-    t1 = (p**n + q**n) * nm.cdf(0.5) * nm.sf(0.5 - n)
+    t1 = (p**n + q**n) * params.cdf(0.5) * params.sf(0.5 - n)
     t2 = np.where(
         n >= 2,
-        (p ** (n - 1) * q + q ** (n - 1) * p) * nm.sf(1.5 - n) * nm.cdf(-0.5),
+        (p ** (n - 1) * q + q ** (n - 1) * p) * params.sf(1.5 - n) * params.cdf(-0.5),
         0.0,
     )
     return _risk_from_cells(t1, t2)
@@ -76,13 +74,12 @@ def _beta_terms_k2(n: np.ndarray, alpha, params):
         raise ValueError("the two-category forms require exactly 2 categories")
     a1, a2 = float(alpha[0]), float(alpha[1])
     log_b0 = log_beta(a1, a2)
-    nm = noise_model(params)
     b1 = np.exp(log_beta(n + a1, a2) - log_b0) + np.exp(log_beta(a1, n + a2) - log_b0)
-    t1 = b1 * nm.cdf(0.5) * nm.sf(0.5 - n)
+    t1 = b1 * params.cdf(0.5) * params.sf(0.5 - n)
     b2 = np.exp(log_beta(a1 + n - 1, a2 + 1) - log_b0) + np.exp(
         log_beta(a1 + 1, n + a2 - 1) - log_b0
     )
-    t2 = np.where(n >= 2, b2 * nm.sf(1.5 - n) * nm.cdf(-0.5), 0.0)
+    t2 = np.where(n >= 2, b2 * params.sf(1.5 - n) * params.cdf(-0.5), 0.0)
     return t1, t2
 
 

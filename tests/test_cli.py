@@ -228,6 +228,65 @@ def test_single_point_grid(data_dir, capsys):
     assert len((data_dir / "one.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("grid", ["1:inf:log3", "nan:nan:log1", "1:-inf:lin3", "0.1:nan:lin2"])
+def test_non_finite_grid_bounds(data_dir, capsys, grid):
+    table_path, _ = tabulate(data_dir, capsys)
+    out = data_dir / "c.csv"
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--table", str(table_path),
+        "--measure", "expected",
+        "--mechanism", "laplace",
+        "--epsilon-grid", grid,
+        "--output", str(out),
+    )
+    assert code == 1 and f"grid {grid!r} has non-finite bounds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mechanism", ["laplace", "gaussian_pdp"])
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_sanitize_refuses_non_finite_epsilon(data_dir, capsys, mechanism, epsilon):
+    table_path, _ = tabulate(data_dir, capsys)
+    out = data_dir / "s.json"
+    delta = [] if mechanism == "laplace" else ["--delta", "1e-5"]
+    code, _, err = run(
+        capsys,
+        "sanitize",
+        "--table", str(table_path),
+        "--mechanism", mechanism,
+        "--epsilon", epsilon,
+        *delta,
+        "--seed", "1",
+        "--output", str(out),
+    )
+    assert code == 1 and "must be finite" in err
+    assert not out.exists() and not (data_dir / "s.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sanitize", "--table", "T", "--epsilon", "1", "--seed", "1"],
+        ["utility", "--table", "T", "--epsilon", "1", "--ks", "1", "--reps", "2", "--seed", "1"],
+        ["mc", "--estimator", "local", "--cell", "3,1", "--epsilon", "1", "--reps", "10",
+         "--seed", "1"],
+        ["invert", "--table", "T", "--measure", "expected", "--target-risk", "0.3"],
+    ],
+    ids=["sanitize", "utility", "mc", "invert"],
+)
+def test_every_verb_refuses_a_laplace_delta(data_dir, capsys, argv):
+    table_path, _ = tabulate(data_dir, capsys)
+    out = data_dir / "out"
+    argv = [str(table_path) if a == "T" else a for a in argv]
+    code, _, err = run(
+        capsys, *argv, "--mechanism", "laplace", "--delta", "1e-5", "--output", str(out)
+    )
+    assert code == 1 and "the laplace mechanism takes no delta" in err
+    assert not out.exists()
+
+
 def test_sanitize_seeded_deterministic(data_dir, capsys):
     table_path, _ = tabulate(data_dir, capsys)
     args = [

@@ -482,3 +482,24 @@ def test_mc_shares_only_the_audit_oracle_with_the_closed_forms():
         if not isinstance(node, ast.ImportFrom) and uses(node)
     ]
     assert users == ["upper_bound_findings"]
+
+
+def test_mc_draws_noise_from_the_scale_alone():
+    """MC reads only a mechanism and a scale: it never calls the closed forms' tails."""
+    tree = ast.parse(inspect.getsource(hadr.mc))
+    tails = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("cdf", "sf")
+    ]
+    assert tails == []
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "params"
+    }
+    assert read == {"mechanism", "scale"}

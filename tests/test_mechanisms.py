@@ -2,18 +2,17 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from conftest import make_table
 from hadr import (
     PRESENCE_THRESHOLD,
-    NoiseModel,
     PrivacyParams,
     mechanism_noise,
-    noise_model,
     postprocess_counts,
     presence_support,
     read_sanitized,
@@ -21,10 +20,8 @@ from hadr import (
     write_sanitized,
 )
 from hadr.mechanisms import (
+    MECHANISMS,
     SanitizedTable,
-    gaussian_sigma_adp,
-    gaussian_sigma_pdp,
-    laplace_scale,
     sanitized_from_json,
     sanitized_to_json,
 )
@@ -33,20 +30,24 @@ from hadr.mechanisms import (
 SIGMA_ADP_HALF_1E5 = 9.68961052521
 SIGMA_PDP_SQRT1000_1E5 = 0.213679203599
 
+# a valid delta for each mechanism: laplace takes none
+DELTA = {"laplace": None, "gaussian_adp": 1e-5, "gaussian_pdp": 1e-5}
+
 
 def test_laplace_scale():
-    assert laplace_scale(2.0) == 0.5
-    assert laplace_scale(0.5, sensitivity=2.0) == 4.0
+    assert PrivacyParams("laplace", 2.0).scale == 0.5
+    assert PrivacyParams("laplace", 0.5, sensitivity=2.0).scale == 4.0
     with pytest.raises(ValueError):
-        laplace_scale(0.0)
+        PrivacyParams("laplace", 0.0)
     with pytest.raises(ValueError):
-        laplace_scale(1.0, sensitivity=0.0)
+        PrivacyParams("laplace", 1.0, sensitivity=0.0)
 
 
 def test_gaussian_sigma_adp_value():
-    assert gaussian_sigma_adp(0.5, 1e-5) == pytest.approx(SIGMA_ADP_HALF_1E5, rel=1e-11)
+    sigma = PrivacyParams("gaussian_adp", 0.5, 1e-5).scale
+    assert sigma == pytest.approx(SIGMA_ADP_HALF_1E5, rel=1e-11)
     # closed form is sqrt(2 ln(1.25/delta)) / eps times sensitivity
-    assert gaussian_sigma_adp(0.3, 1e-3, sensitivity=2.0) == pytest.approx(
+    assert PrivacyParams("gaussian_adp", 0.3, 1e-3, sensitivity=2.0).scale == pytest.approx(
         2.0 * math.sqrt(2.0 * math.log(1.25e3)) / 0.3
     )
 
@@ -54,14 +55,15 @@ def test_gaussian_sigma_adp_value():
 def test_gaussian_sigma_adp_domain():
     for eps in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
-            gaussian_sigma_adp(eps, 1e-5)
+            PrivacyParams("gaussian_adp", eps, 1e-5)
     for delta in (0.0, 1.0):
         with pytest.raises(ValueError):
-            gaussian_sigma_adp(0.5, delta)
+            PrivacyParams("gaussian_adp", 0.5, delta)
 
 
 def test_gaussian_sigma_pdp_value():
-    assert gaussian_sigma_pdp(10**1.5, 1e-5) == pytest.approx(SIGMA_PDP_SQRT1000_1E5, rel=1e-11)
+    sigma = PrivacyParams("gaussian_pdp", 10**1.5, 1e-5).scale
+    assert sigma == pytest.approx(SIGMA_PDP_SQRT1000_1E5, rel=1e-11)
 
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.5, 1.0, 3.0, 10**1.5])
@@ -74,7 +76,7 @@ def test_pdp_sigma_solves_tail_condition(epsilon, delta):
     defined by Pr(L >= epsilon) = delta/2. scipy provides the oracle normal.
     """
     s = 1.7
-    sigma = gaussian_sigma_pdp(epsilon, delta, sensitivity=s)
+    sigma = PrivacyParams("gaussian_pdp", epsilon, delta, sensitivity=s).scale
     mean = s * s / (2.0 * sigma * sigma)
     sd = s / sigma
     tail = stats.norm.sf((epsilon - mean) / sd)
@@ -83,16 +85,15 @@ def test_pdp_sigma_solves_tail_condition(epsilon, delta):
 
 def test_pdp_sigma_delta_one():
     # delta = 1 collapses the tail point to the loss mean: sigma = s/sqrt(2 eps)
-    assert gaussian_sigma_pdp(2.0, 1.0) == pytest.approx(0.5)
-    assert gaussian_sigma_pdp(8.0, 1.0, sensitivity=3.0) == pytest.approx(0.75)
+    assert PrivacyParams("gaussian_pdp", 2.0, 1.0).scale == pytest.approx(0.5)
+    assert PrivacyParams("gaussian_pdp", 8.0, 1.0, sensitivity=3.0).scale == pytest.approx(0.75)
 
 
 def test_privacy_params_dispatch():
     p = PrivacyParams("laplace", 2.0)
-    assert p.scale == 0.5 and not p.is_gaussian
+    assert p.scale == 0.5
     g = PrivacyParams("gaussian_pdp", 10**1.5, delta=1e-5)
     assert g.scale == pytest.approx(SIGMA_PDP_SQRT1000_1E5, rel=1e-11)
-    assert g.is_gaussian
     with pytest.raises(ValueError, match="unknown mechanism"):
         PrivacyParams("exponential", 1.0)
     with pytest.raises(ValueError, match="delta"):
@@ -101,28 +102,85 @@ def test_privacy_params_dispatch():
         PrivacyParams("gaussian_adp", 2.0, delta=1e-5)
 
 
-@pytest.mark.parametrize("mechanism,scale", [("laplace", 0.8), ("gaussian_pdp", 1.3)])
-def test_noise_model_cdf_sf(mechanism, scale):
-    nm = NoiseModel(mechanism, scale)
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+@pytest.mark.parametrize("field", ["epsilon", "delta", "sensitivity"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_refused(mechanism, field, value):
+    kwargs = {"epsilon": 0.5, "delta": DELTA[mechanism], "sensitivity": 1.0, field: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        PrivacyParams(mechanism, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [
+        (("laplace", 1e-320), {}),  # s / eps overflows to inf
+        (("gaussian_pdp", 1e308, 1e-5), {}),  # inf / inf is nan
+        (("laplace", 10.0), {"sensitivity": 5e-324}),  # underflows to 0
+        (("gaussian_pdp", 1e300, 1e-5), {"sensitivity": 1e-200}),  # underflows to 0
+    ],
+)
+def test_scale_outside_finite_positive_refused(args, kwargs):
+    with pytest.raises(ValueError, match="not finite and positive"):
+        PrivacyParams(*args, **kwargs)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 0.0, 1.0])
+def test_laplace_with_delta_refused(delta):
+    with pytest.raises(ValueError, match="the laplace mechanism takes no delta"):
+        PrivacyParams("laplace", 1.0, delta)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        PrivacyParams("laplace", 1.0, sensitivity=0.8),
+        PrivacyParams("gaussian_pdp", 0.5, 1.0, sensitivity=1.3),
+    ],
+    ids=["laplace", "gaussian_pdp"],
+)
+def test_noise_tails_cdf_sf(params):
+    assert params.scale in (0.8, 1.3)
     ts = np.linspace(-6.0, 6.0, 41)
-    np.testing.assert_allclose(nm.cdf(ts) + nm.sf(ts), 1.0, atol=1e-14)
+    np.testing.assert_allclose(params.cdf(ts) + params.sf(ts), 1.0, atol=1e-14)
     # symmetric noise
-    np.testing.assert_allclose(nm.cdf(-ts), nm.sf(ts), atol=1e-14)
-    assert isinstance(nm.cdf(0.5), float)
-    assert isinstance(nm.sf(-2.0), float)
-    assert nm.cdf(0.0) == pytest.approx(0.5)
+    np.testing.assert_allclose(params.cdf(-ts), params.sf(ts), atol=1e-14)
+    assert isinstance(params.cdf(0.5), float)
+    assert isinstance(params.sf(-2.0), float)
+    assert params.cdf(0.0) == pytest.approx(0.5)
 
 
-def test_noise_model_laplace_values():
-    nm = NoiseModel("laplace", 1.0)
-    assert nm.cdf(0.5) == pytest.approx(1.0 - 0.5 * math.exp(-0.5), rel=1e-14)
-    assert nm.sf(-1.5) == pytest.approx(1.0 - 0.5 * math.exp(-1.5), rel=1e-14)
+def test_laplace_tail_values():
+    p = PrivacyParams("laplace", 1.0)
+    assert p.cdf(0.5) == pytest.approx(1.0 - 0.5 * math.exp(-0.5), rel=1e-14)
+    assert p.sf(-1.5) == pytest.approx(1.0 - 0.5 * math.exp(-1.5), rel=1e-14)
 
 
-def test_noise_model_zero_scale():
-    nm = NoiseModel("laplace", 0.0)
-    assert nm.cdf(0.5) == 1.0 and nm.cdf(-0.5) == 0.0 and nm.cdf(0.0) == 0.0
-    assert nm.sf(0.5) == 0.0 and nm.sf(-0.5) == 1.0
+@pytest.mark.parametrize(
+    "params",
+    [
+        PrivacyParams("laplace", 0.7),
+        PrivacyParams("gaussian_adp", 0.4, 1e-5),
+        PrivacyParams("gaussian_pdp", 3.0, 1e-3),
+    ],
+    ids=MECHANISMS,
+)
+def test_sf_is_bitwise_the_mirrored_cdf(params):
+    """sf(t) equals cdf(-t) and the upper tail written out, bit for bit, at +-0 too."""
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 0.5, -0.5, 1.5, -1.5, -125.5, 300.0, math.inf, -math.inf]
+    ts = np.array(edges)
+    ts = np.concatenate([ts, np.linspace(-40.0, 40.0, 321), 0.5 - np.arange(200.0)])
+    b = params.scale
+    if params.mechanism == "laplace":
+        half_tail = 0.5 * np.exp(-np.abs(ts) / b)
+        upper = np.where(ts >= 0, half_tail, 1.0 - half_tail)
+    else:
+        upper = special.ndtr(-ts / b)
+    sf = params.sf(ts)
+    assert sf.tobytes() == params.cdf(-ts).tobytes()
+    assert sf.tobytes() == upper.tobytes()
+    for t in (0.0, -0.0):
+        assert struct.pack("d", params.sf(t)) == struct.pack("d", params.cdf(-t))
 
 
 def test_laplace_sample_moments():
@@ -137,13 +195,12 @@ def test_laplace_sample_moments():
     [PrivacyParams("laplace", 1.0), PrivacyParams("gaussian_pdp", 1.0, delta=1e-3)],
     ids=["laplace", "gaussian"],
 )
-def test_sample_cdf_matches_noise_model(params):
-    """Empirical tail frequencies agree with NoiseModel at the risk thresholds."""
+def test_sample_cdf_matches_tails(params):
+    """Empirical tail frequencies agree with params.cdf at the risk thresholds."""
     reps = 400_000
     x = mechanism_noise(params, seed=11, start=0, shape=reps)
-    nm = noise_model(params)
     for t in (-0.5, 0.5, 0.5 - 10.0):
-        p = nm.cdf(t)
+        p = params.cdf(t)
         se = math.sqrt(max(p * (1.0 - p), 1e-12) / reps)
         assert abs((x < t).mean() - p) < 3.0 * se + 1e-6
 
@@ -281,3 +338,34 @@ def test_sanitized_json_rejects_non_object():
     for text in ("[]", '"x"', '{"cells": 3}'):
         with pytest.raises(ValueError, match="object"):
             sanitized_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "path,value,match",
+    [
+        (("cells", 1, "key"), ["c1", "x"], "key length does not match qid_names"),
+        (("cells", 1, "noisy_counts"), [math.nan, 1.0], "must be finite"),
+        (("cells", 1, "noisy_counts"), [2.0, math.inf], "must be finite"),
+        (("cells", 1, "noisy_counts"), [-math.inf, 2.0], "must be finite"),
+        (("epsilon",), math.nan, "must be finite"),
+        (("epsilon",), -1.0, "epsilon > 0"),
+        (("delta",), 1e-5, "the laplace mechanism takes no delta"),
+        (("mechanism",), "exponential", "unknown mechanism"),
+        (("cells", 1, "key"), ["c0"], "duplicate cell keys"),
+        (("categories",), ["y0", "y0"], "duplicate sensitive categories"),
+    ],
+    ids=[
+        "key-length", "nan-count", "inf-count", "minus-inf-count", "nan-epsilon",
+        "negative-epsilon", "laplace-delta", "unknown-mechanism", "duplicate-key",
+        "duplicate-category",
+    ],
+)
+def test_sanitized_release_checked_like_a_table(path, value, match):
+    """The reader accepts the JSON types; SanitizedTable refuses what no release can hold."""
+    doc = sanitized_doc()
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=match):
+        sanitized_from_json(json.dumps(doc))

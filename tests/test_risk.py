@@ -22,7 +22,6 @@ from hadr import (
     evaluate_measure,
     invert_epsilon,
     local_risk,
-    noise_model,
     risk_curve,
     scenario8_peak_epsilon,
 )
@@ -165,9 +164,8 @@ def test_local_risk_rejects_non_integer_counts(counts):
 def test_local_risk_union_of_disjoint_collapses():
     # the event decomposes over which occupied category survives alone
     counts = np.array([2, 3, 4])
-    nm = noise_model(LAP1)
-    stay = nm.sf(0.5 - counts.astype(float))
-    gone = nm.cdf(0.5 - counts.astype(float))
+    stay = LAP1.sf(0.5 - counts.astype(float))
+    gone = LAP1.cdf(0.5 - counts.astype(float))
     expect = sum(stay[k] * np.prod(np.delete(gone, k)) for k in range(3))
     assert local_risk(counts, LAP1).value == pytest.approx(expect, rel=1e-14)
 
@@ -188,12 +186,11 @@ def test_components_sum_to_value(rng):
 
 
 def test_presence_tail_thresholds():
-    nm = noise_model(LAP1)
-    assert nm.sf(0.5 - 2.0) == pytest.approx(0.888434, abs=1e-6)
-    assert nm.sf(0.5 - 2.0) >= 0.888
+    assert LAP1.sf(0.5 - 2.0) == pytest.approx(0.888434, abs=1e-6)
+    assert LAP1.sf(0.5 - 2.0) >= 0.888
     # the rounded thresholds overstate the exact values by under 5e-4
-    assert nm.sf(0.5 - 3.0) >= 0.959 - 5e-4
-    assert nm.sf(0.5 - 4.0) >= 0.985 - 5e-4
+    assert LAP1.sf(0.5 - 3.0) >= 0.959 - 5e-4
+    assert LAP1.sf(0.5 - 4.0) >= 0.985 - 5e-4
 
 
 def test_scenario8_peak_frozen_and_oracle():
@@ -348,8 +345,7 @@ def test_evaluate_measure_dispatch(rng):
     assert close(glob.value, global_risk_k2(alpha, sm, LAP1).value)
     variant = evaluate_measure("global_variant", LAP1, size_model=sm, n_categories=2)
     n = np.arange(1, variant.truncated_at + 1, dtype=float)
-    nm = noise_model(LAP1)
-    assert close(variant.value, float(np.sum(sm.pmf(n) * nm.cdf(0.5) * nm.sf(0.5 - n))))
+    assert close(variant.value, float(np.sum(sm.pmf(n) * LAP1.cdf(0.5) * LAP1.sf(0.5 - n))))
 
 
 def test_evaluate_measure_requirements(rng):

@@ -123,12 +123,6 @@ def _seed_for(args: argparse.Namespace) -> int:
     return seed
 
 
-def _load_table(args: argparse.Namespace):
-    if getattr(args, "table", None) is None:
-        raise ValueError("this operation requires --table")
-    return read_table(args.table)
-
-
 def _resolve_alpha(args: argparse.Namespace, table):
     if args.alpha is not None and args.estimate_alpha:
         raise ValueError("give either --alpha or --estimate-alpha, not both")
@@ -136,7 +130,7 @@ def _resolve_alpha(args: argparse.Namespace, table):
         return _parse_list(args.alpha, "--alpha")
     if args.estimate_alpha:
         if table is None:
-            table = _load_table(args)
+            raise ValueError("--estimate-alpha requires --table")
         return fit_dirichlet_mom(table).alpha
     return None
 
@@ -149,7 +143,7 @@ def _resolve_size_model(args: argparse.Namespace, table):
             return size_model_from_json(fh.read())
     if args.fit_sizes:
         if table is None:
-            table = _load_table(args)
+            raise ValueError("--fit-sizes requires --table")
         if args.size_family == "negbin":
             return fit_negbin(table.sizes())
         return fit_poisson(table.sizes())
@@ -220,7 +214,7 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    table = _load_table(args)
+    table = read_table(args.table)
     params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
     seed = _seed_for(args)
     write_sanitized(sanitize(table, params, seed), args.output)
@@ -230,7 +224,7 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_utility(args) -> int:
-    table = _load_table(args)
+    table = read_table(args.table)
     params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
     seed = _seed_for(args)
     ks = _parse_list(args.ks, "--ks", int)
@@ -242,7 +236,7 @@ def _cmd_utility(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    table = _load_table(args)
+    table = read_table(args.table)
     if args.what == "alpha":
         text = dirichlet_to_json(fit_dirichlet_mom(table))
     elif args.family == "negbin":

@@ -9,10 +9,10 @@ mechanisms and their scale calibrations for a count query of sensitivity
   classic analytic calibration; valid only for 0 < epsilon < 1 and
   0 < delta < 1.
 * ``gaussian_pdp``: sigma = s * (sqrt(z^2 + 2 epsilon) - z) / (2 epsilon)
-  with z = inv_norm_cdf(delta / 2), which keeps the probability that the
-  privacy-loss random variable exceeds epsilon in magnitude below delta;
-  valid for epsilon > 0 and 0 < delta <= 1 (delta = 1 gives
-  sigma = s / sqrt(2 epsilon)).
+  with z = Phi^-1(delta / 2) the standard normal quantile, which keeps
+  the probability that the privacy-loss random variable exceeds epsilon
+  in magnitude below delta; valid for epsilon > 0 and 0 < delta <= 1
+  (delta = 1 gives sigma = s / sqrt(2 epsilon)).
 
 ``PrivacyParams`` is the one noise model: it checks epsilon, delta and
 the sensitivity once at construction (each must be finite, and so must
@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .special import inv_norm_cdf, norm_cdf
-from .tabulation import FrequencyTable, read_cells
+from .tabulation import FrequencyTable, check_keys, read_cells
 
 MECHANISMS = ("laplace", "gaussian_adp", "gaussian_pdp")
 PRESENCE_THRESHOLD = 0.5
@@ -87,7 +86,11 @@ class PrivacyParams:
         else:
             if not (eps > 0 and 0 < delta <= 1):
                 raise ValueError("gaussian_pdp requires epsilon > 0 and 0 < delta <= 1")
-            z = inv_norm_cdf(delta / 2.0) if delta < 1 else 0.0
+            z = 0.0
+            if delta < 1:
+                from scipy import special
+
+                z = float(special.ndtri(delta / 2.0))
             scale = s * (math.sqrt(z * z + 2.0 * eps) - z) / (2.0 * eps)
         if not 0 < scale < math.inf:
             raise ValueError(f"{self!r} gives noise scale {scale!r}, not finite and positive")
@@ -100,7 +103,9 @@ class PrivacyParams:
             half_tail = 0.5 * np.exp(-np.abs(t) / self.scale)
             out = np.where(t >= 0, 1.0 - half_tail, half_tail)
         else:
-            out = np.asarray(norm_cdf(t / self.scale))
+            from scipy import special
+
+            out = special.ndtr(t / self.scale)
         return float(out) if out.ndim == 0 else out
 
     def sf(self, t):
@@ -116,7 +121,9 @@ def mechanism_noise(params: PrivacyParams, seed: int, start: int, shape) -> np.n
     if params.mechanism == "laplace":
         noise = np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 - 2.0 * u))
     else:
-        noise = b * inv_norm_cdf(u)
+        from scipy import special
+
+        noise = b * special.ndtri(u)
     return noise.reshape(shape)
 
 
@@ -148,8 +155,7 @@ class SanitizedTable:
             raise ValueError("noisy counts must be finite")
         if len(set(self.categories)) != len(self.categories):
             raise ValueError("duplicate sensitive categories")
-        if set(map(len, self.keys)) - {len(self.qid_names)}:
-            raise ValueError("cell key length does not match qid_names")
+        check_keys(self.keys, len(self.qid_names))
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("duplicate cell keys")
         object.__setattr__(self, "noisy", noisy)

@@ -58,7 +58,6 @@ import numpy as np
 from ._rng import check_alpha, check_counts
 from .estimation import CellSizeModel
 from .mechanisms import PrivacyParams
-from .special import log_gamma
 from .tabulation import FrequencyTable
 
 TAIL_MASS = 1e-12
@@ -115,16 +114,20 @@ def _dirichlet_moments(n: np.ndarray, alpha: np.ndarray):
     m2(n) = Gamma(a0) sum_k Gamma(n + alpha_k - 1) (a0 - alpha_k)
             / (Gamma(alpha_k) Gamma(n + a0))
     """
+    from scipy import special
+
     a0 = float(alpha.sum())
     nf = n.astype(float)
-    base = log_gamma(a0) - log_gamma(a0 + nf)
-    lg_alpha = log_gamma(alpha)
+    base = special.gammaln(a0) - special.gammaln(a0 + nf)
+    lg_alpha = special.gammaln(alpha)
     m1 = np.exp(
-        base[:, None] + log_gamma(alpha[None, :] + nf[:, None]) - lg_alpha[None, :]
+        base[:, None] + special.gammaln(alpha[None, :] + nf[:, None]) - lg_alpha[None, :]
     ).sum(axis=1)
     m2 = (
         (a0 - alpha[None, :])
-        * np.exp(base[:, None] + log_gamma(nf[:, None] + alpha[None, :] - 1.0) - lg_alpha[None, :])
+        * np.exp(
+            base[:, None] + special.gammaln(nf[:, None] + alpha[None, :] - 1.0) - lg_alpha[None, :]
+        )
     ).sum(axis=1)
     return m1, m2
 

@@ -57,6 +57,15 @@ def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
     return arr
 
 
+def check_keys(keys, n_qids: int) -> None:
+    """Raise unless every cell key is a sequence of ``n_qids`` strings."""
+    if set(map(len, keys)) - {n_qids}:
+        raise ValueError("cell key length does not match qid_names")
+    if not set(map(type, chain.from_iterable(keys))) <= {str}:
+        bad = next(key for key in keys if not set(map(type, key)) <= {str})
+        raise ValueError(f"cell key {bad!r} holds a value that is not a string")
+
+
 class FrequencyTable:
     """Validated cells over a fixed category list, stored as columns.
 
@@ -80,11 +89,7 @@ class FrequencyTable:
             raise ValueError("table has no cells")
         if len(set(self.categories)) != len(self.categories):
             raise ValueError("duplicate sensitive categories")
-        if set(map(len, keys)) != {len(self.qid_names)}:
-            raise ValueError("cell key length does not match qid_names")
-        if not set(map(type, chain.from_iterable(keys))) <= {str}:
-            bad = next(key for key in keys if not set(map(type, key)) <= {str})
-            raise ValueError(f"cell key {bad!r} holds a value that is not a string")
+        check_keys(keys, len(self.qid_names))
         counts = _counts_array(keys, counts, len(self.categories))
         sizes = counts.sum(axis=1)
         if not sizes.all():

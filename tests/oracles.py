@@ -17,7 +17,7 @@ from hadr import RiskValue
 from hadr.risk import TAIL_MASS
 
 # The error function, a route to the normal cdf that does not pass through
-# hadr.special.norm_cdf.
+# the scipy.special.ndtr that PrivacyParams.cdf calls.
 erf = special.erf
 
 

@@ -751,6 +751,22 @@ def test_missing_table_file(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--estimate-alpha"], ["--alpha", "1,2", "--fit-sizes"]], ids=["alpha", "sizes"]
+)
+def test_fit_flags_name_themselves_without_table(capsys, tmp_path, flags):
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--measure", "global",
+        *flags,
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3",
+        "--output", str(tmp_path / "c.csv"),
+    )
+    assert (code, err) == (1, f"error: {flags[-1]} requires --table\n")
+
+
 def test_malformed_table_json_exits_1(capsys, tmp_path):
     doc = {"qid_names": ["g"], "sensitive_name": "y", "categories": ["u", "v"]}
     doc["cells"] = [{"key": ["a"], "counts": [2.7, 1]}]
@@ -874,13 +890,14 @@ def test_first_norm_cdf_calls_from_two_threads():
     """Two threads that both import scipy.special on their first call get right values."""
     code = (
         "import json, sys, threading\n"
+        "from hadr import PrivacyParams\n"
         "from hadr._rng import ordered_map\n"
-        "from hadr.special import norm_cdf\n"
+        "cdf = PrivacyParams('gaussian_pdp', 0.5, 1.0).cdf\n"
         "assert 'scipy.special' not in sys.modules\n"
         "both = threading.Barrier(2, timeout=30)\n"
         "def first(x):\n"
         "    both.wait()\n"
-        "    return norm_cdf(x)\n"
+        "    return cdf(x)\n"
         "print(json.dumps(ordered_map(first, [-1.0, 2.0], 2)))"
     )
     want = [0.5 * math.erfc(1 / math.sqrt(2)), 0.5 * math.erfc(-2 / math.sqrt(2))]

@@ -285,6 +285,14 @@ def test_sanitized_json_bytes_match_per_cell_dumps():
     np.testing.assert_array_equal(sanitized_from_json(text).noisy, noisy)
 
 
+@pytest.mark.parametrize("key", [(1,), (["a"],), (None,)], ids=["int", "list", "none"])
+def test_sanitized_table_rejects_keys_that_are_not_strings(key):
+    """Refused at construction, like a table's keys, before the writer can fail on them."""
+    noisy = np.array([[1.0, 2.0], [0.0, 3.0]])
+    with pytest.raises(ValueError, match=r"^cell key .* holds a value that is not a string$"):
+        SanitizedTable(("q",), "s", ("a", "b"), (key, ("b",)), noisy, "laplace", 1.0, None, 3)
+
+
 def test_sanitized_json_missing_field():
     with pytest.raises(ValueError):
         sanitized_from_json("{}")

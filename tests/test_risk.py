@@ -460,7 +460,7 @@ def test_curve_and_inversion_build_profile_once(rng, monkeypatch):
             return np.unique(*args, **kwargs)
 
     monkeypatch.setattr(hadr.risk, "np", CountingNumpy())
-    counting(hadr.risk, "log_gamma")
+    counting(hadr.risk, "_dirichlet_moments")
     counting(CellSizeModel, "tail_quantile")
     counting(FrequencyTable, "sizes")
     inputs = dict(

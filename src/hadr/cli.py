@@ -51,6 +51,9 @@ from .utility import utility_report, write_tvd_csv
 # manifest so reruns with different parallelism compare byte-identical.
 _MANIFEST_EXCLUDE = {"verb", "threads", "func"}
 
+# Verbs that draw noise: main calibrates their mechanism and fixes their seed.
+_SEEDED = ("sanitize", "utility", "mc")
+
 
 def _manifest(output_path: str, args: argparse.Namespace, seed=None) -> None:
     import scipy  # the package alone, for its version; no submodule is loaded
@@ -168,7 +171,7 @@ def _measure_inputs(args: argparse.Namespace) -> dict:
     )
 
 
-def _cmd_tabulate(args) -> int:
+def _cmd_tabulate(args) -> str:
     bins = []
     for spec in args.bin or []:
         col, sep, width = spec.partition(":")
@@ -181,12 +184,10 @@ def _cmd_tabulate(args) -> int:
     qids = [q for q in args.qids.split(",") if q]
     table = tabulate_csv(args.input, qids, args.sensitive, bins=bins)
     write_table(table, args.output)
-    _manifest(args.output, args)
-    print(
+    return (
         f"{table.n_cells} cells, {table.n_categories} categories of "
         f"{table.sensitive_name!r}, {table.dropped_rows} rows dropped"
     )
-    return 0
 
 
 def _risk_params(args) -> list:
@@ -204,38 +205,28 @@ def _risk_params(args) -> list:
     return [PrivacyParams(args.mechanism, float(e), d) for e in eps_grid for d in deltas]
 
 
-def _cmd_risk(args) -> int:
+def _cmd_risk(args) -> str:
     inputs = _measure_inputs(args)
     points = risk_curve(args.measure, _risk_params(args), **inputs)
     write_curve_csv(points, args.output)
-    _manifest(args.output, args)
-    print(f"{len(points)} curve points -> {args.output}")
-    return 0
+    return f"{len(points)} curve points -> {args.output}"
 
 
-def _cmd_sanitize(args) -> int:
+def _cmd_sanitize(args, params, seed) -> str:
     table = read_table(args.table)
-    params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
-    seed = _seed_for(args)
     write_sanitized(sanitize(table, params, seed), args.output)
-    _manifest(args.output, args, seed=seed)
-    print(f"sanitized {table.n_cells} cells -> {args.output}")
-    return 0
+    return f"sanitized {table.n_cells} cells -> {args.output}"
 
 
-def _cmd_utility(args) -> int:
+def _cmd_utility(args, params, seed) -> str:
     table = read_table(args.table)
-    params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
-    seed = _seed_for(args)
     ks = _parse_list(args.ks, "--ks", int)
     report = utility_report(table, params, ks, args.reps, seed, threads=args.threads)
     write_tvd_csv(report, args.output)
-    _manifest(args.output, args, seed=seed)
-    print(f"{len(report.rows)} marginals x {report.reps} reps -> {args.output}")
-    return 0
+    return f"{len(report.rows)} marginals x {report.reps} reps -> {args.output}"
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> str:
     table = read_table(args.table)
     if args.what == "alpha":
         text = dirichlet_to_json(fit_dirichlet_mom(table))
@@ -247,71 +238,53 @@ def _cmd_estimate(args) -> int:
         text = size_model_to_json(fit_poisson(table.sizes(), zero_truncated=args.zero_truncated))
     with open(args.output, "w") as fh:
         fh.write(text)
-    _manifest(args.output, args)
-    print(text, end="")
-    return 0
+    return text.rstrip("\n")
 
 
-def _cmd_mc(args) -> int:
-    params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
-    seed = _seed_for(args)
+# The inputs each mc estimator needs, named as its error message names them.
+_MC_NEEDS = {
+    "local": ("--cell",),
+    "expected": ("--n", "--p"),
+    "shrinkage": ("--n", "--alpha"),
+    "global": ("--alpha", "a size model"),
+    "global_variant": ("a size model", "--categories"),
+    "threshold": ("--table",),
+}
+
+
+def _cmd_mc(args, params, seed) -> str:
     inputs = _measure_inputs(args)
-    table, alpha, size_model = inputs["table"], inputs["alpha"], inputs["size_model"]
-    est_name = args.estimator
-    if est_name == "local":
-        if args.cell is None:
-            raise ValueError("estimator 'local' requires --cell")
-        est = mc_local(
-            np.array(_parse_list(args.cell, "--cell", int)),
-            params,
-            args.reps,
-            seed,
-            threads=args.threads,
-        )
-    elif est_name == "expected":
-        if args.n is None or args.p is None:
-            raise ValueError("estimator 'expected' requires --n and --p")
-        est = mc_expected(
-            args.n, _parse_list(args.p, "--p"), params, args.reps, seed,
-            threads=args.threads,
-        )
-    elif est_name == "shrinkage":
-        if args.n is None or alpha is None:
-            raise ValueError("estimator 'shrinkage' requires --n and --alpha")
-        est = mc_shrinkage(args.n, alpha, params, args.reps, seed, threads=args.threads)
-    elif est_name == "global":
-        if alpha is None or size_model is None:
-            raise ValueError("estimator 'global' requires --alpha and a size model")
-        est = mc_global(alpha, size_model, params, args.reps, seed, threads=args.threads)
-    elif est_name == "global_variant":
-        k = inputs["n_categories"]
-        if size_model is None or k is None:
-            raise ValueError(
-                "estimator 'global_variant' requires a size model and --categories"
-            )
-        est = mc_global_variant(size_model, params, k, args.reps, seed, threads=args.threads)
+    alpha, size_model, k = inputs["alpha"], inputs["size_model"], inputs["n_categories"]
+    given = {"--cell": args.cell, "--n": args.n, "--p": args.p, "--alpha": alpha,
+             "a size model": size_model, "--categories": k, "--table": inputs["table"]}
+    name, needs = args.estimator, _MC_NEEDS[args.estimator]
+    if any(given[need] is None for need in needs):
+        raise ValueError(f"estimator {name!r} requires {' and '.join(needs)}")
+    shared = dict(reps=args.reps, seed=seed, threads=args.threads)
+    if name == "local":
+        est = mc_local(np.array(_parse_list(args.cell, "--cell", int)), params, **shared)
+    elif name == "expected":
+        est = mc_expected(args.n, _parse_list(args.p, "--p"), params, **shared)
+    elif name == "shrinkage":
+        est = mc_shrinkage(args.n, alpha, params, **shared)
+    elif name == "global":
+        est = mc_global(alpha, size_model, params, **shared)
+    elif name == "global_variant":
+        est = mc_global_variant(size_model, params, k, **shared)
     else:
-        if table is None:
-            raise ValueError("estimator 'threshold' requires --table")
-        est = mc_threshold_dr(
-            table, params, args.reps, seed, mode=args.mode, threads=args.threads
-        )
+        est = mc_threshold_dr(inputs["table"], params, mode=args.mode, **shared)
     write_mc_json(est, args.output)
-    _manifest(args.output, args, seed=seed)
-    print(f"value {est.value:.6g} (se {est.se:.3g}, reps {est.reps}) -> {args.output}")
-    return 0
+    return f"value {est.value:.6g} (se {est.se:.3g}, reps {est.reps}) -> {args.output}"
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args) -> str:
     inputs = _measure_inputs(args)
     res = invert_epsilon(args.measure, args.target_risk, args.mechanism, delta=args.delta, **inputs)
-    print(f"epsilon {res.epsilon:.6f} achieves risk {res.risk:.6g} (target {res.target:g})")
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(dataclasses.asdict(res), fh, separators=(",", ":"))
             fh.write("\n")
-        _manifest(args.output, args)
-    return 0
+    return f"epsilon {res.epsilon:.6f} achieves risk {res.risk:.6g} (target {res.target:g})"
 
 
 def _add_mechanism_flags(p: argparse.ArgumentParser, *, grid: bool) -> None:
@@ -359,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="COLUMN:WIDTH",
         help="bin a numeric column into fixed-width intervals (repeatable)",
     )
-    p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_tabulate)
 
     p = sub.add_parser(
@@ -372,14 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True, choices=MEASURES)
     _add_mechanism_flags(p, grid=True)
     _add_model_flags(p)
-    p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_risk)
 
     p = sub.add_parser("sanitize", help="release one noisy version of a table")
     p.add_argument("--table", required=True)
     _add_mechanism_flags(p, grid=False)
-    p.add_argument("--seed", type=int, help="generated and printed when omitted")
-    p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser(
@@ -391,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mechanism_flags(p, grid=False)
     p.add_argument("--ks", default="1,2,3", help="marginal sizes, comma-separated")
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, help="generated and printed when omitted")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_utility)
 
     p = sub.add_parser("estimate", help="fit hyperparameters from a table")
@@ -405,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="poisson fit accounting for unobserved empty cells",
     )
-    p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser(
@@ -413,11 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo oracle estimates",
         epilog='output JSON: {"value","se","reps","scenarios"} plus "mode" for threshold',
     )
-    p.add_argument(
-        "--estimator",
-        required=True,
-        choices=["local", "expected", "shrinkage", "global", "global_variant", "threshold"],
-    )
+    p.add_argument("--estimator", required=True, choices=list(_MC_NEEDS))
     p.add_argument("--table", help="table JSON (threshold estimator, fits)")
     p.add_argument("--cell", help="cell counts for 'local', comma-separated")
     p.add_argument("--n", type=int, help="cell size for 'expected'/'shrinkage'")
@@ -426,9 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--mode", choices=list(THRESHOLD_MODES), default="hard")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, help="generated and printed when omitted")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("invert", help="largest epsilon keeping risk at or below a target")
@@ -438,9 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--target-risk", type=float, required=True)
     _add_model_flags(p)
-    p.add_argument("--output", help="optional result JSON (plus manifest)")
     p.set_defaults(func=_cmd_invert)
 
+    for verb in _SEEDED:
+        p = sub.choices[verb]
+        p.add_argument("--seed", type=int, help="generated and printed when omitted")
+        if verb != "sanitize":
+            p.add_argument("--threads", type=int, default=1)
+    for verb, p in sub.choices.items():
+        required = verb != "invert"
+        p.add_argument("--output", required=required,
+                       help=None if required else "optional result JSON (plus manifest)")
     for verb in ("risk", "invert"):  # not mc: its global draws are always zero-truncated
         sub.choices[verb].add_argument(
             "--zero-truncated", action="store_true",
@@ -450,12 +416,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb, then write its manifest and print its summary line."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
-        return args.func(args)
+        seed = None
+        if args.verb in _SEEDED:
+            params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
+            seed = _seed_for(args)
+            summary = args.func(args, params, seed)
+        else:
+            summary = args.func(args)
+        if args.output:
+            _manifest(args.output, args, seed=seed)
+        print(summary)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -133,7 +133,8 @@ class SanitizedTable:
 
     Mirrors the source table's schema and cell keys; ``noisy`` holds the
     finite float noisy counts, row-aligned with ``keys``; the mechanism,
-    epsilon and delta must form valid ``PrivacyParams``.
+    epsilon and delta must form valid ``PrivacyParams``; the seed is an
+    integer in [0, 2**64), stored as a plain int.
     """
 
     qid_names: tuple[str, ...]
@@ -147,6 +148,7 @@ class SanitizedTable:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _rng.check_seed(self.seed))
         PrivacyParams(self.mechanism, self.epsilon, self.delta)
         noisy = np.asarray(self.noisy, dtype=float)
         if noisy.shape != (len(self.keys), len(self.categories)):
@@ -167,7 +169,6 @@ def sanitize(table: FrequencyTable, params: PrivacyParams, seed: int) -> Sanitiz
     Same (table, params, seed) always yields bit-identical output; see the
     module docstring for the stream layout.
     """
-    seed = _rng.check_seed(seed)
     counts = table.counts.astype(float)
     noise = mechanism_noise(params, seed, 0, counts.shape)
     return SanitizedTable(
@@ -248,7 +249,7 @@ def sanitized_from_json(text: str) -> SanitizedTable:
             mechanism=doc["mechanism"],
             epsilon=float(doc["epsilon"]),
             delta=None if doc["delta"] is None else float(doc["delta"]),
-            seed=_rng.check_seed(doc["seed"]),
+            seed=doc["seed"],
         )
     except KeyError as exc:
         raise ValueError(f"{what} is missing field {exc}") from None

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import check_alpha, check_counts
+from ._rng import check_alpha, check_counts, check_int
 from .estimation import CellSizeModel
 from .mechanisms import PrivacyParams
 from .tabulation import FrequencyTable
@@ -190,8 +190,8 @@ def _global_profile(alpha, size_model: CellSizeModel, zero_truncated: bool, n_ca
     if alpha is not None:
         alpha = check_alpha(alpha)
         n_categories = alpha.size
-    elif n_categories < 2:
-        raise ValueError("n_categories must be at least 2")
+    else:
+        n_categories = check_int(n_categories, "n_categories", 2)
     n, w = _series_weights(size_model, zero_truncated)
     m1, m2 = (1.0, 0.0) if alpha is None else _dirichlet_moments(n, alpha)
     return _SizeProfile(n.astype(float), w * m1, w * m2, n_categories, int(n[-1]))

@@ -97,6 +97,7 @@ def test_tabulate_ignores_row_order(data_dir, capsys):
         ("30,x", ["age:10"], "ragged row at line 3"),
         ("30", ["height:10"], "no column named 'height'"),
         ("30", ["age:10", "age:5"], "'age' is binned twice"),
+        ("30", ["age:x"], "--bin 'age:x' has a non-numeric width"),
         pytest.param("9" * 200_000, ["age:10"], "field larger than field limit (131072) at line 3",
                      id="field-over-csv-limit"),
     ],
@@ -197,7 +198,7 @@ def test_risk_delta_grid_cartesian(data_dir, capsys):
 
 
 @pytest.mark.parametrize(
-    "grid", ["0.1:1", "1:0.1:log5", "0:1:log5", "a:b:log3", "1:2:geo4", "2:3:log1"]
+    "grid", ["0.1:1", "1:0.1:log5", "0:1:log5", "a:b:log3", "1:2:geo4", "2:3:log1", "0.1:1:log0"]
 )
 def test_bad_grids(data_dir, capsys, grid):
     table_path, _ = tabulate(data_dir, capsys)
@@ -243,6 +244,23 @@ def test_non_finite_grid_bounds(data_dir, capsys, grid):
     )
     assert code == 1 and f"grid {grid!r} has non-finite bounds" in err
     assert not out.exists()
+
+
+def test_linear_grid(data_dir, capsys):
+    table_path, _ = tabulate(data_dir, capsys)
+    out = data_dir / "lin.csv"
+    code, _, _ = run(
+        capsys,
+        "risk",
+        "--table", str(table_path),
+        "--measure", "expected",
+        "--mechanism", "laplace",
+        "--epsilon-grid", "0.5:2:lin4",
+        "--output", str(out),
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.5, 1.0, 1.5, 2.0]
 
 
 @pytest.mark.parametrize("mechanism", ["laplace", "gaussian_pdp"])
@@ -358,6 +376,22 @@ def test_utility_threads_byte_identical(data_dir, capsys, tmp_path):
     assert header == "k,marginal,tvd_mean,tvd_q1,tvd_median,tvd_q3"
 
 
+def test_utility_ks_must_be_integers(data_dir, capsys):
+    table_path, _ = tabulate(data_dir, capsys)
+    code, _, err = run(
+        capsys,
+        "utility",
+        "--table", str(table_path),
+        "--mechanism", "laplace",
+        "--epsilon", "1",
+        "--ks", "1,2.5",
+        "--seed", "1",
+        "--output", str(data_dir / "u.csv"),
+    )
+    assert (code, err) == (1, "error: --ks must be a comma-separated list of integers\n")
+    assert not (data_dir / "u.csv").exists()
+
+
 def test_estimate_sizes(data_dir, capsys):
     table_path, _ = tabulate(data_dir, capsys)
     code, stdout, _ = run(
@@ -450,6 +484,34 @@ def test_mc_requirement_errors(data_dir, capsys, tmp_path):
         "--output", str(tmp_path / "x.json"),
     )
     assert code == 1 and "--n and --p" in err
+
+
+@pytest.mark.parametrize(
+    "estimator,flags,needs",
+    [
+        ("local", [], "--cell"),
+        ("expected", ["--n", "5"], "--n and --p"),
+        ("shrinkage", ["--alpha", "1,2"], "--n and --alpha"),
+        ("global", ["--alpha", "1,2"], "--alpha and a size model"),
+        ("global_variant", ["--categories", "3"], "a size model and --categories"),
+        ("threshold", [], "--table"),
+    ],
+)
+def test_mc_names_every_input_its_estimator_requires(capsys, tmp_path, estimator, flags, needs):
+    out = tmp_path / "x.json"
+    code, stdout, err = run(
+        capsys,
+        "mc",
+        "--estimator", estimator,
+        *flags,
+        "--mechanism", "laplace",
+        "--epsilon", "1",
+        "--reps", "10",
+        "--seed", "1",
+        "--output", str(out),
+    )
+    assert (code, stdout, err) == (1, "", f"error: estimator {estimator!r} requires {needs}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_mc_threshold_mode_recorded(data_dir, capsys, tmp_path):
@@ -713,7 +775,7 @@ def test_threads_validation(capsys, tmp_path):
         "--threads", "0",
         "--output", str(tmp_path / "u.csv"),
     )
-    assert code == 1 and "at least 1" in err
+    assert code == 1 and "threads must be a positive integer" in err
     assert not (tmp_path / "u.csv").exists()
 
 
@@ -765,6 +827,66 @@ def test_fit_flags_name_themselves_without_table(capsys, tmp_path, flags):
         "--output", str(tmp_path / "c.csv"),
     )
     assert (code, err) == (1, f"error: {flags[-1]} requires --table\n")
+
+
+# cell sizes and category mixes both overdispersed, so either size family and
+# the moment fit of alpha succeed
+FIT_ROWS = [(1, 9), (8, 2), (3, 3), (0, 5), (12, 1), (2, 0), (6, 6), (1, 20)]
+
+
+@pytest.mark.parametrize("family", ["poisson", "negbin"])
+def test_fitted_global_curve_matches_the_estimates_given(capsys, tmp_path, family):
+    """--estimate-alpha --fit-sizes draws the curve of the estimate verb's alpha and sizes."""
+    write_table(make_table(FIT_ROWS), tmp_path / "t.json")
+    table = ["--table", str(tmp_path / "t.json")]
+    code, stdout, _ = run(
+        capsys, "estimate", *table, "--what", "alpha", "--output", str(tmp_path / "alpha.json")
+    )
+    assert code == 0
+    alpha = ",".join(map(repr, json.loads(stdout)["alpha"]))
+    sizes = tmp_path / "sizes.json"
+    code, _, _ = run(
+        capsys, "estimate", *table, "--what", "sizes", "--family", family, "--output", str(sizes)
+    )
+    assert code == 0
+    curve = ["risk", "--measure", "global", "--mechanism", "laplace", "--epsilon-grid", "0.1:10:log5"]
+    code, _, _ = run(
+        capsys, *curve, *table, "--estimate-alpha", "--fit-sizes", "--size-family", family,
+        "--output", str(tmp_path / "fitted.csv"),
+    )
+    assert code == 0
+    code, _, _ = run(
+        capsys, *curve, "--alpha", alpha, "--size-model", str(sizes),
+        "--output", str(tmp_path / "given.csv"),
+    )
+    assert code == 0
+    assert (tmp_path / "fitted.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags,conflict",
+    [
+        (["--alpha", "1,2", "--estimate-alpha"], "--alpha or --estimate-alpha"),
+        (["--size-model", "sm.json", "--fit-sizes"], "--size-model or --fit-sizes"),
+        (["--delta", "1e-6", "--delta-grid", "1e-6:1e-5:log2"], "--delta or --delta-grid"),
+    ],
+    ids=["alpha", "sizes", "delta"],
+)
+def test_conflicting_flags_exit_1(capsys, tmp_path, flags, conflict):
+    write_table(make_table(FIT_ROWS), tmp_path / "t.json")
+    out = tmp_path / "c.csv"
+    code, _, err = run(
+        capsys,
+        "risk",
+        "--table", str(tmp_path / "t.json"),
+        "--measure", "global",
+        *flags,
+        "--mechanism", "gaussian_pdp",
+        "--epsilon-grid", "1:2:lin2",
+        "--output", str(out),
+    )
+    assert (code, err) == (1, f"error: give either {conflict}, not both\n")
+    assert not out.exists()
 
 
 def test_malformed_table_json_exits_1(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Noise calibration, sampling, and the sanitized-table format."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -377,3 +378,22 @@ def test_sanitized_release_checked_like_a_table(path, value, match):
     target[path[-1]] = value
     with pytest.raises(ValueError, match=match):
         sanitized_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("seed", 3.7, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", -5, r"seed must be in \[0, 2\*\*64\)"),
+        ("seed", 2**64, r"seed must be in \[0, 2\*\*64\)"),
+        ("noisy", np.zeros((1, 2)), "noisy counts shape does not match keys x categories"),
+    ],
+    ids=["float-seed", "bool-seed", "negative-seed", "seed-2**64", "noisy-shape"],
+)
+def test_sanitized_table_refuses_at_construction(field, value, message):
+    """A release holds only what the reader accepts, so every written file reads back."""
+    s = sanitize(make_table([(3, 1), (0, 7)]), PrivacyParams("laplace", 1.0), seed=9)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(s, **{field: value})
+    assert type(dataclasses.replace(s, seed=np.uint64(5)).seed) is int

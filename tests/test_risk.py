@@ -542,3 +542,18 @@ def test_invert_target_validation():
     for target in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ValueError):
             invert_epsilon("expected", target, "laplace", table=t)
+
+
+@pytest.mark.parametrize("k", [2.5, True, 1])
+def test_global_variant_refuses_a_non_integer_or_small_k(k):
+    """The closed form takes K as mc_global_variant does: an integer of at least 2."""
+    sm = CellSizeModel(family="poisson", lam=4.0)
+    with pytest.raises(ValueError, match=r"^n_categories must be an integer >= 2$"):
+        evaluate_measure("global_variant", LAP1, size_model=sm, n_categories=k)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
+def test_invert_refuses_a_bad_search_range(lo, hi):
+    t = make_homog_table([10], k=2)
+    with pytest.raises(ValueError, match=r"^need 0 < lo < hi for the epsilon search range$"):
+        invert_epsilon("expected", 0.5, "laplace", table=t, lo=lo, hi=hi)

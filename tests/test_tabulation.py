@@ -501,6 +501,7 @@ def test_duplicate_key_found_after_sorting():
 @pytest.mark.parametrize(
     "keys,counts,message",
     [
+        ([], [], r"^table has no cells$"),
         ([("a",)], [(1, 0), (0, 1)], "keys and counts differ in length"),
         ([("a", "b")], [(1, 0)], "key length does not match qid_names"),
         ([("a",), ("b",)], [(1, 0), (1,)], "counts length does not match categories"),
@@ -581,3 +582,14 @@ def test_json_bytes_match_json_dumps_and_round_trip():
     t2 = table_from_json(text)
     assert t2 == t and t2.keys() == t.keys()
     assert t2 != make_table([(1, 2, 3)]) and t != "not a table"
+
+
+def test_constructor_rejects_repeated_categories():
+    with pytest.raises(ValueError, match=r"^duplicate sensitive categories$"):
+        FrequencyTable(("g",), "y", ("u", "u"), [("a",)], [(1, 0)])
+
+
+def test_tabulate_csv_refuses_input_without_a_complete_row(tmp_path):
+    (tmp_path / "holes.csv").write_text("g,y\na,\n,u\n")
+    with pytest.raises(ValueError, match=r"^no complete rows to tabulate$"):
+        tabulate_csv(tmp_path / "holes.csv", ["g"], "y")

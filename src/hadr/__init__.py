@@ -33,7 +33,6 @@ from .mechanisms import (
     SanitizedTable,
     mechanism_noise,
     postprocess_counts,
-    presence_support,
     read_sanitized,
     sanitize,
     write_sanitized,
@@ -47,7 +46,6 @@ from .risk import (
     invert_epsilon,
     local_risk,
     risk_curve,
-    scenario8_peak_epsilon,
     write_curve_csv,
 )
 from .tabulation import (
@@ -57,7 +55,7 @@ from .tabulation import (
     tabulate_csv,
     write_table,
 )
-from .utility import TvdReport, marginal_probs, tvd, utility_report, write_tvd_csv
+from .utility import TvdReport, utility_report, write_tvd_csv
 
 __version__ = "0.1.0"
 
@@ -82,7 +80,6 @@ __all__ = [
     "fit_poisson",
     "invert_epsilon",
     "local_risk",
-    "marginal_probs",
     "mc_expected",
     "mc_global",
     "mc_global_variant",
@@ -91,14 +88,11 @@ __all__ = [
     "mc_threshold_dr",
     "mechanism_noise",
     "postprocess_counts",
-    "presence_support",
     "read_sanitized",
     "read_table",
     "risk_curve",
     "sanitize",
-    "scenario8_peak_epsilon",
     "tabulate_csv",
-    "tvd",
     "upper_bound_findings",
     "utility_report",
     "write_curve_csv",

@@ -94,16 +94,11 @@ def raw_words(seed: int, start: int, count: int) -> np.ndarray:
     seed = check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("stream position and count must be non-negative")
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
     block, lane = divmod(int(start), 4)
     bg = np.random.Philox(key=seed, counter=block)
     if lane:
         bg.random_raw(lane)
-    out = bg.random_raw(count)
-    if np.ndim(out) == 0:
-        out = np.array([out], dtype=np.uint64)
-    return out
+    return bg.random_raw(count)
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:

@@ -42,19 +42,6 @@ _CDF_TABLE_CAP = 1 << 20
 _MAX_MEAN_SIZE = 2.0**53
 
 
-def _counts_of(data) -> np.ndarray:
-    if isinstance(data, FrequencyTable):
-        return data.counts
-    arr = np.asarray(data)
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-        raise ValueError("need a cells-by-categories counts matrix with at least 2 of each")
-    if not np.issubdtype(arr.dtype, np.integer):  # float or bool counts are refused, not truncated
-        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
-    if not np.all(arr >= 0):
-        raise ValueError("counts must be non-negative")
-    return arr.astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class DirichletFit:
     """Moment-matched concentration vector plus its consistency diagnostic.
@@ -71,13 +58,10 @@ class DirichletFit:
     p_hat: np.ndarray
 
 
-def fit_dirichlet_mom(data) -> DirichletFit:
-    """Method-of-moments Dirichlet fit from a counts matrix or table."""
-    counts = _counts_of(data)
-    m, k = counts.shape
-    n = counts.sum(axis=1).astype(float)
-    if np.any(n < 1):
-        raise ValueError("every cell must contain at least one record")
+def fit_dirichlet_mom(table: FrequencyTable) -> DirichletFit:
+    """Method-of-moments Dirichlet fit from a table's cells."""
+    counts = table.counts
+    n = table.sizes().astype(float)
     total = n.sum()
     big_q = float((n**2).sum())
     p_hat = counts.sum(axis=0) / total

@@ -133,8 +133,8 @@ class SanitizedTable:
 
     Mirrors the source table's schema and cell keys; ``noisy`` holds the
     finite float noisy counts, row-aligned with ``keys``; the mechanism,
-    epsilon and delta must form valid ``PrivacyParams``; the seed is an
-    integer in [0, 2**64), stored as a plain int.
+    epsilon, delta and sensitivity must form valid ``PrivacyParams``; the
+    seed is an integer in [0, 2**64), stored as a plain int.
     """
 
     qid_names: tuple[str, ...]
@@ -146,10 +146,11 @@ class SanitizedTable:
     epsilon: float
     delta: float | None
     seed: int
+    sensitivity: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _rng.check_seed(self.seed))
-        PrivacyParams(self.mechanism, self.epsilon, self.delta)
+        PrivacyParams(self.mechanism, self.epsilon, self.delta, self.sensitivity)
         noisy = np.asarray(self.noisy, dtype=float)
         if noisy.shape != (len(self.keys), len(self.categories)):
             raise ValueError("noisy counts shape does not match keys x categories")
@@ -181,22 +182,13 @@ def sanitize(table: FrequencyTable, params: PrivacyParams, seed: int) -> Sanitiz
         epsilon=params.epsilon,
         delta=params.delta,
         seed=seed,
+        sensitivity=params.sensitivity,
     )
 
 
-def presence_support(noisy_counts) -> tuple[int, ...]:
-    """Categories whose sanitized count is at least the presence threshold."""
-    arr = np.asarray(noisy_counts, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("presence_support expects a single cell's counts")
-    return tuple(int(k) for k in np.nonzero(arr >= PRESENCE_THRESHOLD)[0])
-
-
-def postprocess_counts(sanitized) -> np.ndarray:
-    """Round half-up, then clamp at zero; returns an int64 matrix."""
-    noisy = sanitized.noisy if isinstance(sanitized, SanitizedTable) else np.asarray(sanitized)
-    rounded = np.floor(np.asarray(noisy, dtype=float) + 0.5)
-    return np.maximum(rounded, 0.0).astype(np.int64)
+def postprocess_counts(noisy: np.ndarray) -> np.ndarray:
+    """Round a float array of noisy counts half-up, then clamp at zero, as int64."""
+    return np.maximum(np.floor(noisy + 0.5), 0.0).astype(np.int64)
 
 
 def _fmt17(x: float) -> str:
@@ -204,7 +196,8 @@ def _fmt17(x: float) -> str:
 
 
 def sanitized_to_json(sanitized: SanitizedTable) -> str:
-    """Canonical JSON with noisy counts at 17 significant digits."""
+    """Canonical JSON with noisy counts at 17 significant digits; 'sensitivity'
+    is written only when it is not the default 1."""
     parts = [
         '{"qid_names":%s' % json.dumps(list(sanitized.qid_names), separators=(",", ":")),
         '"sensitive_name":%s' % json.dumps(sanitized.sensitive_name),
@@ -214,6 +207,8 @@ def sanitized_to_json(sanitized: SanitizedTable) -> str:
         '"delta":%s' % ("null" if sanitized.delta is None else _fmt17(sanitized.delta)),
         '"seed":%d' % sanitized.seed,
     ]
+    if sanitized.sensitivity != 1.0:
+        parts.append('"sensitivity":%s' % _fmt17(sanitized.sensitivity))
     enc = json.encoder.encode_basestring_ascii
     row = '{"key":[%s],"noisy_counts":[' + ",".join(["%.17g"] * len(sanitized.categories)) + "]}"
     cells = ",".join(
@@ -227,9 +222,10 @@ def sanitized_to_json(sanitized: SanitizedTable) -> str:
 def sanitized_from_json(text: str) -> SanitizedTable:
     """Parse the sanitized JSON, whose cells hold 'noisy_counts', as ``read_cells`` reads it.
 
-    'mechanism' must be a string. Noisy counts, epsilon and delta must be
-    JSON numbers: integers count, because ``.17g`` writes 3.0 as ``3``, and
-    bool and str do not. ``SanitizedTable`` then checks their values.
+    'mechanism' must be a string. Noisy counts, epsilon, delta and the
+    optional sensitivity (default 1) must be JSON numbers: integers count,
+    because ``.17g`` writes 3.0 as ``3``, and bool and str do not.
+    ``SanitizedTable`` then checks their values.
     """
     what = "sanitized table JSON"
     doc, keys, noisy = read_cells(text, what, "noisy_counts", {int, float})
@@ -240,6 +236,8 @@ def sanitized_from_json(text: str) -> SanitizedTable:
             raise ValueError(f"{what} 'epsilon' must be a number, got {doc['epsilon']!r}")
         if type(doc["delta"]) not in (int, float, type(None)):
             raise ValueError(f"{what} 'delta' must be a number or null, got {doc['delta']!r}")
+        if type(sensitivity := doc.get("sensitivity", 1.0)) not in (int, float):
+            raise ValueError(f"{what} 'sensitivity' must be a number, got {sensitivity!r}")
         return SanitizedTable(
             qid_names=tuple(doc["qid_names"]),
             sensitive_name=doc["sensitive_name"],
@@ -250,6 +248,7 @@ def sanitized_from_json(text: str) -> SanitizedTable:
             epsilon=float(doc["epsilon"]),
             delta=None if doc["delta"] is None else float(doc["delta"]),
             seed=doc["seed"],
+            sensitivity=float(sensitivity),
         )
     except KeyError as exc:
         raise ValueError(f"{what} is missing field {exc}") from None

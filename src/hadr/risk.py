@@ -254,19 +254,6 @@ def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndar
     return m1 * f1 + m2 * f2
 
 
-def scenario8_peak_epsilon(n) -> float:
-    """Epsilon maximizing the become-homogeneous noise factor for size n.
-
-    The factor (1 - 0.5 e^{eps (1.5 - n)}) e^{-0.5 eps} has its interior
-    maximum at ln(n - 1) / (n - 1.5) for n > 2; at n = 2 it is monotone
-    decreasing in eps and has no interior peak.
-    """
-    n = float(n)
-    if n <= 2:
-        raise ValueError("the factor has no interior maximum for n <= 2")
-    return math.log(n - 1.0) / (n - 1.5)
-
-
 @dataclass(frozen=True)
 class RiskPoint:
     epsilon: float

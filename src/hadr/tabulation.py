@@ -28,8 +28,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
     """The counts as a fresh int64 (cells, k) array with one row per key.
 
-    Every check runs over the whole array; only a count that is not an
-    int64 integer sends the check through the entries one by one.
+    An ndarray of signed integers is typed by its dtype; other counts are
+    checked entry by entry, since np.array reads a bool as 0 or 1. The
+    value checks then run over the whole array.
     """
     if len(counts) != len(keys):
         raise ValueError("cell keys and counts differ in length")
@@ -39,11 +40,13 @@ def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
         arr = np.empty(0)
     if arr.shape != (len(keys), k):
         raise ValueError("cell counts length does not match categories")
-    if arr.dtype.kind != "i":
+    if arr.dtype.kind != "i" or not isinstance(counts, np.ndarray):
         for key, row in zip(keys, counts):
             for c in row:
-                if not isinstance(c, (int, np.integer)) or c < 0:
-                    raise ValueError("cell counts must be non-negative integers")
+                if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+                    raise ValueError(
+                        f"cell {key!r} counts must be non-negative integers, got {c!r}"
+                    )
                 if c > _INT64_MAX:
                     raise ValueError(f"cell {key!r} has a count that does not fit int64")
     arr = arr.astype(np.int64, copy=False)
@@ -505,6 +508,8 @@ def table_from_json(text: str) -> FrequencyTable:
     dominate the closed-form workloads.
     """
     doc, keys, counts = read_cells(text, "table JSON", "counts", {int})
+    arr = np.array(counts)  # int64 unless a count lies beyond it: the list then names its cell
+    counts = arr if arr.dtype == np.int64 else counts
     return FrequencyTable(doc["qid_names"], doc["sensitive_name"], doc["categories"], keys, counts)
 
 

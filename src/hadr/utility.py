@@ -20,19 +20,6 @@ from .mechanisms import PrivacyParams, mechanism_noise, postprocess_counts
 from .tabulation import FrequencyTable
 
 
-def _check_spec(table: FrequencyTable, spec) -> tuple:
-    spec = tuple(int(j) for j in spec)
-    if len(spec) < 1:
-        raise ValueError("a marginal needs at least one QID index")
-    if len(set(spec)) != len(spec):
-        raise ValueError("marginal QID indices must be distinct")
-    if min(spec) < 0 or max(spec) >= len(table.qid_names):
-        raise ValueError(
-            f"marginal indices {spec} out of range for {len(table.qid_names)} QIDs"
-        )
-    return spec
-
-
 def _qid_codes(table: FrequencyTable) -> list:
     """Per QID column, each cell's rank among the column's sorted distinct values."""
     codes = []
@@ -63,33 +50,6 @@ def _marginal(groups: np.ndarray, cell_totals) -> np.ndarray:
     return sums / total
 
 
-def marginal_probs(table: FrequencyTable, spec, counts=None) -> np.ndarray:
-    """Probability vector of the k-way marginal over the given QID subset.
-
-    ``counts`` defaults to the table's own; pass post-processed sanitized
-    counts (same cells-by-categories shape) to get the sanitized marginal.
-    Groups are ordered by sorted projected key, so vectors from the same
-    table line up for comparison.
-    """
-    spec = _check_spec(table, spec)
-    counts = table.counts if counts is None else np.asarray(counts)
-    if counts.shape != (table.n_cells, table.n_categories):
-        raise ValueError("counts must match the table's cells-by-categories shape")
-    return _marginal(_projection(_qid_codes(table), spec), counts.sum(axis=1))
-
-
-def tvd(p, q) -> float:
-    """Total variation distance between two probability vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("probability vectors must have matching 1-D shapes")
-    for name, v in (("first", p), ("second", q)):
-        if abs(float(v.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"{name} vector is not normalized (sums to {v.sum()!r})")
-    return float(0.5 * np.abs(p - q).sum())
-
-
 @dataclass(frozen=True)
 class TvdRow:
     spec: tuple
@@ -107,17 +67,6 @@ class TvdReport:
 
     rows: tuple
     reps: int
-
-    def rows_for(self, k: int):
-        return [r for r in self.rows if r.k == k]
-
-    def summary(self, k: int):
-        """Quartiles of the per-marginal mean TVDs at size k (box-plot data)."""
-        means = [r.mean for r in self.rows_for(k)]
-        if not means:
-            raise ValueError(f"no marginals of size {k} in this report")
-        q1, med, q3 = np.quantile(means, [0.25, 0.5, 0.75])
-        return float(q1), float(med), float(q3)
 
 
 def utility_report(

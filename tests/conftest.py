@@ -40,8 +40,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def make_table(rows, categories=None, qid_names=("g",)) -> FrequencyTable:
-    """Table from a list of per-cell count tuples; keys are generated."""
-    rows = [tuple(int(c) for c in r) for r in rows]
+    """Table from a counts matrix, a list of per-cell count rows or an array,
+    which the constructor checks as given; keys are generated."""
     k = len(rows[0])
     if categories is None:
         categories = tuple(f"y{j}" for j in range(k))

@@ -4,11 +4,15 @@ The paper prints the expected, shrinkage and global measures for two
 categories, with Beta-function ratios where the general forms have
 Gamma-ratio moment sums; and on an all-homogeneous table the expected
 measure reduces to the mean over cells of cdf(0.5)^(K-1) * sf(0.5 - n).
-Each form here is written straight from its formula and calls no
-function of hadr.risk (it reads only the TAIL_MASS constant), so
-agreement checks the library's size-profile kernel instead of restating
-it.
+It also prints side results that check the measures rather than form
+them: the epsilon at which the scenario-8 noise factor peaks, and the
+k-way marginals whose total variation distance measures utility. Each
+form here is written straight from its formula and calls no function of
+hadr (it imports only RiskValue and the TAIL_MASS constant), so agreement
+checks the library's kernels instead of restating them.
 """
+
+import math
 
 import numpy as np
 from scipy import special
@@ -120,3 +124,40 @@ def classify_scenario(counts, support) -> int:
     if homog:
         return 1 if hit else 2
     return 8 if hit else 7
+
+
+def scenario8_peak_epsilon(n) -> float:
+    """Epsilon maximizing the printed become-homogeneous Laplace factor
+    (1 - 0.5 e^{eps (1.5 - n)}) e^{-0.5 eps} of size n.
+
+    Its derivative vanishes where (n - 1) e^{eps (1.5 - n)} = 1, that is at
+    eps = ln(n - 1) / (n - 1.5), an interior maximum for n > 2; at n = 2 the
+    factor falls as eps grows.
+    """
+    if n <= 2:
+        raise ValueError("the factor has no interior maximum for n <= 2")
+    return math.log(n - 1.0) / (n - 1.5)
+
+
+def tuple_marginal(table, spec, counts) -> np.ndarray:
+    """The k-way marginal over the QIDs in ``spec`` of per-cell ``counts``, by
+    projecting each key tuple in Python: levels are the sorted distinct
+    projected tuples."""
+    proj = [tuple(key[j] for j in spec) for key in table.keys()]
+    index = {lvl: i for i, lvl in enumerate(sorted(set(proj)))}
+    sums = np.zeros(len(index))
+    for p, total in zip(proj, np.asarray(counts).sum(axis=1)):
+        sums[index[p]] += total
+    return sums / sums.sum()
+
+
+def tvd(p, q) -> float:
+    """Total variation distance: half the L1 distance of two probability vectors."""
+    return 0.5 * sum(abs(a - b) for a, b in zip(p, q, strict=True))
+
+
+def tvd_quartiles(report, k) -> tuple:
+    """Quartiles of the per-marginal mean TVDs at size k: the box of the
+    paper's utility figure."""
+    means = [row.mean for row in report.rows if row.k == k]
+    return tuple(float(x) for x in np.quantile(means, [0.25, 0.5, 0.75]))

@@ -11,6 +11,7 @@ import json
 import os
 import time
 import urllib.request
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,14 +28,19 @@ from hadr import (
     local_risk,
     mc_local,
     mc_threshold_dr,
-    scenario8_peak_epsilon,
     tabulate_csv,
     utility_report,
     write_table,
 )
 from hadr.cli import main
 from hadr.risk import _dirichlet_moments, risk_curve
-from oracles import expected_risk_k2, homogeneous_risk, shrinkage_risk_k2
+from oracles import (
+    expected_risk_k2,
+    homogeneous_risk,
+    scenario8_peak_epsilon,
+    shrinkage_risk_k2,
+    tvd_quartiles,
+)
 
 DELTA = 1e-5
 
@@ -170,14 +176,18 @@ def test_criterion_05_specialization_identities():
 
 
 def test_criterion_06_concavity_point():
+    """The library's scenario-8 component of a two-category cell of size n
+    peaks at the epsilon the printed closed form gives."""
     with budget(5):
         for n in range(3, 31):
+            table = make_table([(n - 1, 1)])
 
-            def neg_factor(e, n=n):
-                return -(1.0 - 0.5 * np.exp(e * (1.5 - n))) * np.exp(-0.5 * e)
+            def neg_scenario8(e, table=table):
+                params = PrivacyParams("laplace", e)
+                return -evaluate_measure("expected", params, table=table).scenario8
 
             res = minimize_scalar(
-                neg_factor, bounds=(1e-4, 5.0), method="bounded",
+                neg_scenario8, bounds=(1e-4, 5.0), method="bounded",
                 options={"xatol": 1e-10},
             )
             assert abs(scenario8_peak_epsilon(n) - res.x) < 1e-4
@@ -241,7 +251,7 @@ def test_criterion_10_mom_recovery():
         p = rng.beta(true[0], true[1], size=2000)
         x = rng.binomial(n, p)
         counts = np.column_stack([x, n - x])
-        fit = fit_dirichlet_mom(counts)
+        fit = fit_dirichlet_mom(make_table(counts))
         assert np.all(np.abs(fit.alpha - true) / true <= 0.20)
 
         # plugging each implied concentration back must reproduce the
@@ -390,10 +400,8 @@ def test_criterion_12_utility_shape():
             report = utility_report(
                 table, PrivacyParams("laplace", eps), ks=(1, 2, 3), reps=80, seed=121
             )
-            assert len(report.rows_for(1)) == 6
-            assert len(report.rows_for(2)) == 15
-            assert len(report.rows_for(3)) == 20
-            medians[eps] = {k: report.summary(k)[1] for k in (1, 2, 3)}
+            assert Counter(r.k for r in report.rows) == {1: 6, 2: 15, 3: 20}
+            medians[eps] = {k: tvd_quartiles(report, k)[1] for k in (1, 2, 3)}
         for k in (1, 2, 3):
             assert medians[0.1][k] > medians[1.0][k] > medians[10.0][k]
 

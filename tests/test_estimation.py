@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import make_table
 from hadr import CellSizeModel, fit_dirichlet_mom, fit_negbin, fit_poisson
 from hadr.estimation import dirichlet_to_json, size_model_from_json, size_model_to_json
 
@@ -29,7 +30,7 @@ def observed_dispersion(counts):
 def test_beta_recovery_within_20_percent():
     rng = np.random.default_rng(77)
     counts = beta_binomial_cells(rng)
-    fit = fit_dirichlet_mom(counts)
+    fit = fit_dirichlet_mom(make_table(counts))
     assert fit.alpha[0] == pytest.approx(2.0, rel=0.2)
     assert fit.alpha[1] == pytest.approx(5.0, rel=0.2)
     # with two categories both columns imply the same concentration
@@ -42,7 +43,7 @@ def test_fit_reproduces_dispersion():
     alpha = np.array([0.8, 1.5, 3.0])
     n = rng.integers(5, 40, size=400)
     counts = np.array([rng.multinomial(ni, rng.dirichlet(alpha)) for ni in n])
-    fit = fit_dirichlet_mom(counts)
+    fit = fit_dirichlet_mom(make_table(counts))
     s2, p, n = observed_dispersion(counts)
     big_n, big_q = n.sum(), (n**2).sum()
     for k, a0 in enumerate(fit.implied_concentrations):
@@ -68,30 +69,31 @@ def beta_mom(counts):
 def test_k2_dirichlet_equals_beta():
     rng = np.random.default_rng(9)
     counts = beta_binomial_cells(rng, m=300)
-    np.testing.assert_allclose(fit_dirichlet_mom(counts).alpha, beta_mom(counts), rtol=1e-12)
+    fit = fit_dirichlet_mom(make_table(counts))
+    np.testing.assert_allclose(fit.alpha, beta_mom(counts), rtol=1e-12)
 
 
 def test_fit_error_messages():
     with pytest.raises(ValueError, match="never occurs"):
-        fit_dirichlet_mom([(3, 0), (5, 0)])
+        fit_dirichlet_mom(make_table([(3, 0), (5, 0)]))
     with pytest.raises(ValueError, match="no overdispersion"):
-        fit_dirichlet_mom([(2, 2), (3, 3), (5, 5)])
+        fit_dirichlet_mom(make_table([(2, 2), (3, 3), (5, 5)]))
     with pytest.raises(ValueError, match="more dispersed than any Dirichlet"):
-        fit_dirichlet_mom([(5, 0), (0, 5), (5, 0), (0, 5)])
-    with pytest.raises(ValueError, match="at least one record"):
-        fit_dirichlet_mom([(0, 0), (3, 2)])
-    with pytest.raises(ValueError):
-        fit_dirichlet_mom([(3, 2)])
-    with pytest.raises(ValueError):
-        fit_dirichlet_mom([(3, -1), (2, 2)])
+        fit_dirichlet_mom(make_table([(5, 0), (0, 5), (5, 0), (0, 5)]))
+    with pytest.raises(ValueError, match="no overdispersion"):
+        fit_dirichlet_mom(make_table([(3, 2)]))
 
 
-def test_fit_dirichlet_mom_refuses_non_integer_counts():
-    """Float and bool matrices are refused rather than truncated to int64."""
+def test_count_matrices_are_checked_by_the_table():
+    """The fit takes a table, so a bad matrix is refused by FrequencyTable:
+    float and bool matrices rather than truncated to int64, and empty cells
+    and negative counts rather than fitted."""
     counts = beta_binomial_cells(np.random.default_rng(9), m=300)
-    for bad in (counts + 0.6, counts.astype(float), counts > 5):
-        with pytest.raises(ValueError, match=f"^counts must be integers, got dtype {bad.dtype}$"):
-            fit_dirichlet_mom(bad)
+    for bad in (counts + 0.6, counts.astype(float), counts > 5, [(3, -1), (2, 2)]):
+        with pytest.raises(ValueError, match=r"^cell \('c\d+',\) counts must be non-negative"):
+            make_table(bad)
+    with pytest.raises(ValueError, match=r"^cell \('c0',\) is empty$"):
+        make_table([(0, 0), (3, 2)])
 
 
 def test_fit_poisson_is_sample_mean():
@@ -399,7 +401,7 @@ def test_size_model_json_accepts_integers():
 
 def test_dirichlet_json():
     rng = np.random.default_rng(11)
-    fit = fit_dirichlet_mom(beta_binomial_cells(rng, m=500))
+    fit = fit_dirichlet_mom(make_table(beta_binomial_cells(rng, m=500)))
     obj = json.loads(dirichlet_to_json(fit))
     assert obj["alpha"] == [float(a) for a in fit.alpha]
     assert obj["alpha_dot_spread"] == pytest.approx(fit.alpha_dot_spread)

@@ -15,7 +15,6 @@ from hadr import (
     PrivacyParams,
     mechanism_noise,
     postprocess_counts,
-    presence_support,
     read_sanitized,
     sanitize,
     write_sanitized,
@@ -209,10 +208,11 @@ def test_sample_cdf_matches_tails(params):
 def test_noise_stream_is_positional():
     params = PrivacyParams("gaussian_pdp", 1.0, delta=1e-2)
     whole = mechanism_noise(params, seed=3, start=0, shape=100)
-    parts = np.concatenate(
-        [mechanism_noise(params, seed=3, start=0, shape=60), mechanism_noise(params, seed=3, start=60, shape=40)]
-    )
-    np.testing.assert_array_equal(whole, parts)
+    # slices of 0 and 1 words are 1-D arrays too
+    spans = [(0, 60), (60, 0), (60, 1), (61, 39)]
+    parts = [mechanism_noise(params, seed=3, start=a, shape=n) for a, n in spans]
+    assert [p.shape for p in parts] == [(n,) for _, n in spans]
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
     again = mechanism_noise(params, seed=3, start=0, shape=100)
     np.testing.assert_array_equal(whole, again)
 
@@ -238,16 +238,31 @@ def test_sanitize_seed_validation():
         sanitize(t, params, seed=2**64)
 
 
-def test_presence_support():
-    assert presence_support([0.5, 0.49, 3.2]) == (0, 2)
-    assert presence_support([-1.0, 0.499999]) == ()
-    assert PRESENCE_THRESHOLD == 0.5
-
-
 def test_postprocess_counts():
-    out = postprocess_counts([0.5, 1.49, 1.5, -0.2, -3.7, 2.51])
-    assert out.tolist() == [1, 1, 2, 0, 0, 3]
+    assert PRESENCE_THRESHOLD == 0.5
+    out = postprocess_counts(np.array([[0.5, 1.49, 1.5], [-0.2, -3.7, 2.51]]))
+    assert out.tolist() == [[1, 1, 2], [0, 0, 3]]
     assert out.dtype == np.int64
+
+
+def test_sensitivity_is_recorded_and_round_trips(tmp_path):
+    t = make_table([(3, 1), (0, 7)])
+    s = sanitize(t, PrivacyParams("laplace", 1.0, sensitivity=2.0), seed=3)
+    assert s.sensitivity == 2.0
+    # the same uniforms at twice the scale
+    noise = 2 * mechanism_noise(PrivacyParams("laplace", 1.0), 3, 0, (2, 2))
+    np.testing.assert_array_equal(s.noisy, [[3, 1], [0, 7]] + noise)
+    path = tmp_path / "san.json"
+    write_sanitized(s, path)
+    text = path.read_text()
+    assert '"seed":3,"sensitivity":2,"cells"' in text
+    back = read_sanitized(path)
+    np.testing.assert_array_equal(back.noisy, s.noisy)
+    assert (back.seed, back.sensitivity) == (3, 2.0)
+    assert sanitized_to_json(back) == text
+    # at the default sensitivity the bytes are those of a release without the field
+    default = sanitize(t, PrivacyParams("laplace", 1.0), seed=3)
+    assert '"seed":3,"cells"' in sanitized_to_json(default)
 
 
 def test_sanitized_json_round_trip(tmp_path):
@@ -331,6 +346,9 @@ def test_sanitized_json_accepts_integer_counts():
         (("qid_names",), "g", "'qid_names'"),
         (("categories",), ["y0", 1], "'categories'"),
         (("sensitive_name",), 5, "'sensitive_name'"),
+        (("sensitivity",), "2", "'sensitivity' must be a number"),
+        (("sensitivity",), True, "'sensitivity' must be a number"),
+        (("sensitivity",), None, "'sensitivity' must be a number"),
     ],
 )
 def test_sanitized_json_rejects_malformed(path, value, match):
@@ -362,11 +380,13 @@ def test_sanitized_json_rejects_non_object():
         (("mechanism",), "exponential", "unknown mechanism"),
         (("cells", 1, "key"), ["c0"], "duplicate cell keys"),
         (("categories",), ["y0", "y0"], "duplicate sensitive categories"),
+        (("sensitivity",), 0, "sensitivity must be positive"),
+        (("sensitivity",), math.inf, "must be finite"),
     ],
     ids=[
         "key-length", "nan-count", "inf-count", "minus-inf-count", "nan-epsilon",
         "negative-epsilon", "laplace-delta", "unknown-mechanism", "duplicate-key",
-        "duplicate-category",
+        "duplicate-category", "zero-sensitivity", "inf-sensitivity",
     ],
 )
 def test_sanitized_release_checked_like_a_table(path, value, match):
@@ -388,8 +408,9 @@ def test_sanitized_release_checked_like_a_table(path, value, match):
         ("seed", -5, r"seed must be in \[0, 2\*\*64\)"),
         ("seed", 2**64, r"seed must be in \[0, 2\*\*64\)"),
         ("noisy", np.zeros((1, 2)), "noisy counts shape does not match keys x categories"),
+        ("sensitivity", -2.0, "sensitivity must be positive"),
     ],
-    ids=["float-seed", "bool-seed", "negative-seed", "seed-2**64", "noisy-shape"],
+    ids=["float-seed", "bool-seed", "negative-seed", "seed-2**64", "noisy-shape", "sensitivity"],
 )
 def test_sanitized_table_refuses_at_construction(field, value, message):
     """A release holds only what the reader accepts, so every written file reads back."""

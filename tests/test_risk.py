@@ -23,11 +23,16 @@ from hadr import (
     invert_epsilon,
     local_risk,
     risk_curve,
-    scenario8_peak_epsilon,
 )
 from hadr.risk import MEASURES, curve_to_csv, expected_risk_cells
 from hadr.tabulation import FrequencyTable
-from oracles import expected_risk_k2, global_risk_k2, homogeneous_risk, shrinkage_risk_k2
+from oracles import (
+    expected_risk_k2,
+    global_risk_k2,
+    homogeneous_risk,
+    scenario8_peak_epsilon,
+    shrinkage_risk_k2,
+)
 
 LAP1 = PrivacyParams("laplace", 1.0)
 

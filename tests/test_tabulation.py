@@ -498,6 +498,11 @@ def test_duplicate_key_found_after_sorting():
         FrequencyTable(("g",), "y", ("u", "v"), [("b",), ("a",), ("b",)], [(1, 0), (0, 1), (2, 2)])
 
 
+# a list is checked entry by entry, so True is refused rather than read as 1;
+# an array of another dtype than signed integer is too
+NOT_COUNT = r"^cell \('a',\) counts must be non-negative integers"
+
+
 @pytest.mark.parametrize(
     "keys,counts,message",
     [
@@ -510,6 +515,12 @@ def test_duplicate_key_found_after_sorting():
         ([("a",)], [("1", 2)], "non-negative integers"),
         ([("a",)], [(-1, 2)], "non-negative integers"),
         ([("a",)], [(-(2**70), 2)], "non-negative integers"),
+        ([("a",)], [(True, 2)], NOT_COUNT + ", got True$"),
+        ([("a",)], [(True, False)], NOT_COUNT + ", got True$"),
+        ([("a",)], [(np.True_, 2)], NOT_COUNT),
+        ([("a",)], np.array([[True, True]]), NOT_COUNT),
+        ([("a",)], np.array([[1.0, 2.0]]), NOT_COUNT),
+        ([("a",)], np.array([[-1, 2]]), r"^cell counts must be non-negative integers$"),
         ([("b",), ("a",)], [(1, 0), (0, 0)], r"^cell \('a',\) is empty$"),
         ([("a",)], [(2**63, 0)], r"^cell \('a',\) has a count that does not fit int64$"),
         ([("a",)], np.array([[2**63, 0]], dtype=np.uint64), "count that does not fit int64"),
@@ -532,6 +543,8 @@ def test_largest_int64_size_accepted():
     "counts,message",
     [
         ([2**70, 1], r"cell \('b',\) has a count that does not fit int64"),
+        ([2**63, 0], r"cell \('b',\) has a count that does not fit int64"),
+        ([-1, 2**63], r"cell \('b',\) counts must be non-negative integers, got -1"),
         ([2**62, 2**62], r"cell \('b',\) has a size that does not fit int64"),
     ],
 )

@@ -75,7 +75,7 @@ def _manifest(output_path: str, args: argparse.Namespace, seed=None) -> None:
         },
         "outputs": [os.path.basename(output_path)],
     }
-    with open(str(output_path) + ".manifest.json", "w") as fh:
+    with open(str(output_path) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -142,7 +142,7 @@ def _resolve_size_model(args: argparse.Namespace, table):
     if args.size_model is not None and args.fit_sizes:
         raise ValueError("give either --size-model or --fit-sizes, not both")
     if args.size_model is not None:
-        with open(args.size_model) as fh:
+        with open(args.size_model, encoding="utf-8") as fh:
             return size_model_from_json(fh.read())
     if args.fit_sizes:
         if table is None:
@@ -236,7 +236,7 @@ def _cmd_estimate(args) -> str:
         text = size_model_to_json(fit_negbin(table.sizes()))
     else:
         text = size_model_to_json(fit_poisson(table.sizes(), zero_truncated=args.zero_truncated))
-    with open(args.output, "w") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text.rstrip("\n")
 
@@ -281,7 +281,7 @@ def _cmd_invert(args) -> str:
     inputs = _measure_inputs(args)
     res = invert_epsilon(args.measure, args.target_risk, args.mechanism, delta=args.delta, **inputs)
     if args.output:
-        with open(args.output, "w") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(dataclasses.asdict(res), fh, separators=(",", ":"))
             fh.write("\n")
     return f"epsilon {res.epsilon:.6f} achieves risk {res.risk:.6g} (target {res.target:g})"

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tabulation import FrequencyTable
+from .tabulation import FrequencyTable, read_number
 
 SIZE_FAMILIES = ("poisson", "negbin")
 
@@ -318,10 +318,6 @@ def size_model_from_json(text: str) -> CellSizeModel:
         family, lam = obj["family"], obj["lambda"]
     except KeyError as exc:
         raise ValueError(f"size-model JSON is missing field {exc.args[0]!r}") from None
-    r = obj.get("r")
-    # exact types, since bool is a subclass of int
-    if type(lam) not in (int, float):
-        raise ValueError(f"size-model JSON 'lambda' must be a number, got {lam!r}")
-    if type(r) not in (int, float, type(None)):
-        raise ValueError(f"size-model JSON 'r' must be a number or null, got {r!r}")
-    return CellSizeModel(family, float(lam), None if r is None else float(r))
+    what = "size-model JSON"
+    lam, r = read_number(lam, what, "lambda"), read_number(obj.get("r"), what, "r", nullable=True)
+    return CellSizeModel(family, lam, r)

@@ -378,5 +378,5 @@ def mc_to_json(est: McEstimate) -> str:
 
 
 def write_mc_json(est: McEstimate, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(mc_to_json(est))

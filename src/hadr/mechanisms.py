@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .tabulation import FrequencyTable, check_keys, read_cells
+from .tabulation import FrequencyTable, check_schema, read_cells, read_number
 
 MECHANISMS = ("laplace", "gaussian_adp", "gaussian_pdp")
 PRESENCE_THRESHOLD = 0.5
@@ -131,10 +131,11 @@ def mechanism_noise(params: PrivacyParams, seed: int, start: int, shape) -> np.n
 class SanitizedTable:
     """Noisy release of a frequency table, checked like one at construction.
 
-    Mirrors the source table's schema and cell keys; ``noisy`` holds the
-    finite float noisy counts, row-aligned with ``keys``; the mechanism,
-    epsilon, delta and sensitivity must form valid ``PrivacyParams``; the
-    seed is an integer in [0, 2**64), stored as a plain int.
+    The names, categories and cell keys obey ``check_schema``, as a
+    table's do, and are stored as tuples; ``noisy`` holds the finite float
+    noisy counts, row-aligned with ``keys``; ``params`` is the
+    ``PrivacyParams`` the noise was drawn with; the seed is an integer in
+    [0, 2**64), stored as a plain int.
     """
 
     qid_names: tuple[str, ...]
@@ -142,26 +143,22 @@ class SanitizedTable:
     categories: tuple[str, ...]
     keys: tuple[tuple[str, ...], ...]
     noisy: np.ndarray
-    mechanism: str
-    epsilon: float
-    delta: float | None
+    params: PrivacyParams
     seed: int
-    sensitivity: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _rng.check_seed(self.seed))
-        PrivacyParams(self.mechanism, self.epsilon, self.delta, self.sensitivity)
+        qid_names, categories, keys, _ = check_schema(
+            self.qid_names, self.sensitive_name, self.categories, self.keys
+        )
         noisy = np.asarray(self.noisy, dtype=float)
-        if noisy.shape != (len(self.keys), len(self.categories)):
+        if noisy.shape != (len(keys), len(categories)):
             raise ValueError("noisy counts shape does not match keys x categories")
         if not np.isfinite(noisy).all():
             raise ValueError("noisy counts must be finite")
-        if len(set(self.categories)) != len(self.categories):
-            raise ValueError("duplicate sensitive categories")
-        check_keys(self.keys, len(self.qid_names))
-        if len(set(self.keys)) != len(self.keys):
-            raise ValueError("duplicate cell keys")
-        object.__setattr__(self, "noisy", noisy)
+        checked = dict(qid_names=qid_names, categories=categories, keys=keys, noisy=noisy,
+                       seed=_rng.check_seed(self.seed))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 def sanitize(table: FrequencyTable, params: PrivacyParams, seed: int) -> SanitizedTable:
@@ -170,20 +167,9 @@ def sanitize(table: FrequencyTable, params: PrivacyParams, seed: int) -> Sanitiz
     Same (table, params, seed) always yields bit-identical output; see the
     module docstring for the stream layout.
     """
-    counts = table.counts.astype(float)
-    noise = mechanism_noise(params, seed, 0, counts.shape)
-    return SanitizedTable(
-        qid_names=table.qid_names,
-        sensitive_name=table.sensitive_name,
-        categories=table.categories,
-        keys=table.keys(),
-        noisy=counts + noise,
-        mechanism=params.mechanism,
-        epsilon=params.epsilon,
-        delta=params.delta,
-        seed=seed,
-        sensitivity=params.sensitivity,
-    )
+    noisy = table.counts + mechanism_noise(params, seed, 0, table.counts.shape)
+    schema = (table.qid_names, table.sensitive_name, table.categories, table.keys())
+    return SanitizedTable(*schema, noisy, params, seed)
 
 
 def postprocess_counts(noisy: np.ndarray) -> np.ndarray:
@@ -198,17 +184,18 @@ def _fmt17(x: float) -> str:
 def sanitized_to_json(sanitized: SanitizedTable) -> str:
     """Canonical JSON with noisy counts at 17 significant digits; 'sensitivity'
     is written only when it is not the default 1."""
+    params = sanitized.params
     parts = [
         '{"qid_names":%s' % json.dumps(list(sanitized.qid_names), separators=(",", ":")),
         '"sensitive_name":%s' % json.dumps(sanitized.sensitive_name),
         '"categories":%s' % json.dumps(list(sanitized.categories), separators=(",", ":")),
-        '"mechanism":%s' % json.dumps(sanitized.mechanism),
-        '"epsilon":%s' % _fmt17(sanitized.epsilon),
-        '"delta":%s' % ("null" if sanitized.delta is None else _fmt17(sanitized.delta)),
+        '"mechanism":%s' % json.dumps(params.mechanism),
+        '"epsilon":%s' % _fmt17(params.epsilon),
+        '"delta":%s' % ("null" if params.delta is None else _fmt17(params.delta)),
         '"seed":%d' % sanitized.seed,
     ]
-    if sanitized.sensitivity != 1.0:
-        parts.append('"sensitivity":%s' % _fmt17(sanitized.sensitivity))
+    if params.sensitivity != 1.0:
+        parts.append('"sensitivity":%s' % _fmt17(params.sensitivity))
     enc = json.encoder.encode_basestring_ascii
     row = '{"key":[%s],"noisy_counts":[' + ",".join(["%.17g"] * len(sanitized.categories)) + "]}"
     cells = ",".join(
@@ -223,42 +210,37 @@ def sanitized_from_json(text: str) -> SanitizedTable:
     """Parse the sanitized JSON, whose cells hold 'noisy_counts', as ``read_cells`` reads it.
 
     'mechanism' must be a string. Noisy counts, epsilon, delta and the
-    optional sensitivity (default 1) must be JSON numbers: integers count,
-    because ``.17g`` writes 3.0 as ``3``, and bool and str do not.
-    ``SanitizedTable`` then checks their values.
+    optional sensitivity (default 1) are read as ``read_number`` reads
+    them: integers count, because ``.17g`` writes 3.0 as ``3``. The
+    constructors then check their values.
     """
     what = "sanitized table JSON"
-    doc, keys, noisy = read_cells(text, what, "noisy_counts", {int, float})
+    doc, schema, noisy = read_cells(text, what, "noisy_counts", {int, float})
+    try:
+        noisy = np.array(noisy, dtype=float)
+    except OverflowError:  # an integer beyond a double, which read_number names
+        for i, row in enumerate(noisy):
+            for value in row:
+                read_number(value, f"{what} cell {i}:", "noisy_counts")
     try:
         if type(doc["mechanism"]) is not str:
             raise ValueError(f"{what} 'mechanism' must be a string, got {doc['mechanism']!r}")
-        if type(doc["epsilon"]) not in (int, float):
-            raise ValueError(f"{what} 'epsilon' must be a number, got {doc['epsilon']!r}")
-        if type(doc["delta"]) not in (int, float, type(None)):
-            raise ValueError(f"{what} 'delta' must be a number or null, got {doc['delta']!r}")
-        if type(sensitivity := doc.get("sensitivity", 1.0)) not in (int, float):
-            raise ValueError(f"{what} 'sensitivity' must be a number, got {sensitivity!r}")
-        return SanitizedTable(
-            qid_names=tuple(doc["qid_names"]),
-            sensitive_name=doc["sensitive_name"],
-            categories=tuple(doc["categories"]),
-            keys=tuple(map(tuple, keys)),
-            noisy=np.array(noisy, dtype=float),
-            mechanism=doc["mechanism"],
-            epsilon=float(doc["epsilon"]),
-            delta=None if doc["delta"] is None else float(doc["delta"]),
-            seed=doc["seed"],
-            sensitivity=float(sensitivity),
+        params = PrivacyParams(
+            doc["mechanism"],
+            read_number(doc["epsilon"], what, "epsilon"),
+            read_number(doc["delta"], what, "delta", nullable=True),
+            read_number(doc.get("sensitivity", 1.0), what, "sensitivity"),
         )
+        return SanitizedTable(*schema, noisy, params, doc["seed"])
     except KeyError as exc:
         raise ValueError(f"{what} is missing field {exc}") from None
 
 
 def write_sanitized(sanitized: SanitizedTable, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(sanitized_to_json(sanitized))
 
 
 def read_sanitized(path) -> SanitizedTable:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return sanitized_from_json(fh.read())

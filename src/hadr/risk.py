@@ -340,7 +340,7 @@ def curve_to_csv(points) -> str:
 
 
 def write_curve_csv(points, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(curve_to_csv(points))
 
 

@@ -60,13 +60,41 @@ def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
     return arr
 
 
-def check_keys(keys, n_qids: int) -> None:
-    """Raise unless every cell key is a sequence of ``n_qids`` strings."""
-    if set(map(len, keys)) - {n_qids}:
-        raise ValueError("cell key length does not match qid_names")
-    if not set(map(type, chain.from_iterable(keys))) <= {str}:
-        bad = next(key for key in keys if not set(map(type, key)) <= {str})
-        raise ValueError(f"cell key {bad!r} holds a value that is not a string")
+def check_schema(qid_names, sensitive_name, categories, keys):
+    """Check the schema of a table or a release, naming a faulty key by its index.
+
+    The sensitive name is a string; QID names, categories and keys are
+    tuples or lists of strings, never a str: 2 or more distinct categories,
+    1 or more distinct keys of one string per QID. Returns them as tuples,
+    with the order that sorts the keys (None if sorted).
+    """
+    for name, names in (("qid_names", qid_names), ("categories", categories)):
+        if type(names) not in (tuple, list) or not set(map(type, names)) <= {str}:
+            raise ValueError(f"'{name}' must be a sequence of strings, got {names!r}")
+    if type(sensitive_name) is not str:
+        raise ValueError(f"'sensitive_name' must be a string, got {sensitive_name!r}")
+    if len(categories) < 2:
+        raise ValueError("sensitive attribute must take at least 2 categories")
+    if len(set(categories)) != len(categories):
+        raise ValueError("duplicate sensitive categories")
+    keys, n = tuple(keys), len(qid_names)
+    if not keys:
+        raise ValueError("table has no cells")
+    if not (
+        set(map(type, keys)) <= {tuple, list}
+        and set(map(len, keys)) == {n}
+        and set(map(type, chain.from_iterable(keys))) <= {str}
+    ):
+        for i, key in enumerate(keys):
+            if type(key) not in (tuple, list) or len(key) != n or not set(map(type, key)) <= {str}:
+                raise ValueError(f"cell {i}: 'key' must hold one string per QID, got {key!r}")
+    keys, order = tuple(map(tuple, keys)), None
+    if not all(map(lt, keys, keys[1:])):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        dup = next((keys[a] for a, b in zip(order, order[1:]) if keys[a] == keys[b]), None)
+        if dup is not None:
+            raise ValueError(f"duplicate cell key {dup!r}")
+    return tuple(qid_names), tuple(categories), keys, order
 
 
 class FrequencyTable:
@@ -81,28 +109,17 @@ class FrequencyTable:
     """
 
     def __init__(self, qid_names, sensitive_name, categories, keys, counts, dropped_rows=0):
-        self.qid_names = tuple(qid_names)
+        self.qid_names, self.categories, keys, order = check_schema(
+            qid_names, sensitive_name, categories, keys
+        )
         self.sensitive_name = sensitive_name
-        self.categories = tuple(categories)
         self.dropped_rows = dropped_rows
-        if len(self.categories) < 2:
-            raise ValueError("sensitive attribute must take at least 2 categories")
-        keys = tuple(map(tuple, keys))
-        if not keys:
-            raise ValueError("table has no cells")
-        if len(set(self.categories)) != len(self.categories):
-            raise ValueError("duplicate sensitive categories")
-        check_keys(keys, len(self.qid_names))
         counts = _counts_array(keys, counts, len(self.categories))
         sizes = counts.sum(axis=1)
         if not sizes.all():
             raise ValueError(f"cell {keys[int(np.argmin(sizes))]!r} is empty")
-        if not all(map(lt, keys, keys[1:])):
-            order = sorted(range(len(keys)), key=keys.__getitem__)
+        if order is not None:
             keys = tuple(map(keys.__getitem__, order))
-            dup = next((a for a, b in zip(keys, keys[1:]) if a == b), None)
-            if dup is not None:
-                raise ValueError(f"duplicate cell key {dup!r}")
             counts, sizes = counts[order], sizes[order]
         counts.flags.writeable = sizes.flags.writeable = False
         self._keys, self.counts, self._sizes = keys, counts, sizes
@@ -240,8 +257,6 @@ def _tally(rows, header, memos, columns, lineno: int, value=None) -> FrequencyTa
     if not tally.size:
         raise ValueError("no complete rows to tabulate")
     present = sorted(set(seen[-1].tolist()), key=labels[-1].__getitem__)
-    if len(present) < 2:
-        raise ValueError("sensitive attribute must take at least 2 categories")
     category = np.zeros(len(labels[-1]), np.int64)
     category[present] = np.arange(len(present))
     key = _fold(seen[:-1], [len(label) for label in labels[:-1]])
@@ -396,7 +411,7 @@ def tabulate_csv(path, qid_columns, sensitive_column: str, bins=()) -> Frequency
     over its field size limit) raises ValueError with its line, unless an
     earlier row has one of those faults.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -442,38 +457,34 @@ def table_to_json(table: FrequencyTable) -> str:
     )
 
 
-def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, list, list]:
-    """Parse a table-shaped JSON document into (doc, cell keys, cell values).
+def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, tuple, list]:
+    """Parse a table-shaped JSON document into (doc, schema, cell values).
 
-    The document is an object with the string lists 'qid_names' and
-    'categories', the string 'sensitive_name' and the list 'cells'. Each
-    cell is an object whose 'key' is a list of strings and whose ``field``
-    is a list of one number per category, a number being a value whose
-    type is in ``number_types``. Types are compared exactly, since bool is
-    a subclass of int; malformed fields are rejected, never coerced. The
-    cell checks run over the whole document at once, and only when they
-    fail are the cells walked to name the first bad one. ``what`` names
-    the format in messages.
+    The document is an object with 'qid_names', 'sensitive_name', the list
+    'categories' and the list 'cells'. Each cell is an object with a 'key'
+    and a ``field`` that is a list of one number per category, a number
+    being a value whose type is in ``number_types``. Types are compared
+    exactly, since bool is a subclass of int; malformed values are
+    rejected, never coerced. The cell checks run over the whole document
+    at once, and only when they fail are the cells walked to name the
+    first bad one. ``schema``, the names, categories and keys as read, is
+    left to ``check_schema``. ``what`` names the format in messages.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("cells", []), list):
         raise ValueError(f"{what} must be an object whose 'cells' is a list")
     try:
-        for name in ("qid_names", "categories"):
-            names = doc[name]
-            if type(names) is not list or not set(map(type, names)) <= {str}:
-                raise ValueError(f"{what} '{name}' must be a list of strings, got {names!r}")
-        if type(doc["sensitive_name"]) is not str:
-            raise ValueError(f"{what} 'sensitive_name' must be a string")
-        cells, k = doc["cells"], len(doc["categories"])
+        cells, categories = doc["cells"], doc["categories"]
+        if type(categories) is not list:
+            raise ValueError(f"{what} 'categories' must be a list, got {categories!r}")
+        k = len(categories)
         try:
             keys = list(map(itemgetter("key"), cells))
             values = list(map(itemgetter(field), cells))
             typed = (
-                set(map(type, keys)) | set(map(type, values)) <= {list}
+                set(map(type, values)) <= {list}
                 and set(map(len, values)) <= {k}
                 and set(map(type, chain.from_iterable(values))) <= number_types
-                and set(map(type, chain.from_iterable(keys))) <= {str}
             )
         except (KeyError, TypeError):  # a missing field, or a cell that is not an object
             typed = False
@@ -482,11 +493,7 @@ def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, li
             for i, cell in enumerate(cells):
                 if not isinstance(cell, dict):
                     raise ValueError(f"{what} cell {i} is not an object")
-                key, vals = cell["key"], cell[field]
-                if type(key) is not list or not set(map(type, key)) <= {str}:
-                    raise ValueError(
-                        f"{what} cell {i}: 'key' must be a list of strings, got {key!r}"
-                    )
+                _, vals = cell["key"], cell[field]  # a missing 'key' is named first
                 if type(vals) is not list or not set(map(type, vals)) <= number_types:
                     raise ValueError(
                         f"{what} cell {i}: '{field}' must be a list of {noun}, got {vals!r}"
@@ -495,9 +502,23 @@ def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, li
                     raise ValueError(
                         f"{what} cell {i}: '{field}' must hold {k} values, got {vals!r}"
                     )
+        return doc, (doc["qid_names"], doc["sensitive_name"], categories, keys), values
     except KeyError as exc:
         raise ValueError(f"{what} is missing field {exc}") from None
-    return doc, keys, values
+
+
+def read_number(value, what: str, name: str, nullable: bool = False) -> float | None:
+    """The JSON number ``value`` of field ``name`` as a float, a null as None if ``nullable``;
+    a bool, a str or an integer beyond a double is refused. ``what`` names the format."""
+    if value is None and nullable:
+        return None
+    if type(value) not in (int, float):
+        noun = "a number or null" if nullable else "a number"
+        raise ValueError(f"{what} '{name}' must be {noun}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} '{name}' is too large for a double") from None
 
 
 @_gc_paused  # the parse allocates a dict and two lists per cell
@@ -507,17 +528,17 @@ def table_from_json(text: str) -> FrequencyTable:
     The table checks then run over the whole counts array. Table reads
     dominate the closed-form workloads.
     """
-    doc, keys, counts = read_cells(text, "table JSON", "counts", {int})
+    _, schema, counts = read_cells(text, "table JSON", "counts", {int})
     arr = np.array(counts)  # int64 unless a count lies beyond it: the list then names its cell
-    counts = arr if arr.dtype == np.int64 else counts
-    return FrequencyTable(doc["qid_names"], doc["sensitive_name"], doc["categories"], keys, counts)
+    counts = arr if arr.dtype == np.int64 else counts  # the list is freed before the checks
+    return FrequencyTable(*schema, counts)
 
 
 def write_table(table: FrequencyTable, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(table_to_json(table))
 
 
 def read_table(path) -> FrequencyTable:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return table_from_json(fh.read())

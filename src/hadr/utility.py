@@ -155,5 +155,5 @@ def tvd_report_to_csv(report: TvdReport) -> str:
 
 
 def write_tvd_csv(report: TvdReport, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(tvd_report_to_csv(report))

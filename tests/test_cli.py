@@ -936,6 +936,35 @@ def _fresh(code: str) -> str:
     return proc.stdout.strip()
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """tabulate, then risk, read and write UTF-8 whatever the locale: a run under
+    the C locale with UTF-8 mode off writes the bytes of a UTF-8-mode run."""
+    (tmp_path / "city.csv").write_bytes("city,diag\nZürich,grippe\nZürich,fièvre\nGenève,grippe\n"
+                                        .encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(hadr.__file__))
+    locales = {
+        "ascii": dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+        "utf8": dict(PYTHONUTF8="1"),
+    }
+    tables = {}
+    for name, settings in locales.items():
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   **settings)
+        table = tmp_path / f"{name}.json"
+        for argv in (
+            ["tabulate", "--input", "city.csv", "--qids", "city", "--sensitive", "diag"],
+            ["risk", "--table", table.name, "--measure", "local", "--mechanism", "laplace",
+             "--epsilon-grid", "1:1:log1"],
+        ):
+            out = table.name if argv[0] == "tabulate" else f"{name}.csv"
+            proc = subprocess.run([sys.executable, "-m", "hadr.cli", *argv, "--output", out],
+                                  cwd=tmp_path, env=env, capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+        tables[name] = table.read_bytes()
+    assert tables["ascii"] == tables["utf8"]
+    assert json.loads(tables["ascii"].decode("utf-8"))["categories"] == ["fièvre", "grippe"]
+
+
 # scipy's heavy modules, and numpy modules only scipy.special pulls in
 _HEAVY = "{'scipy.special', 'scipy.stats', 'scipy.optimize', 'numpy.f2py'}"
 

@@ -385,6 +385,8 @@ def test_size_model_json_missing_field():
         ('{"family":"poisson","lambda":"0.5"}', "lambda"),
         ('{"family":"negbin","lambda":0.5,"r":"3"}', "'r'"),
         ('{"family":"negbin","lambda":0.5,"r":false}', "'r'"),
+        ('{"family":"poisson","lambda":1%s}' % ("0" * 400), "'lambda' is too large for a double"),
+        ('{"family":"negbin","lambda":0.5,"r":1%s}' % ("0" * 400), "'r' is too large for a double"),
         ("[1, 2]", "object"),
         ('"poisson"', "object"),
     ],

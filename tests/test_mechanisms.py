@@ -248,7 +248,7 @@ def test_postprocess_counts():
 def test_sensitivity_is_recorded_and_round_trips(tmp_path):
     t = make_table([(3, 1), (0, 7)])
     s = sanitize(t, PrivacyParams("laplace", 1.0, sensitivity=2.0), seed=3)
-    assert s.sensitivity == 2.0
+    assert s.params.sensitivity == 2.0
     # the same uniforms at twice the scale
     noise = 2 * mechanism_noise(PrivacyParams("laplace", 1.0), 3, 0, (2, 2))
     np.testing.assert_array_equal(s.noisy, [[3, 1], [0, 7]] + noise)
@@ -258,7 +258,7 @@ def test_sensitivity_is_recorded_and_round_trips(tmp_path):
     assert '"seed":3,"sensitivity":2,"cells"' in text
     back = read_sanitized(path)
     np.testing.assert_array_equal(back.noisy, s.noisy)
-    assert (back.seed, back.sensitivity) == (3, 2.0)
+    assert (back.seed, back.params) == (3, s.params)
     assert sanitized_to_json(back) == text
     # at the default sensitivity the bytes are those of a release without the field
     default = sanitize(t, PrivacyParams("laplace", 1.0), seed=3)
@@ -274,7 +274,7 @@ def test_sanitized_json_round_trip(tmp_path):
     back = read_sanitized(path)
     np.testing.assert_array_equal(back.noisy, s.noisy)
     assert back.keys == s.keys
-    assert back.mechanism == s.mechanism and back.delta == s.delta and back.seed == s.seed
+    assert back.params == s.params and back.seed == s.seed
     # serialization is canonical: re-serializing reproduces the bytes
     assert sanitized_to_json(back) == text
 
@@ -283,7 +283,8 @@ def test_sanitized_json_bytes_match_per_cell_dumps():
     """The row-format writer against the per-cell json.dumps it replaced."""
     keys = (("a9", 'q"uote'), ("a10", "back\\slash"), ("é✓", "tab\tnew\nline"), ("", "100%"))
     noisy = np.array([[-0.0, 5e-324], [3.0, -2.5e-7], [1e22, 0.1 + 0.2], [-1.5, 123456789.0]])
-    s = SanitizedTable(("q1", "q²"), "ÿ", ("u", "v"), keys, noisy, "gaussian_pdp", 0.5, 1e-6, 7)
+    params = PrivacyParams("gaussian_pdp", 0.5, 1e-6)
+    s = SanitizedTable(("q1", "q²"), "ÿ", ("u", "v"), keys, noisy, params, 7)
     cells = ",".join(
         '{"key":%s,"noisy_counts":[%s]}'
         % (json.dumps(list(k), separators=(",", ":")), ",".join(format(v, ".17g") for v in row))
@@ -305,8 +306,9 @@ def test_sanitized_json_bytes_match_per_cell_dumps():
 def test_sanitized_table_rejects_keys_that_are_not_strings(key):
     """Refused at construction, like a table's keys, before the writer can fail on them."""
     noisy = np.array([[1.0, 2.0], [0.0, 3.0]])
-    with pytest.raises(ValueError, match=r"^cell key .* holds a value that is not a string$"):
-        SanitizedTable(("q",), "s", ("a", "b"), (key, ("b",)), noisy, "laplace", 1.0, None, 3)
+    params = PrivacyParams("laplace", 1.0)
+    with pytest.raises(ValueError, match=r"^cell 0: 'key' must hold one string per QID, got"):
+        SanitizedTable(("q",), "s", ("a", "b"), (key, ("b",)), noisy, params, 3)
 
 
 def test_sanitized_json_missing_field():
@@ -324,7 +326,7 @@ def test_sanitized_json_accepts_integer_counts():
     doc["cells"][1]["noisy_counts"] = [3, -1]  # .17g writes 3.0 as 3
     doc["epsilon"] = 1
     back = sanitized_from_json(json.dumps(doc))
-    assert back.noisy[1].tolist() == [3.0, -1.0] and back.epsilon == 1.0
+    assert back.noisy[1].tolist() == [3.0, -1.0] and back.params.epsilon == 1.0
 
 
 @pytest.mark.parametrize(
@@ -349,6 +351,14 @@ def test_sanitized_json_accepts_integer_counts():
         (("sensitivity",), "2", "'sensitivity' must be a number"),
         (("sensitivity",), True, "'sensitivity' must be a number"),
         (("sensitivity",), None, "'sensitivity' must be a number"),
+        (("epsilon",), 10**400, "^sanitized table JSON 'epsilon' is too large for a double$"),
+        (("delta",), 10**400, "^sanitized table JSON 'delta' is too large for a double$"),
+        (("sensitivity",), -(10**400), "'sensitivity' is too large for a double$"),
+        (
+            ("cells", 1, "noisy_counts"),
+            [1.5, -(10**400)],
+            "^sanitized table JSON cell 1: 'noisy_counts' is too large for a double$",
+        ),
     ],
 )
 def test_sanitized_json_rejects_malformed(path, value, match):
@@ -370,7 +380,11 @@ def test_sanitized_json_rejects_non_object():
 @pytest.mark.parametrize(
     "path,value,match",
     [
-        (("cells", 1, "key"), ["c1", "x"], "key length does not match qid_names"),
+        (("cells", 1, "key"), ["c1", "x"], r"^cell 1: 'key' must hold one string per QID"),
+        (("cells", 1, "key"), "c1", r"^cell 1: 'key' must hold one string per QID, got 'c1'$"),
+        (("cells",), [], r"^table has no cells$"),
+        ((), {"categories": ["y0"], "cells": [{"key": ["c0"], "noisy_counts": [1.0]}]},
+         r"^sensitive attribute must take at least 2 categories$"),
         (("cells", 1, "noisy_counts"), [math.nan, 1.0], "must be finite"),
         (("cells", 1, "noisy_counts"), [2.0, math.inf], "must be finite"),
         (("cells", 1, "noisy_counts"), [-math.inf, 2.0], "must be finite"),
@@ -378,24 +392,30 @@ def test_sanitized_json_rejects_non_object():
         (("epsilon",), -1.0, "epsilon > 0"),
         (("delta",), 1e-5, "the laplace mechanism takes no delta"),
         (("mechanism",), "exponential", "unknown mechanism"),
-        (("cells", 1, "key"), ["c0"], "duplicate cell keys"),
+        (("cells", 1, "key"), ["c0"], r"^duplicate cell key \('c0',\)$"),
         (("categories",), ["y0", "y0"], "duplicate sensitive categories"),
         (("sensitivity",), 0, "sensitivity must be positive"),
         (("sensitivity",), math.inf, "must be finite"),
     ],
     ids=[
-        "key-length", "nan-count", "inf-count", "minus-inf-count", "nan-epsilon",
+        "key-length", "key-str", "no-cells", "one-category", "nan-count", "inf-count", "minus-inf-count", "nan-epsilon",
         "negative-epsilon", "laplace-delta", "unknown-mechanism", "duplicate-key",
         "duplicate-category", "zero-sensitivity", "inf-sensitivity",
     ],
 )
 def test_sanitized_release_checked_like_a_table(path, value, match):
-    """The reader accepts the JSON types; SanitizedTable refuses what no release can hold."""
+    """The reader accepts the JSON types; SanitizedTable refuses what no release can hold.
+
+    An empty path replaces the top-level fields in ``value``.
+    """
     doc = sanitized_doc()
     target = doc
     for step in path[:-1]:
         target = target[step]
-    target[path[-1]] = value
+    if path:
+        target[path[-1]] = value
+    else:
+        doc.update(value)
     with pytest.raises(ValueError, match=match):
         sanitized_from_json(json.dumps(doc))
 
@@ -408,9 +428,8 @@ def test_sanitized_release_checked_like_a_table(path, value, match):
         ("seed", -5, r"seed must be in \[0, 2\*\*64\)"),
         ("seed", 2**64, r"seed must be in \[0, 2\*\*64\)"),
         ("noisy", np.zeros((1, 2)), "noisy counts shape does not match keys x categories"),
-        ("sensitivity", -2.0, "sensitivity must be positive"),
     ],
-    ids=["float-seed", "bool-seed", "negative-seed", "seed-2**64", "noisy-shape", "sensitivity"],
+    ids=["float-seed", "bool-seed", "negative-seed", "seed-2**64", "noisy-shape"],
 )
 def test_sanitized_table_refuses_at_construction(field, value, message):
     """A release holds only what the reader accepts, so every written file reads back."""

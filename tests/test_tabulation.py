@@ -18,9 +18,9 @@ from hadr import (
     tabulate_csv,
     write_table,
 )
-from hadr import PrivacyParams, sanitize, tabulation
-from hadr.mechanisms import sanitized_from_json, sanitized_to_json
-from hadr.tabulation import _fold, table_from_json, table_to_json
+from hadr import PrivacyParams, mechanisms, read_sanitized, sanitize, tabulation, write_sanitized
+from hadr.mechanisms import SanitizedTable, sanitized_from_json, sanitized_to_json
+from hadr.tabulation import _fold, check_schema, table_from_json, table_to_json
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -381,6 +381,9 @@ def _sanitized_doc():
     return json.loads(sanitized_to_json(sanitize(table, PrivacyParams("laplace", 1.0), seed=9)))
 
 
+# what check_schema says of a key that is not a sequence of one string per QID
+KEY_RULE = "'key' must hold one string per QID"
+
 # format: (reader, document, its name in messages, the cell field, its noun)
 JSON_FORMATS = {
     "table": (table_from_json, _table_doc, "table JSON", "counts", "integers"),
@@ -394,11 +397,8 @@ JSON_FORMATS = {
     "cell,message",
     [
         ("c1", "{what} cell 1 is not an object"),
-        ({"key": 3, "v": [1, 2]}, "{what} cell 1: 'key' must be a list of strings, got 3"),
-        (
-            {"key": ["c1", 3], "v": [1, 2]},
-            "{what} cell 1: 'key' must be a list of strings, got ['c1', 3]",
-        ),
+        ({"key": 3, "v": [1, 2]}, f"cell 1: {KEY_RULE}, got 3"),
+        ({"key": ["c1", 3], "v": [1, 2]}, f"cell 1: {KEY_RULE}, got ['c1', 3]"),
         ({"key": ["c1"], "v": "12"}, "{what} cell 1: '{field}' must be a list of {noun}, got '12'"),
         (
             {"key": ["c1"], "v": [True, 2]},
@@ -422,10 +422,12 @@ JSON_FORMATS = {
 @pytest.mark.parametrize("later_fault", [False, True])
 @pytest.mark.parametrize("fmt", list(JSON_FORMATS))
 def test_json_readers_name_the_first_malformed_cell(fmt, later_fault, cell, message):
-    """Table and sanitized JSON share one cell reader and so one set of messages.
+    """Table and sanitized JSON share one cell reader and one schema check, and so
+    one set of messages.
 
     Alone, the bad cell must fail the whole-document checks; with a later
-    bad cell, the walk must still report the first.
+    cell that fails the same check (the reader's, or for a key the
+    schema's), the walk must still report the first.
     """
     read, make_doc, what, field, noun = JSON_FORMATS[fmt]
     doc = make_doc()
@@ -433,10 +435,27 @@ def test_json_readers_name_the_first_malformed_cell(fmt, later_fault, cell, mess
         cell = {field if name == "v" else name: value for name, value in cell.items()}
     doc["cells"][1] = cell
     if later_fault:
-        doc["cells"].append("c2")
+        doc["cells"].append("c2" if message.startswith("{what}") else {"key": [2], field: [1, 2]})
     with pytest.raises(ValueError) as exc:
         read(json.dumps(doc))
     assert str(exc.value) == message.format(what=what, field=field, noun=noun)
+
+
+def test_a_read_checks_the_schema_once(tmp_path, monkeypatch):
+    """read_table and read_sanitized each run check_schema once, in the constructor."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_schema(*args)
+
+    table = make_table([(3, 1), (0, 7)])
+    write_table(table, tmp_path / "t.json")
+    write_sanitized(sanitize(table, PrivacyParams("laplace", 1.0), 9), tmp_path / "s.json")
+    monkeypatch.setattr(tabulation, "check_schema", counted)
+    monkeypatch.setattr(mechanisms, "check_schema", counted)
+    assert read_table(tmp_path / "t.json") == table and len(calls) == 1
+    assert read_sanitized(tmp_path / "s.json").keys == table.keys() and len(calls) == 2
 
 
 def expand_table(table: FrequencyTable) -> list:
@@ -503,35 +522,64 @@ def test_duplicate_key_found_after_sorting():
 NOT_COUNT = r"^cell \('a',\) counts must be non-negative integers"
 
 
+# (keys, counts, message) of a table whose counts break a rule only a table has
+COUNT_FAULTS = [
+    ([("a",)], [(1, 0), (0, 1)], "keys and counts differ in length"),
+    ([("a",), ("b",)], [(1, 0), (1,)], "counts length does not match categories"),
+    ([("a",)], np.ones((1, 3), dtype=int), "counts length does not match categories"),
+    ([("a",)], [(1.0, 2)], "non-negative integers"),
+    ([("a",)], [("1", 2)], "non-negative integers"),
+    ([("a",)], [(-1, 2)], "non-negative integers"),
+    ([("a",)], [(-(2**70), 2)], "non-negative integers"),
+    ([("a",)], [(True, 2)], NOT_COUNT + ", got True$"),
+    ([("a",)], [(True, False)], NOT_COUNT + ", got True$"),
+    ([("a",)], [(np.True_, 2)], NOT_COUNT),
+    ([("a",)], np.array([[True, True]]), NOT_COUNT),
+    ([("a",)], np.array([[1.0, 2.0]]), NOT_COUNT),
+    ([("a",)], np.array([[-1, 2]]), r"^cell counts must be non-negative integers$"),
+    ([("b",), ("a",)], [(1, 0), (0, 0)], r"^cell \('a',\) is empty$"),
+    ([("a",)], [(2**63, 0)], r"^cell \('a',\) has a count that does not fit int64$"),
+    ([("a",)], np.array([[2**63, 0]], dtype=np.uint64), "count that does not fit int64"),
+    ([("a",)], [(2**62, 2**62)], r"^cell \('a',\) has a size that does not fit int64$"),
+]
+
+# (schema fields that differ from a valid one-cell table, message): rules that a
+# release obeys as well, since both constructors call check_schema
+SCHEMA_FAULTS = [
+    (dict(keys=[]), r"^table has no cells$"),
+    (dict(keys=[("a", "b")]), rf"^cell 0: {KEY_RULE}, got \('a', 'b'\)$"),
+    (dict(keys=[(1,)]), rf"^cell 0: {KEY_RULE}, got \(1,\)$"),
+    (dict(keys=[("a",), (None,)]), rf"^cell 1: {KEY_RULE}, got \(None,\)$"),
+    # a str is refused, never split into characters
+    (
+        dict(qid_names="gh", categories="uv", keys=["ab"]),
+        r"^'qid_names' must be a sequence of strings, got 'gh'$",
+    ),
+    (dict(categories="uv"), r"^'categories' must be a sequence of strings, got 'uv'$"),
+    (dict(qid_names=("g", "h"), keys=["ab"]), rf"^cell 0: {KEY_RULE}, got 'ab'$"),
+    (dict(sensitive_name=5, categories=(1, 2)), r"^'categories' must be a sequence of strings"),
+    (dict(sensitive_name=5), r"^'sensitive_name' must be a string, got 5$"),
+    (dict(categories=("u",)), r"^sensitive attribute must take at least 2 categories$"),
+    (dict(categories=("u", "u")), r"^duplicate sensitive categories$"),
+    (dict(keys=[("a",), ("a",)]), r"^duplicate cell key \('a',\)$"),
+]
+
+
 @pytest.mark.parametrize(
-    "keys,counts,message",
-    [
-        ([], [], r"^table has no cells$"),
-        ([("a",)], [(1, 0), (0, 1)], "keys and counts differ in length"),
-        ([("a", "b")], [(1, 0)], "key length does not match qid_names"),
-        ([("a",), ("b",)], [(1, 0), (1,)], "counts length does not match categories"),
-        ([("a",)], np.ones((1, 3), dtype=int), "counts length does not match categories"),
-        ([("a",)], [(1.0, 2)], "non-negative integers"),
-        ([("a",)], [("1", 2)], "non-negative integers"),
-        ([("a",)], [(-1, 2)], "non-negative integers"),
-        ([("a",)], [(-(2**70), 2)], "non-negative integers"),
-        ([("a",)], [(True, 2)], NOT_COUNT + ", got True$"),
-        ([("a",)], [(True, False)], NOT_COUNT + ", got True$"),
-        ([("a",)], [(np.True_, 2)], NOT_COUNT),
-        ([("a",)], np.array([[True, True]]), NOT_COUNT),
-        ([("a",)], np.array([[1.0, 2.0]]), NOT_COUNT),
-        ([("a",)], np.array([[-1, 2]]), r"^cell counts must be non-negative integers$"),
-        ([("b",), ("a",)], [(1, 0), (0, 0)], r"^cell \('a',\) is empty$"),
-        ([("a",)], [(2**63, 0)], r"^cell \('a',\) has a count that does not fit int64$"),
-        ([("a",)], np.array([[2**63, 0]], dtype=np.uint64), "count that does not fit int64"),
-        ([("a",)], [(2**62, 2**62)], r"^cell \('a',\) has a size that does not fit int64$"),
-        ([(1,)], [(1, 0)], r"^cell key \(1,\) holds a value that is not a string$"),
-        ([("a",), (None,)], [(1, 0), (0, 1)], r"^cell key \(None,\) holds a value"),
-    ],
+    "fields,message",
+    [(dict(keys=k, counts=c), m) for k, c, m in COUNT_FAULTS] + SCHEMA_FAULTS,
 )
-def test_constructor_rejects(keys, counts, message):
+def test_constructor_rejects(fields, message):
+    """A table refuses each fault, and a release each schema fault, with the same message."""
+    args = dict(qid_names=("g",), sensitive_name="y", categories=("u", "v"), keys=[("a",)])
+    args = {**args, "counts": [(1, 2)], **fields}
     with pytest.raises(ValueError, match=message):
-        FrequencyTable(("g",), "y", ("u", "v"), keys, counts)
+        FrequencyTable(**args)
+    if "counts" not in fields:
+        del args["counts"]
+        noisy = np.ones((len(args["keys"]), 2))
+        with pytest.raises(ValueError, match=message):
+            SanitizedTable(**args, noisy=noisy, params=PrivacyParams("laplace", 1.0), seed=3)
 
 
 def test_largest_int64_size_accepted():

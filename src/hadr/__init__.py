@@ -24,7 +24,6 @@ from .mc import (
     mc_shrinkage,
     mc_threshold_dr,
     upper_bound_findings,
-    write_mc_json,
 )
 from .mechanisms import (
     MECHANISMS,
@@ -35,7 +34,6 @@ from .mechanisms import (
     postprocess_counts,
     read_sanitized,
     sanitize,
-    write_sanitized,
 )
 from .risk import (
     MEASURES,
@@ -46,16 +44,14 @@ from .risk import (
     invert_epsilon,
     local_risk,
     risk_curve,
-    write_curve_csv,
 )
 from .tabulation import (
     FrequencyTable,
     cross_tabulate,
     read_table,
     tabulate_csv,
-    write_table,
 )
-from .utility import TvdReport, utility_report, write_tvd_csv
+from .utility import TvdReport, utility_report
 
 __version__ = "0.1.0"
 
@@ -95,9 +91,4 @@ __all__ = [
     "tabulate_csv",
     "upper_bound_findings",
     "utility_report",
-    "write_curve_csv",
-    "write_mc_json",
-    "write_sanitized",
-    "write_table",
-    "write_tvd_csv",
 ]

@@ -40,12 +40,12 @@ from .mc import (
     mc_local,
     mc_shrinkage,
     mc_threshold_dr,
-    write_mc_json,
+    mc_to_json,
 )
-from .mechanisms import MECHANISMS, PrivacyParams, sanitize, write_sanitized
-from .risk import MEASURES, invert_epsilon, risk_curve, write_curve_csv
-from .tabulation import read_table, tabulate_csv, write_table
-from .utility import utility_report, write_tvd_csv
+from .mechanisms import MECHANISMS, PrivacyParams, sanitize, sanitized_to_json
+from .risk import MEASURES, curve_to_csv, invert_epsilon, risk_curve
+from .tabulation import read_table, table_to_json, tabulate_csv
+from .utility import tvd_report_to_csv, utility_report
 
 # Execution knobs that do not influence output bytes stay out of the
 # manifest so reruns with different parallelism compare byte-identical.
@@ -171,9 +171,17 @@ def _measure_inputs(args: argparse.Namespace) -> dict:
     )
 
 
-def _cmd_tabulate(args) -> str:
+def _utf8(text: str, flag: str) -> str:
+    """A column name given as an argument, read as UTF-8 whatever the locale."""
+    try:
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        raise ValueError(f"{flag} {text!r} is not UTF-8") from None
+
+
+def _cmd_tabulate(args) -> tuple[str, str]:
     bins = []
-    for spec in args.bin or []:
+    for spec in [_utf8(spec, "--bin") for spec in args.bin or []]:
         col, sep, width = spec.partition(":")
         if not sep:
             raise ValueError(f"--bin {spec!r} must be column:width")
@@ -181,10 +189,9 @@ def _cmd_tabulate(args) -> str:
             bins.append((col, float(width)))
         except ValueError:
             raise ValueError(f"--bin {spec!r} has a non-numeric width") from None
-    qids = [q for q in args.qids.split(",") if q]
-    table = tabulate_csv(args.input, qids, args.sensitive, bins=bins)
-    write_table(table, args.output)
-    return (
+    qids = [q for q in _utf8(args.qids, "--qids").split(",") if q]
+    table = tabulate_csv(args.input, qids, _utf8(args.sensitive, "--sensitive"), bins=bins)
+    return table_to_json(table), (
         f"{table.n_cells} cells, {table.n_categories} categories of "
         f"{table.sensitive_name!r}, {table.dropped_rows} rows dropped"
     )
@@ -205,28 +212,27 @@ def _risk_params(args) -> list:
     return [PrivacyParams(args.mechanism, float(e), d) for e in eps_grid for d in deltas]
 
 
-def _cmd_risk(args) -> str:
+def _cmd_risk(args) -> tuple[str, str]:
     inputs = _measure_inputs(args)
     points = risk_curve(args.measure, _risk_params(args), **inputs)
-    write_curve_csv(points, args.output)
-    return f"{len(points)} curve points -> {args.output}"
+    return curve_to_csv(points), f"{len(points)} curve points -> {args.output}"
 
 
-def _cmd_sanitize(args, params, seed) -> str:
+def _cmd_sanitize(args, params, seed) -> tuple[str, str]:
     table = read_table(args.table)
-    write_sanitized(sanitize(table, params, seed), args.output)
-    return f"sanitized {table.n_cells} cells -> {args.output}"
+    text = sanitized_to_json(sanitize(table, params, seed))
+    return text, f"sanitized {table.n_cells} cells -> {args.output}"
 
 
-def _cmd_utility(args, params, seed) -> str:
+def _cmd_utility(args, params, seed) -> tuple[str, str]:
     table = read_table(args.table)
     ks = _parse_list(args.ks, "--ks", int)
     report = utility_report(table, params, ks, args.reps, seed, threads=args.threads)
-    write_tvd_csv(report, args.output)
-    return f"{len(report.rows)} marginals x {report.reps} reps -> {args.output}"
+    summary = f"{len(report.rows)} marginals x {report.reps} reps -> {args.output}"
+    return tvd_report_to_csv(report), summary
 
 
-def _cmd_estimate(args) -> str:
+def _cmd_estimate(args) -> tuple[str, str]:
     table = read_table(args.table)
     if args.what == "alpha":
         text = dirichlet_to_json(fit_dirichlet_mom(table))
@@ -236,9 +242,7 @@ def _cmd_estimate(args) -> str:
         text = size_model_to_json(fit_negbin(table.sizes()))
     else:
         text = size_model_to_json(fit_poisson(table.sizes(), zero_truncated=args.zero_truncated))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text.rstrip("\n")
+    return text, text.rstrip("\n")
 
 
 # The inputs each mc estimator needs, named as its error message names them.
@@ -252,7 +256,7 @@ _MC_NEEDS = {
 }
 
 
-def _cmd_mc(args, params, seed) -> str:
+def _cmd_mc(args, params, seed) -> tuple[str, str]:
     inputs = _measure_inputs(args)
     alpha, size_model, k = inputs["alpha"], inputs["size_model"], inputs["n_categories"]
     given = {"--cell": args.cell, "--n": args.n, "--p": args.p, "--alpha": alpha,
@@ -273,18 +277,15 @@ def _cmd_mc(args, params, seed) -> str:
         est = mc_global_variant(size_model, params, k, **shared)
     else:
         est = mc_threshold_dr(inputs["table"], params, mode=args.mode, **shared)
-    write_mc_json(est, args.output)
-    return f"value {est.value:.6g} (se {est.se:.3g}, reps {est.reps}) -> {args.output}"
+    summary = f"value {est.value:.6g} (se {est.se:.3g}, reps {est.reps}) -> {args.output}"
+    return mc_to_json(est), summary
 
 
-def _cmd_invert(args) -> str:
+def _cmd_invert(args) -> tuple[str, str]:
     inputs = _measure_inputs(args)
     res = invert_epsilon(args.measure, args.target_risk, args.mechanism, delta=args.delta, **inputs)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(res), fh, separators=(",", ":"))
-            fh.write("\n")
-    return f"epsilon {res.epsilon:.6f} achieves risk {res.risk:.6g} (target {res.target:g})"
+    text = json.dumps(dataclasses.asdict(res), separators=(",", ":")) + "\n"
+    return text, f"epsilon {res.epsilon:.6f} achieves risk {res.risk:.6g} (target {res.target:g})"
 
 
 def _add_mechanism_flags(p: argparse.ArgumentParser, *, grid: bool) -> None:
@@ -416,19 +417,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one verb, then write its manifest and print its summary line."""
+    """Run one verb, then write its output, then its manifest, then print its summary line."""
     args = build_parser().parse_args(argv)
     try:
         seed = None
         if args.verb in _SEEDED:
             params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
             seed = _seed_for(args)
-            summary = args.func(args, params, seed)
+            text, summary = args.func(args, params, seed)
         else:
-            summary = args.func(args)
+            text, summary = args.func(args)
         if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
             _manifest(args.output, args, seed=seed)
-        print(summary)
+        try:
+            print(summary)
+        except UnicodeEncodeError:  # escape what stdout's encoding cannot hold
+            encoding = sys.stdout.encoding
+            print(summary.encode(encoding, "backslashreplace").decode(encoding))
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -375,8 +375,3 @@ def mc_to_json(est: McEstimate) -> str:
         payload["mode"] = est.mode
         payload["definition"] = _MODE_LABELS[est.mode]
     return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def write_mc_json(est: McEstimate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(mc_to_json(est))

@@ -177,10 +177,6 @@ def postprocess_counts(noisy: np.ndarray) -> np.ndarray:
     return np.maximum(np.floor(noisy + 0.5), 0.0).astype(np.int64)
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def sanitized_to_json(sanitized: SanitizedTable) -> str:
     """Canonical JSON with noisy counts at 17 significant digits; 'sensitivity'
     is written only when it is not the default 1."""
@@ -190,12 +186,12 @@ def sanitized_to_json(sanitized: SanitizedTable) -> str:
         '"sensitive_name":%s' % json.dumps(sanitized.sensitive_name),
         '"categories":%s' % json.dumps(list(sanitized.categories), separators=(",", ":")),
         '"mechanism":%s' % json.dumps(params.mechanism),
-        '"epsilon":%s' % _fmt17(params.epsilon),
-        '"delta":%s' % ("null" if params.delta is None else _fmt17(params.delta)),
+        '"epsilon":%.17g' % params.epsilon,
+        '"delta":%s' % ("null" if params.delta is None else "%.17g" % params.delta),
         '"seed":%d' % sanitized.seed,
     ]
     if params.sensitivity != 1.0:
-        parts.append('"sensitivity":%s' % _fmt17(params.sensitivity))
+        parts.append('"sensitivity":%.17g' % params.sensitivity)
     enc = json.encoder.encode_basestring_ascii
     row = '{"key":[%s],"noisy_counts":[' + ",".join(["%.17g"] * len(sanitized.categories)) + "]}"
     cells = ",".join(
@@ -234,11 +230,6 @@ def sanitized_from_json(text: str) -> SanitizedTable:
         return SanitizedTable(*schema, noisy, params, doc["seed"])
     except KeyError as exc:
         raise ValueError(f"{what} is missing field {exc}") from None
-
-
-def write_sanitized(sanitized: SanitizedTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sanitized_to_json(sanitized))
 
 
 def read_sanitized(path) -> SanitizedTable:

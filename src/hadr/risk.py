@@ -326,22 +326,13 @@ def risk_curve(measure: str, params_list, **inputs) -> list[RiskPoint]:
     ]
 
 
-def _fmt12(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def curve_to_csv(points) -> str:
-    lines = ["epsilon,delta,mechanism,measure,value,scenario1_component,scenario8_component"]
+    lines = ["epsilon,delta,mechanism,measure,value,scenario1_component,scenario8_component\n"]
     for p in points:
-        delta = "" if p.delta is None else _fmt12(p.delta)
-        values = [_fmt12(x) for x in (p.value, p.scenario1, p.scenario8)]
-        lines.append(",".join([_fmt12(p.epsilon), delta, p.mechanism, p.measure, *values]))
-    return "\n".join(lines) + "\n"
-
-
-def write_curve_csv(points, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(curve_to_csv(points))
+        delta = "" if p.delta is None else "%.12g" % p.delta
+        row = (p.epsilon, delta, p.mechanism, p.measure, p.value, p.scenario1, p.scenario8)
+        lines.append("%.12g,%s,%s,%s,%.12g,%.12g,%.12g\n" % row)
+    return "".join(lines)
 
 
 @dataclass(frozen=True)

@@ -64,15 +64,21 @@ def check_schema(qid_names, sensitive_name, categories, keys):
     """Check the schema of a table or a release, naming a faulty key by its index.
 
     The sensitive name is a string; QID names, categories and keys are
-    tuples or lists of strings, never a str: 2 or more distinct categories,
-    1 or more distinct keys of one string per QID. Returns them as tuples,
-    with the order that sorts the keys (None if sorted).
+    tuples or lists of strings, never a str: distinct QID names, none equal
+    to the sensitive name, 2 or more distinct categories, 1 or more
+    distinct keys of one string per QID. Returns them as tuples, with the
+    order that sorts the keys (None if sorted).
     """
     for name, names in (("qid_names", qid_names), ("categories", categories)):
         if type(names) not in (tuple, list) or not set(map(type, names)) <= {str}:
             raise ValueError(f"'{name}' must be a sequence of strings, got {names!r}")
     if type(sensitive_name) is not str:
         raise ValueError(f"'sensitive_name' must be a string, got {sensitive_name!r}")
+    for i, name in enumerate(qid_names):
+        if name in qid_names[:i]:
+            raise ValueError(f"duplicate QID name {name!r}")
+    if sensitive_name in qid_names:
+        raise ValueError(f"sensitive name {sensitive_name!r} is also a QID name")
     if len(categories) < 2:
         raise ValueError("sensitive attribute must take at least 2 categories")
     if len(set(categories)) != len(categories):
@@ -409,9 +415,9 @@ def tabulate_csv(path, qid_columns, sensitive_column: str, bins=()) -> Frequency
     of the first such row and, for a value, its column, whether or not the
     column is tabulated. A row the csv module cannot parse (say, a field
     over its field size limit) raises ValueError with its line, unless an
-    earlier row has one of those faults.
+    earlier row has one of those faults. A leading byte-order mark is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -532,11 +538,6 @@ def table_from_json(text: str) -> FrequencyTable:
     arr = np.array(counts)  # int64 unless a count lies beyond it: the list then names its cell
     counts = arr if arr.dtype == np.int64 else counts  # the list is freed before the checks
     return FrequencyTable(*schema, counts)
-
-
-def write_table(table: FrequencyTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table_to_json(table))
 
 
 def read_table(path) -> FrequencyTable:

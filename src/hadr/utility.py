@@ -132,28 +132,9 @@ def utility_report(
     return TvdReport(rows=tuple(rows), reps=reps)
 
 
-def _fmt12(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def tvd_report_to_csv(report: TvdReport) -> str:
-    lines = ["k,marginal,tvd_mean,tvd_q1,tvd_median,tvd_q3"]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    "*".join(r.names),
-                    _fmt12(r.mean),
-                    _fmt12(r.q1),
-                    _fmt12(r.median),
-                    _fmt12(r.q3),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_tvd_csv(report: TvdReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(tvd_report_to_csv(report))
+    rows = (
+        "%d,%s,%.12g,%.12g,%.12g,%.12g\n" % (r.k, "*".join(r.names), r.mean, r.q1, r.median, r.q3)
+        for r in report.rows
+    )
+    return "k,marginal,tvd_mean,tvd_q1,tvd_median,tvd_q3\n" + "".join(rows)

@@ -1,9 +1,11 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hadr import FrequencyTable
+from hadr.tabulation import table_to_json
 
 # Acceptance results keyed by criterion number; filled in by the report hook
 # below and printed as one line per criterion after the run.
@@ -53,6 +55,11 @@ def make_table(rows, categories=None, qid_names=("g",)) -> FrequencyTable:
         keys=[(f"c{i:0{width}d}",) * len(qid_names) for i in range(len(rows))],
         counts=rows,
     )
+
+
+def write_table(table, path) -> None:
+    """Write the table JSON file that ``hadr tabulate`` would write for ``table``."""
+    Path(path).write_text(table_to_json(table), encoding="utf-8")
 
 
 def cells_of(table) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import cells_of, make_homog_table, make_table, record_caveat
+from conftest import cells_of, make_homog_table, make_table, record_caveat, write_table
 from hadr import (
     PrivacyParams,
     cross_tabulate,
@@ -30,7 +30,6 @@ from hadr import (
     mc_threshold_dr,
     tabulate_csv,
     utility_report,
-    write_table,
 )
 from hadr.cli import main
 from hadr.risk import _dirichlet_moments, risk_curve

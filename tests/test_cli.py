@@ -10,9 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_homog_table, make_table
+from conftest import make_homog_table, make_table, write_table
 import hadr
-from hadr import write_table
 from hadr.cli import main
 
 CSV = "g,h,age,y\n" + "".join(
@@ -124,6 +123,19 @@ def test_tabulate_bad_bin_spec(data_dir, capsys):
     )
     assert code == 1
     assert "error:" in err and "column:width" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--qids", "g,\udcff"), ("--sensitive", "\udcff"), ("--bin", "\udcff:10")]
+)
+def test_tabulate_names_a_column_argument_that_is_not_utf8(data_dir, capsys, flag, value):
+    """A byte that is not UTF-8 reaches Python as a surrogate escape, here of 0xff."""
+    args = {"--qids": "g", "--sensitive": "y", "--bin": "age:10", flag: value}
+    argv = ["tabulate", "--input", str(data_dir / "micro.csv"), *sum(args.items(), ())]
+    code, _, err = run(capsys, *argv, "--output", str(data_dir / "x.json"))
+    assert code == 1
+    assert err == f"error: {flag} {value!r} is not UTF-8\n"
+    assert not (data_dir / "x.json").exists()
 
 
 def test_risk_curve_and_thread_byte_identity(data_dir, capsys, tmp_path):
@@ -938,31 +950,51 @@ def _fresh(code: str) -> str:
 
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     """tabulate, then risk, read and write UTF-8 whatever the locale: a run under
-    the C locale with UTF-8 mode off writes the bytes of a UTF-8-mode run."""
-    (tmp_path / "city.csv").write_bytes("city,diag\nZürich,grippe\nZürich,fièvre\nGenève,grippe\n"
-                                        .encode("utf-8"))
+    the C locale with UTF-8 mode off writes the bytes of a UTF-8-mode run.
+
+    Column names given as arguments are read as UTF-8 too, a leading
+    byte-order mark of the CSV is dropped, and a summary that the ASCII
+    stdout cannot hold is printed with backslash escapes.
+    """
+    inputs = {  # CSV name: (its bytes, --qids, --sensitive)
+        "city": ("city,diag\nZürich,grippe\nZürich,fièvre\nGenève,grippe\n", "city", "diag"),
+        "ville": ("\ufeffville,Diagnöse\nLyon,grippe\nLyon,fièvre\nNice,grippe\n", "ville",
+                  "Diagnöse"),
+    }
     src = os.path.dirname(os.path.dirname(hadr.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     locales = {
         "ascii": dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
         "utf8": dict(PYTHONUTF8="1"),
     }
-    tables = {}
-    for name, settings in locales.items():
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                   **settings)
-        table = tmp_path / f"{name}.json"
-        for argv in (
-            ["tabulate", "--input", "city.csv", "--qids", "city", "--sensitive", "diag"],
-            ["risk", "--table", table.name, "--measure", "local", "--mechanism", "laplace",
-             "--epsilon-grid", "1:1:log1"],
-        ):
-            out = table.name if argv[0] == "tabulate" else f"{name}.csv"
-            proc = subprocess.run([sys.executable, "-m", "hadr.cli", *argv, "--output", out],
-                                  cwd=tmp_path, env=env, capture_output=True, timeout=60)
-            assert proc.returncode == 0, proc.stderr
-        tables[name] = table.read_bytes()
-    assert tables["ascii"] == tables["utf8"]
-    assert json.loads(tables["ascii"].decode("utf-8"))["categories"] == ["fièvre", "grippe"]
+    tables, summaries = {}, {}
+    for csv_name, (text, qids, sensitive) in inputs.items():
+        (tmp_path / f"{csv_name}.csv").write_bytes(text.encode("utf-8"))
+        for name, settings in locales.items():
+            env = dict(os.environ, PYTHONPATH=path, **settings)
+            table = tmp_path / f"{csv_name}-{name}.json"
+            for argv in (
+                ["tabulate", "--input", f"{csv_name}.csv", "--qids", qids,
+                 "--sensitive", sensitive],
+                ["risk", "--table", table.name, "--measure", "local", "--mechanism", "laplace",
+                 "--epsilon-grid", "1:1:log1"],
+            ):
+                out = table.name if argv[0] == "tabulate" else f"{csv_name}-{name}.csv"
+                # the arguments as the UTF-8 bytes a terminal passes, whatever this locale
+                argv = [a.encode("utf-8") for a in [*argv, "--output", out]]
+                proc = subprocess.run([sys.executable, "-m", "hadr.cli", *argv],
+                                      cwd=tmp_path, env=env, capture_output=True, timeout=60)
+                assert proc.returncode == 0, proc.stderr
+                if argv[0] == b"tabulate":
+                    summaries[csv_name, name] = proc.stdout
+            tables[csv_name, name] = table.read_bytes()
+        assert tables[csv_name, "ascii"] == tables[csv_name, "utf8"]
+    city, ville = (json.loads(tables[n, "ascii"].decode("utf-8")) for n in ("city", "ville"))
+    assert city["categories"] == ["fièvre", "grippe"]
+    assert ville["qid_names"] == ["ville"] and ville["sensitive_name"] == "Diagnöse"
+    summary = "2 cells, 2 categories of {}, 0 rows dropped\n"
+    assert summaries["ville", "utf8"] == summary.format("'Diagnöse'").encode("utf-8")
+    assert summaries["ville", "ascii"] == summary.format("'Diagn\\xf6se'").encode("ascii")
 
 
 # scipy's heavy modules, and numpy modules only scipy.special pulls in

@@ -17,7 +17,6 @@ from hadr import (
     postprocess_counts,
     read_sanitized,
     sanitize,
-    write_sanitized,
 )
 from hadr.mechanisms import (
     MECHANISMS,
@@ -253,7 +252,7 @@ def test_sensitivity_is_recorded_and_round_trips(tmp_path):
     noise = 2 * mechanism_noise(PrivacyParams("laplace", 1.0), 3, 0, (2, 2))
     np.testing.assert_array_equal(s.noisy, [[3, 1], [0, 7]] + noise)
     path = tmp_path / "san.json"
-    write_sanitized(s, path)
+    path.write_text(sanitized_to_json(s), encoding="utf-8")
     text = path.read_text()
     assert '"seed":3,"sensitivity":2,"cells"' in text
     back = read_sanitized(path)
@@ -269,7 +268,7 @@ def test_sanitized_json_round_trip(tmp_path):
     t = make_table([(3, 1), (0, 7)])
     s = sanitize(t, PrivacyParams("gaussian_pdp", 1.5, delta=1e-4), seed=9)
     path = tmp_path / "san.json"
-    write_sanitized(s, path)
+    path.write_text(sanitized_to_json(s), encoding="utf-8")
     text = path.read_text()
     back = read_sanitized(path)
     np.testing.assert_array_equal(back.noisy, s.noisy)
@@ -396,11 +395,16 @@ def test_sanitized_json_rejects_non_object():
         (("categories",), ["y0", "y0"], "duplicate sensitive categories"),
         (("sensitivity",), 0, "sensitivity must be positive"),
         (("sensitivity",), math.inf, "must be finite"),
+        ((), {"qid_names": ["g", "g"],
+              "cells": [{"key": ["c0", "c0"], "noisy_counts": [1.0, 2.0]}]},
+         r"^duplicate QID name 'g'$"),
+        (("sensitive_name",), "g", r"^sensitive name 'g' is also a QID name$"),
     ],
     ids=[
         "key-length", "key-str", "no-cells", "one-category", "nan-count", "inf-count", "minus-inf-count", "nan-epsilon",
         "negative-epsilon", "laplace-delta", "unknown-mechanism", "duplicate-key",
-        "duplicate-category", "zero-sensitivity", "inf-sensitivity",
+        "duplicate-category", "zero-sensitivity", "inf-sensitivity", "duplicate-qid",
+        "sensitive-is-qid",
     ],
 )
 def test_sanitized_release_checked_like_a_table(path, value, match):

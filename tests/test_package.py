@@ -42,11 +42,6 @@ PUBLIC_API = [
     "tabulate_csv",
     "upper_bound_findings",
     "utility_report",
-    "write_curve_csv",
-    "write_mc_json",
-    "write_sanitized",
-    "write_table",
-    "write_tvd_csv",
 ]
 
 
@@ -71,3 +66,27 @@ def test_oracles_import_only_two_names_from_hadr():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hadr":
             taken += [a.name for a in node.names]
     assert sorted(taken) == ["RiskValue", "TAIL_MASS"]
+
+
+def test_only_main_and_the_manifest_open_files_for_writing():
+    """Verbs return their output text: cli.main writes it, then _manifest the manifest.
+
+    Every call of ``open`` whose mode is not a constant read mode counts as
+    a write, named by its module and innermost enclosing function.
+    """
+    writers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            reads = [isinstance(m, ast.Constant) and set(m.value) <= set("rbt") for m in modes]
+            if reads and not all(reads):
+                writers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(hadr.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert writers == ["cli._manifest", "cli.main"]

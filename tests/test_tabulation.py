@@ -10,22 +10,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import cells_of, make_table
+from conftest import cells_of, make_table, write_table
 from hadr import (
     FrequencyTable,
     cross_tabulate,
     read_table,
     tabulate_csv,
-    write_table,
 )
-from hadr import PrivacyParams, mechanisms, read_sanitized, sanitize, tabulation, write_sanitized
+from hadr import PrivacyParams, mechanisms, read_sanitized, sanitize, tabulation
 from hadr.mechanisms import SanitizedTable, sanitized_from_json, sanitized_to_json
 from hadr.tabulation import _fold, check_schema, table_from_json, table_to_json
 
 
 def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -35,6 +34,13 @@ def test_load_csv_basic(tmp_path):
     assert t.qid_names == ("a", "b") and t.sensitive_name == "y"
     assert t.categories == ("u", "v")
     assert cells_of(t) == {("1-2", "x"): (1, 0), ("2-3", "x"): (0, 1)}
+    # a leading byte-order mark is dropped, as spreadsheet exports write one
+    bom = write_csv(tmp_path, "\ufeffa,b,y\n1,x,u\n2,x,v\n", name="bom.csv")
+    bom_table = tabulate_csv(bom, ["a", "b"], "y", bins=[("a", 1.0)])
+    assert table_to_json(bom_table) == table_to_json(t)
+    # while a U+FEFF inside a field is kept
+    inner = write_csv(tmp_path, "\ufeffa,b,y\n1,\ufeffx,u\n2,x,v\n", name="inner.csv")
+    assert ("1-2", "\ufeffx") in tabulate_csv(inner, ["a", "b"], "y", bins=[("a", 1.0)]).keys()
 
 
 def test_load_csv_missing_header(tmp_path):
@@ -362,13 +368,20 @@ def test_table_from_json_rejects_non_object():
 
 
 @pytest.mark.parametrize(
-    "field,value",
-    [("qid_names", "g"), ("categories", "y0y1"), ("categories", ["y0", 1]), ("sensitive_name", 5)],
+    "field,value,message",
+    [
+        ("qid_names", "g", "'qid_names' must be a"),
+        ("categories", "y0y1", "'categories' must be a"),
+        ("categories", ["y0", 1], "'categories' must be a"),
+        ("sensitive_name", 5, "'sensitive_name' must be a"),
+        ("qid_names", ["g", "g"], r"^duplicate QID name 'g'$"),
+        ("sensitive_name", "g", r"^sensitive name 'g' is also a QID name$"),
+    ],
 )
-def test_table_from_json_rejects_mistyped_names(field, value):
+def test_table_from_json_rejects_mistyped_names(field, value, message):
     doc = json.loads(table_to_json(make_table([(3, 1)])))
     doc[field] = value  # a string would otherwise split into characters
-    with pytest.raises(ValueError, match=f"'{field}' must be a"):
+    with pytest.raises(ValueError, match=message):
         table_from_json(json.dumps(doc))
 
 
@@ -451,7 +464,8 @@ def test_a_read_checks_the_schema_once(tmp_path, monkeypatch):
 
     table = make_table([(3, 1), (0, 7)])
     write_table(table, tmp_path / "t.json")
-    write_sanitized(sanitize(table, PrivacyParams("laplace", 1.0), 9), tmp_path / "s.json")
+    release = sanitized_to_json(sanitize(table, PrivacyParams("laplace", 1.0), 9))
+    (tmp_path / "s.json").write_text(release, encoding="utf-8")
     monkeypatch.setattr(tabulation, "check_schema", counted)
     monkeypatch.setattr(mechanisms, "check_schema", counted)
     assert read_table(tmp_path / "t.json") == table and len(calls) == 1
@@ -562,6 +576,8 @@ SCHEMA_FAULTS = [
     (dict(categories=("u",)), r"^sensitive attribute must take at least 2 categories$"),
     (dict(categories=("u", "u")), r"^duplicate sensitive categories$"),
     (dict(keys=[("a",), ("a",)]), r"^duplicate cell key \('a',\)$"),
+    (dict(qid_names=("g", "g"), keys=[("a", "b")]), r"^duplicate QID name 'g'$"),
+    (dict(sensitive_name="g"), r"^sensitive name 'g' is also a QID name$"),
 ]
 
 

@@ -37,7 +37,6 @@ from .mechanisms import (
 )
 from .risk import (
     MEASURES,
-    LocalRisk,
     RiskPoint,
     RiskValue,
     evaluate_measure,
@@ -59,7 +58,6 @@ __all__ = [
     "CellSizeModel",
     "DirichletFit",
     "FrequencyTable",
-    "LocalRisk",
     "MECHANISMS",
     "MEASURES",
     "McEstimate",

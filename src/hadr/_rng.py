@@ -57,11 +57,6 @@ def check_int(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
-def check_reps(reps) -> int:
-    """Validate and return a replicate count as a plain positive int."""
-    return check_int(reps, "reps")
-
-
 def check_alpha(alpha) -> np.ndarray:
     """Validate and return a Dirichlet concentration as a float vector of
     at least 2 finite, positive entries."""
@@ -73,17 +68,24 @@ def check_alpha(alpha) -> np.ndarray:
     return arr
 
 
+def check_integers(values, arr: np.ndarray, name: str) -> None:
+    """Refuse ``arr = np.asarray(values)`` unless its entries are integers; a list
+    is checked entry by entry too, since np.asarray reads a bool in it as 0 or 1."""
+    if not np.issubdtype(arr.dtype, np.integer):  # bool is not an integer dtype
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValueError(f"{name} must be integers, got a bool")
+
+
 def check_counts(counts) -> np.ndarray:
     """Validate one cell's category counts and return them as int64.
 
-    Integer dtypes only: float or bool counts are refused rather than
-    truncated.
+    Integers only: float or bool counts are refused rather than truncated.
     """
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("counts must be a vector with at least 2 categories")
-    if not np.issubdtype(arr.dtype, np.integer):  # bool is not an integer dtype
-        raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
+    check_integers(counts, arr, "counts")
     if np.any(arr < 0) or arr.sum() < 1:
         raise ValueError("counts must be non-negative with at least one record")
     return arr.astype(np.int64)
@@ -111,11 +113,9 @@ def block_generator(seed: int, index: int) -> np.random.Generator:
     """Independent generator for replication block ``index``.
 
     Each block owns 2**64 counter blocks, and the whole block region is
-    disjoint from the word-positional streams above.
+    disjoint from the word-positional streams above. The caller passes a
+    seed that ``check_seed`` returned and a non-negative int index.
     """
-    seed = check_seed(seed)
-    if index < 0:
-        raise ValueError("block index must be non-negative")
     counter = _BLOCK_REGION + index * _BLOCK_STRIDE
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 

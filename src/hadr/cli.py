@@ -180,8 +180,10 @@ def _utf8(text: str, flag: str) -> str:
 
 
 def _cmd_tabulate(args) -> tuple[str, str]:
+    # the names are stored back decoded, so the manifest records what the verb used
+    args.bin = args.bin and [_utf8(spec, "--bin") for spec in args.bin]
     bins = []
-    for spec in [_utf8(spec, "--bin") for spec in args.bin or []]:
+    for spec in args.bin or []:
         col, sep, width = spec.partition(":")
         if not sep:
             raise ValueError(f"--bin {spec!r} must be column:width")
@@ -189,8 +191,9 @@ def _cmd_tabulate(args) -> tuple[str, str]:
             bins.append((col, float(width)))
         except ValueError:
             raise ValueError(f"--bin {spec!r} has a non-numeric width") from None
-    qids = [q for q in _utf8(args.qids, "--qids").split(",") if q]
-    table = tabulate_csv(args.input, qids, _utf8(args.sensitive, "--sensitive"), bins=bins)
+    args.qids, args.sensitive = _utf8(args.qids, "--qids"), _utf8(args.sensitive, "--sensitive")
+    qids = [q for q in args.qids.split(",") if q]
+    table = tabulate_csv(args.input, qids, args.sensitive, bins=bins)
     return table_to_json(table), (
         f"{table.n_cells} cells, {table.n_categories} categories of "
         f"{table.sensitive_name!r}, {table.dropped_rows} rows dropped"

@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._rng import check_integers
 from .tabulation import FrequencyTable, read_number
 
 SIZE_FAMILIES = ("poisson", "negbin")
@@ -55,7 +56,6 @@ class DirichletFit:
     alpha: np.ndarray
     implied_concentrations: np.ndarray
     alpha_dot_spread: float
-    p_hat: np.ndarray
 
 
 def fit_dirichlet_mom(table: FrequencyTable) -> DirichletFit:
@@ -89,12 +89,7 @@ def fit_dirichlet_mom(table: FrequencyTable) -> DirichletFit:
     concentration = numer / denom
     alpha = p_hat * concentration
     spread = float(concentration.max() - concentration.min())
-    return DirichletFit(
-        alpha=alpha,
-        implied_concentrations=concentration,
-        alpha_dot_spread=spread,
-        p_hat=p_hat,
-    )
+    return DirichletFit(alpha=alpha, implied_concentrations=concentration, alpha_dot_spread=spread)
 
 
 def _first_size(holds, lo) -> np.ndarray:
@@ -243,6 +238,7 @@ def _check_size_sample(sizes) -> np.ndarray:
     arr = np.asarray(sizes)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need at least 2 cell sizes to fit a size model")
+    check_integers(sizes, arr, "cell sizes")
     if not np.all(arr >= 1):
         raise ValueError("cell sizes must be >= 1")
     return arr.astype(float)

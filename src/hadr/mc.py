@@ -37,15 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import (
-    block_generator,
-    check_alpha,
-    check_counts,
-    check_int,
-    check_reps,
-    check_seed,
-    ordered_map,
-)
+from ._rng import block_generator, check_alpha, check_counts, check_int, check_seed, ordered_map
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
 from .risk import expected_risk_cells
@@ -115,8 +107,8 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
     substream ``block_offset + j``, and each block into chunks of at most
     ``per`` replicates; block results are combined in index order.
     """
-    check_seed(seed)
-    reps = check_reps(reps)
+    seed = check_seed(seed)
+    reps = check_int(reps, "reps")
     block_offset = check_int(block_offset, "block_offset", 0)
     blocks = list(enumerate(_chunks(reps, BLOCK_REPS), start=block_offset))
 
@@ -157,13 +149,11 @@ def _event(reps, seed, threads, k, params, draw, *, block_offset=0) -> McEstimat
 
 
 def mc_local(
-    counts, params: PrivacyParams, reps: int, seed: int, *, threads: int = 1, block_offset: int = 0
+    counts, params: PrivacyParams, reps: int, seed: int, *, threads: int = 1
 ) -> McEstimate:
     """Disclosure frequency with the observed counts held fixed.
 
     Pairs with risk.local_risk; ``counts`` is an integer vector.
-    ``block_offset`` shifts the substream index so several cells can share
-    one seed without stream overlap.
     """
     counts = check_counts(counts)
     k = counts.size
@@ -171,7 +161,7 @@ def mc_local(
     def draw(gen, c):
         return np.broadcast_to(counts, (c, k))
 
-    return _event(reps, seed, threads, k, params, draw, block_offset=block_offset)
+    return _event(reps, seed, threads, k, params, draw)
 
 
 def mc_expected(
@@ -188,13 +178,14 @@ def mc_expected(
 
     Pairs with the per-cell two-term expected value (exactly for the
     scenario-1 component; the scenario-8 term is only a partial cover, see
-    upper_bound_findings).
+    upper_bound_findings). ``block_offset`` shifts the substream index so
+    several cells can share one seed without stream overlap.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("p must be a probability vector with at least 2 categories")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("p must be non-negative and sum to 1")
+    if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):  # false for a NaN or inf
+        raise ValueError("p must be finite, non-negative and sum to 1")
     n = check_int(n, "cell size")
     p = p / p.sum()
 
@@ -338,7 +329,7 @@ def upper_bound_findings(
     beyond 3 standard errors) is reported as a finding rather than treated
     as a simulation failure.
     """
-    reps = check_reps(reps)
+    reps = check_int(reps, "reps")
     check_seed(seed)
     closed = expected_risk_cells(table, params)
     counts, sizes, keys = table.counts, table.sizes(), table.keys()

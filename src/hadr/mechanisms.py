@@ -127,7 +127,7 @@ def mechanism_noise(params: PrivacyParams, seed: int, start: int, shape) -> np.n
     return noise.reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SanitizedTable:
     """Noisy release of a frequency table, checked like one at construction.
 
@@ -135,7 +135,8 @@ class SanitizedTable:
     table's do, and are stored as tuples; ``noisy`` holds the finite float
     noisy counts, row-aligned with ``keys``; ``params`` is the
     ``PrivacyParams`` the noise was drawn with; the seed is an integer in
-    [0, 2**64), stored as a plain int.
+    [0, 2**64), stored as a plain int. Releases compare by content and,
+    like tables, are not hashable.
     """
 
     qid_names: tuple[str, ...]
@@ -159,6 +160,13 @@ class SanitizedTable:
                        seed=_rng.check_seed(self.seed))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, SanitizedTable):
+            return NotImplemented
+        head = ("qid_names", "sensitive_name", "categories", "keys", "params", "seed")
+        same = all(getattr(self, name) == getattr(other, name) for name in head)
+        return same and np.array_equal(self.noisy, other.noisy)
 
 
 def sanitize(table: FrequencyTable, params: PrivacyParams, seed: int) -> SanitizedTable:

@@ -62,6 +62,9 @@ from .tabulation import FrequencyTable
 
 TAIL_MASS = 1e-12
 MAX_SERIES_TERMS = 10**6
+EPSILON_LO = 1e-4
+EPSILON_HI = 1e4
+EPSILON_TOL = 1e-6
 
 MEASURES = ("local", "expected", "shrinkage", "global", "global_variant")
 
@@ -73,15 +76,6 @@ class RiskValue(NamedTuple):
     scenario1: float
     scenario8: float
     truncated_at: int | None = None
-
-
-class LocalRisk(NamedTuple):
-    """Single-cell local risk; exact is True on the homogeneous branch."""
-
-    value: float
-    scenario1: float
-    scenario8: float
-    exact: bool
 
 
 def _tail_factors(params: PrivacyParams, n_categories: int, n: np.ndarray):
@@ -226,7 +220,7 @@ class _LocalProfile:
         return RiskValue(float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
 
 
-def local_risk(counts, params: PrivacyParams) -> LocalRisk:
+def local_risk(counts, params: PrivacyParams) -> RiskValue:
     """Event probability for one cell with fixed observed counts.
 
     ``counts`` is an integer vector; float or bool counts are refused
@@ -234,16 +228,17 @@ def local_risk(counts, params: PrivacyParams) -> LocalRisk:
     noise alone) that the sanitized support collapses onto a single
     occupied category: the disjoint union over occupied k of
     "count k stays present, every other count drops below threshold". On a
-    homogeneous cell that IS the disclosure probability (exact=True); on a
-    heterogeneous cell it upper-bounds the fraction of records actually
-    disclosed, since only the collapsed-to category's records leak.
+    homogeneous cell that IS the disclosure probability, all of it in
+    scenario1; on a heterogeneous cell, all in scenario8, it upper-bounds
+    the fraction of records actually disclosed, since only the
+    collapsed-to category's records leak.
     """
     arr = check_counts(counts)[None, :]
     t = 0.5 - arr.astype(float)
     total = float(_collapse_probs(params.sf(t), params.cdf(t), arr >= 1)[0])
     if np.count_nonzero(arr) == 1:
-        return LocalRisk(value=total, scenario1=total, scenario8=0.0, exact=True)
-    return LocalRisk(value=total, scenario1=0.0, scenario8=total, exact=False)
+        return RiskValue(value=total, scenario1=total, scenario8=0.0)
+    return RiskValue(value=total, scenario1=0.0, scenario8=total)
 
 
 def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndarray:
@@ -351,26 +346,23 @@ def invert_epsilon(
     mechanism: str,
     *,
     delta: float | None = None,
-    lo: float = 1e-4,
-    hi: float = 1e4,
-    tol: float = 1e-6,
     **inputs,
 ) -> InversionResult:
     """Largest epsilon whose whole prefix keeps the risk at or below target.
 
-    A 200-point log grid locates the last crossing (the first grid point
-    whose risk exceeds the target, scanning upward); bisection then shrinks
-    the bracket below ``tol``. Curves are scanned rather than assumed
-    monotone, so a non-monotone mixed-table curve still gets its last safe
-    prefix. Raises with both asymptote values when the target is outside
-    the achievable range. ``inputs`` are as for ``evaluate_measure``.
+    A 200-point log grid on [EPSILON_LO, EPSILON_HI] locates the last
+    crossing (the first grid point whose risk exceeds the target, scanning
+    upward; gaussian_adp stops below 1); bisection then shrinks the bracket
+    below EPSILON_TOL. Curves are scanned rather than assumed monotone, so a
+    non-monotone mixed-table curve still gets its last safe prefix. Raises
+    with both asymptote values when the target is outside the achievable
+    range. ``inputs`` are as for ``evaluate_measure``.
     """
     if not 0 < target < 1:
         raise ValueError("target risk must be in (0, 1)")
+    lo, hi = EPSILON_LO, EPSILON_HI
     if mechanism == "gaussian_adp":
-        hi = min(hi, 1.0 - 1e-9)  # calibration domain ends at epsilon = 1
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi for the epsilon search range")
+        hi = 1.0 - 1e-9  # calibration domain ends at epsilon = 1
     profile = _profile(measure, **inputs)
 
     def value_at(eps: float) -> float:
@@ -393,7 +385,7 @@ def invert_epsilon(
     lo_eps = float(grid_eps[exceed - 1])
     hi_eps = float(grid_eps[exceed])
     for _ in range(200):
-        if hi_eps - lo_eps <= tol:
+        if hi_eps - lo_eps <= EPSILON_TOL:
             break
         mid = math.sqrt(lo_eps * hi_eps)
         if value_at(mid) <= target:

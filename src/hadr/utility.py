@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import check_reps, ordered_map
+from ._rng import check_int, ordered_map
 from .mechanisms import PrivacyParams, mechanism_noise, postprocess_counts
-from .tabulation import FrequencyTable
+from .tabulation import FrequencyTable, _fold
 
 
 def _qid_codes(table: FrequencyTable) -> list:
@@ -30,16 +30,11 @@ def _qid_codes(table: FrequencyTable) -> list:
 
 
 def _projection(codes: list, spec: tuple) -> np.ndarray:
-    """Group index of every cell for the spec's QIDs.
-
-    Ranks are combined one QID at a time and renumbered densely, so groups
-    follow the sorted order of the projected keys and no index overflows.
-    """
-    groups = np.zeros_like(codes[0])
-    for j in spec:
-        flat = np.ravel_multi_index((groups, codes[j]), (groups.max() + 1, codes[j].max() + 1))
-        groups = np.unique(flat, return_inverse=True)[1]
-    return groups
+    """Group index of every cell for the spec's QIDs, numbered densely in the
+    sorted order of the projected keys."""
+    columns = [codes[j] for j in spec]
+    key = _fold(np.stack(columns), [int(c.max()) + 1 for c in columns])
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _marginal(groups: np.ndarray, cell_totals) -> np.ndarray:
@@ -52,7 +47,6 @@ def _marginal(groups: np.ndarray, cell_totals) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TvdRow:
-    spec: tuple
     names: tuple
     k: int
     mean: float
@@ -86,15 +80,13 @@ def utility_report(
     subsets of each requested size are evaluated (so a table with p QIDs
     yields C(p, k) rows per k).
     """
-    reps = check_reps(reps)
-    ks = sorted(set(int(k) for k in ks))
+    reps = check_int(reps, "reps")
+    n_qids = len(table.qid_names)
     specs = []
-    for k in ks:
-        if not 1 <= k <= len(table.qid_names):
-            raise ValueError(
-                f"marginal size {k} out of range for {len(table.qid_names)} QIDs"
-            )
-        specs.extend(itertools.combinations(range(len(table.qid_names)), k))
+    for k in sorted({check_int(k, "marginal size") for k in ks}):
+        if k > n_qids:
+            raise ValueError(f"marginal size {k} out of range for {n_qids} QIDs")
+        specs.extend(itertools.combinations(range(n_qids), k))
     codes = _qid_codes(table)
     proj = [_projection(codes, spec) for spec in specs]
     base = [_marginal(groups, table.sizes()) for groups in proj]
@@ -120,7 +112,6 @@ def utility_report(
         q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75])
         rows.append(
             TvdRow(
-                spec=spec,
                 names=tuple(table.qid_names[j] for j in spec),
                 k=len(spec),
                 mean=float(vals.mean()),

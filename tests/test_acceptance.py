@@ -109,7 +109,7 @@ def test_criterion_03_oracle_equivalence():
             mech, eps, delta = MECH_GRID[i % len(MECH_GRID)]
             params = PrivacyParams(mech, eps, delta=delta)
             closed = local_risk(counts, params)
-            assert closed.exact
+            assert closed.scenario1 == closed.value  # the homogeneous branch
             est = mc_local(counts, params, reps=100_000, seed=9_000 + i)
             if abs(est.value - closed.value) <= 3.0 * est.se + 1e-12:
                 hits += 1
@@ -125,7 +125,7 @@ def test_criterion_04_upper_bound_property():
             mech, eps, delta = MECH_GRID[i % len(MECH_GRID)]
             params = PrivacyParams(mech, eps, delta=delta)
             bound = local_risk(counts, params)
-            assert not bound.exact
+            assert bound.scenario8 == bound.value  # the heterogeneous branch
             est = mc_local(counts, params, reps=100_000, seed=17_000 + i)
             if est.value > bound.value + 3.0 * est.se + 1e-12:
                 violations.append(

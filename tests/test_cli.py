@@ -952,9 +952,10 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     """tabulate, then risk, read and write UTF-8 whatever the locale: a run under
     the C locale with UTF-8 mode off writes the bytes of a UTF-8-mode run.
 
-    Column names given as arguments are read as UTF-8 too, a leading
-    byte-order mark of the CSV is dropped, and a summary that the ASCII
-    stdout cannot hold is printed with backslash escapes.
+    Column names given as arguments are read as UTF-8 too, and the
+    manifest records them so decoded; a leading byte-order mark of the CSV
+    is dropped, and a summary that the ASCII stdout cannot hold is printed
+    with backslash escapes.
     """
     inputs = {  # CSV name: (its bytes, --qids, --sensitive)
         "city": ("city,diag\nZürich,grippe\nZürich,fièvre\nGenève,grippe\n", "city", "diag"),
@@ -967,7 +968,7 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
         "ascii": dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
         "utf8": dict(PYTHONUTF8="1"),
     }
-    tables, summaries = {}, {}
+    tables, summaries, names = {}, {}, {}
     for csv_name, (text, qids, sensitive) in inputs.items():
         (tmp_path / f"{csv_name}.csv").write_bytes(text.encode("utf-8"))
         for name, settings in locales.items():
@@ -988,7 +989,10 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
                 if argv[0] == b"tabulate":
                     summaries[csv_name, name] = proc.stdout
             tables[csv_name, name] = table.read_bytes()
+            manifest = json.loads((tmp_path / f"{table.name}.manifest.json").read_bytes())
+            names[csv_name, name] = [manifest["arguments"][k] for k in ("qids", "sensitive")]
         assert tables[csv_name, "ascii"] == tables[csv_name, "utf8"]
+        assert names[csv_name, "ascii"] == names[csv_name, "utf8"] == [qids, sensitive]
     city, ville = (json.loads(tables[n, "ascii"].decode("utf-8")) for n in ("city", "ville"))
     assert city["categories"] == ["fièvre", "grippe"]
     assert ville["qid_names"] == ["ville"] and ville["sensitive_name"] == "Diagnöse"

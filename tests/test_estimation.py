@@ -52,7 +52,7 @@ def test_fit_reproduces_dispersion():
     assert fit.alpha_dot_spread == pytest.approx(
         fit.implied_concentrations.max() - fit.implied_concentrations.min()
     )
-    np.testing.assert_allclose(fit.alpha, fit.p_hat * fit.implied_concentrations)
+    np.testing.assert_allclose(fit.alpha, p * fit.implied_concentrations)
 
 
 def beta_mom(counts):
@@ -116,6 +116,17 @@ def test_fit_size_sample_validation():
         fit_poisson([4])
     with pytest.raises(ValueError):
         fit_poisson([0, 3])
+
+
+@pytest.mark.parametrize("fit", [fit_poisson, fit_negbin])
+@pytest.mark.parametrize(
+    "sizes", [[1.5, 2.5], [2.0, 3.0], [True, 2, 3], np.array([True, True])],
+    ids=["fraction", "float", "bool_in_list", "bool_array"],
+)
+def test_fit_refuses_sizes_that_are_not_integers(fit, sizes):
+    """Sizes are refused, not averaged as floats or read as 1."""
+    with pytest.raises(ValueError, match="^cell sizes must be integers, got "):
+        fit(sizes)
 
 
 def test_fit_negbin_moments():

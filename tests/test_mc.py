@@ -95,7 +95,7 @@ def component_se(tally, reps):
 def test_mc_local_homogeneous_matches_exact():
     est = mc_local((0, 10), LAP1, REPS, seed=101)
     closed = local_risk((0, 10), LAP1)
-    assert closed.exact
+    assert closed.scenario1 == closed.value
     assert within_3se(est, closed.value)
     assert est.scenarios["8"] == 0 and est.scenarios["5"] == 0
 
@@ -109,7 +109,7 @@ def test_mc_local_gaussian_matches_exact():
 def test_mc_local_heterogeneous_matches_union_form():
     est = mc_local((2, 3), LAP1, REPS, seed=103)
     closed = local_risk((2, 3), LAP1)
-    assert not closed.exact
+    assert closed.scenario8 == closed.value
     assert within_3se(est, closed.value)
     assert est.scenarios["1"] == 0  # a heterogeneous cell never yields codes 1-4
     assert est.scenarios["3"] == 0
@@ -146,6 +146,9 @@ def test_mc_expected_validation():
         mc_expected(0, (0.5, 0.5), LAP1, 100, seed=1)
     with pytest.raises(ValueError):
         mc_expected(3, (1.2, -0.2), LAP1, 100, seed=1)
+    # NaN compares false, so it must fail the check, not reach numpy's sampler
+    with pytest.raises(ValueError, match=r"^p must be finite, non-negative and sum to 1$"):
+        mc_expected(3, (np.nan, 0.5, 0.5), LAP1, 100, seed=1)
 
 
 def test_mc_shrinkage_scenario1_component():
@@ -219,10 +222,8 @@ STREAM_TABLE = make_table([(3, 1), (0, 7), (2, 2)])
 # leave them alone.
 FROZEN_STREAMS = {
     "local": (
-        lambda threads: mc_local(
-            (3, 0, 1), GAUSS, STREAM_REPS, 101, threads=threads, block_offset=5
-        ),
-        (0.2604795215464303, 0.0012122125331072177, (0, 0, 0, 0, 75016, 11524, 10403, 34146)),
+        lambda threads: mc_local((3, 0, 1), GAUSS, STREAM_REPS, 101, threads=threads),
+        (0.2602125273669034, 0.0012118098034992247, (0, 0, 0, 0, 75117, 11581, 10280, 34111)),
     ),
     "expected": (
         lambda threads: mc_expected(
@@ -303,20 +304,17 @@ def test_streams_frozen(name, threads):
 
 
 def test_block_offset_shifts_stream():
-    a = mc_local((0, 5), LAP1, 4096, seed=37)
-    b = mc_local((0, 5), LAP1, 4096, seed=37, block_offset=1 << 32)
+    a = mc_expected(5, (0.5, 0.5), LAP1, 4096, seed=37)
+    b = mc_expected(5, (0.5, 0.5), LAP1, 4096, seed=37, block_offset=1 << 32)
     assert a.value != b.value  # different substream, same seed
-    again = mc_local((0, 5), LAP1, 4096, seed=37, block_offset=1 << 32)
+    again = mc_expected(5, (0.5, 0.5), LAP1, 4096, seed=37, block_offset=1 << 32)
     assert b == again
 
 
 @pytest.mark.parametrize("offset", [True, 5.0, -1])
 def test_block_offset_must_be_a_non_negative_integer(offset):
     """A bool or a float is refused rather than taken as an index."""
-    message = "^block_offset must be an integer >= 0$"
-    with pytest.raises(ValueError, match=message):
-        mc_local((0, 5), LAP1, 16, seed=37, block_offset=offset)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^block_offset must be an integer >= 0$"):
         mc_expected(5, (0.5, 0.5), LAP1, 16, seed=37, block_offset=offset)
 
 
@@ -455,9 +453,8 @@ def test_estimators_reject_inputs_they_would_coerce(call, message):
         call()
 
 
-def test_check_reps_returns_a_plain_int():
-    assert hadr._rng.check_reps(np.int64(7)) == 7
-    assert type(hadr._rng.check_reps(np.int64(7))) is int
+def test_reps_come_back_as_a_plain_int():
+    assert type(mc_local((0, 5), LAP1, np.int64(7), seed=1).reps) is int
     report = upper_bound_findings(make_homog_table([2, 5]), LAP1, np.int32(3), seed=1)
     assert type(report["reps"]) is int
 

@@ -278,6 +278,27 @@ def test_sanitized_json_round_trip(tmp_path):
     assert sanitized_to_json(back) == text
 
 
+def test_releases_compare_by_content():
+    """Equal when every field is; the noisy counts compare as arrays. Unhashable, as tables are."""
+    t = make_table([(3, 1), (0, 7)])
+    s = sanitize(t, PrivacyParams("laplace", 1.0), seed=1)
+    assert s == sanitize(t, PrivacyParams("laplace", 1.0), seed=1)
+    assert sanitized_from_json(sanitized_to_json(s)) == s
+    for changed in (
+        dict(qid_names=("other",)),
+        dict(sensitive_name="other"),
+        dict(categories=s.categories[::-1]),
+        dict(keys=s.keys[::-1]),
+        dict(noisy=s.noisy + 1.0),
+        dict(params=PrivacyParams("laplace", 2.0)),
+        dict(seed=2),
+    ):
+        assert s != dataclasses.replace(s, **changed)
+    assert s != t
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(s)
+
+
 def test_sanitized_json_bytes_match_per_cell_dumps():
     """The row-format writer against the per-cell json.dumps it replaced."""
     keys = (("a9", 'q"uote'), ("a10", "back\\slash"), ("é✓", "tab\tnew\nline"), ("", "100%"))

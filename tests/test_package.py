@@ -10,7 +10,6 @@ PUBLIC_API = [
     "CellSizeModel",
     "DirichletFit",
     "FrequencyTable",
-    "LocalRisk",
     "MEASURES",
     "MECHANISMS",
     "McEstimate",

@@ -132,6 +132,13 @@ def test_report_summary_and_validation(rng):
         utility_report(t, PrivacyParams("laplace", 1.0), ks=(3,), reps=2, seed=7)
 
 
+@pytest.mark.parametrize("k", [1.7, 1.0, True, 0])
+def test_report_refuses_a_marginal_size_that_is_not_a_positive_integer(k):
+    """A float or a bool is refused, not read as 1."""
+    with pytest.raises(ValueError, match="^marginal size must be a positive integer$"):
+        utility_report(make_table([(3, 1)]), PrivacyParams("laplace", 1.0), [k], 2, seed=7)
+
+
 @pytest.mark.parametrize("reps", [-5, 2.5, True, "10"])
 def test_report_rejects_bad_reps(reps):
     with pytest.raises(ValueError, match="reps must be a positive integer"):
@@ -189,7 +196,7 @@ def test_projection_matches_per_key_tuple_oracle(rng):
             [tvd(tuple_marginal(t, s, post), tuple_marginal(t, s, t.counts)) for s in specs]
         )
     draws = np.array(draws)
-    assert [r.spec for r in report.rows] == specs
+    assert [r.names for r in report.rows] == [tuple(t.qid_names[j] for j in s) for s in specs]
     for idx, row in enumerate(report.rows):
         q1, med, q3 = np.quantile(draws[:, idx], [0.25, 0.5, 0.75])
         assert (row.mean, row.q1, row.median, row.q3) == pytest.approx(

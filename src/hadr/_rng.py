@@ -120,14 +120,22 @@ def block_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform reports one, else the machine's CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ordered_map(fn, tasks, threads: int) -> list:
-    """``[fn(t) for t in tasks]``, run on min(threads, CPU count, tasks) threads.
+    """``[fn(t) for t in tasks]``, run on min(threads, usable CPUs, tasks) threads.
 
     Results come back in task order; with one worker the tasks run
     serially in the calling thread. ``threads`` must be a positive integer.
     """
     tasks = list(tasks)
-    workers = min(check_int(threads, "threads"), os.cpu_count() or 1, len(tasks))
+    workers = min(check_int(threads, "threads"), usable_cpus(), len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:

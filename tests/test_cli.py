@@ -12,6 +12,7 @@ import pytest
 
 from conftest import make_homog_table, make_table, write_table
 import hadr
+from hadr._rng import usable_cpus
 from hadr.cli import main
 
 CSV = "g,h,age,y\n" + "".join(
@@ -1072,7 +1073,7 @@ def test_size_model_verbs_load_only_scipy_special(tmp_path, argv):
     assert (tmp_path / "out.manifest.json").exists()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="ordered_map needs two CPUs for two threads")
+@pytest.mark.skipif(usable_cpus() < 2, reason="ordered_map needs two usable CPUs for two threads")
 def test_first_norm_cdf_calls_from_two_threads():
     """Two threads that both import scipy.special on their first call get right values."""
     code = (

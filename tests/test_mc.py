@@ -197,18 +197,38 @@ def test_worker_threads_capped_by_cpus_and_blocks(monkeypatch):
     monkeypatch.setattr(hadr._rng, "ThreadPoolExecutor", pool)
     reps = 2 * BLOCK_REPS + 1  # three blocks
     serial = mc_expected(5, (0.3, 0.7), LAP1, reps, seed=29)
-    for cpus in (2, 8, None):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+    for cpus in (2, 8, 1):
+        monkeypatch.setattr(hadr._rng, "usable_cpus", lambda cpus=cpus: cpus)
         assert mc_expected(5, (0.3, 0.7), LAP1, reps, seed=29, threads=64) == serial
-    # 2 CPUs cap it at 2, 3 blocks cap it at 3, an unknown CPU count runs serially
+    # 2 CPUs cap it at 2, 3 blocks cap it at 3, a single usable CPU runs serially
     assert seen == [2, 3]
-    # the audit pools its 3 heterogeneous cells; each cell's 2 blocks run serially inside
+    # the audit pools its 3 distinct heterogeneous count configurations, (1,3),
+    # (2,2) and (1,4) sorted; each configuration's 2 blocks run serially inside
     seen.clear()
-    t = make_table([(3, 1), (0, 7), (2, 2), (1, 4)])
+    t = make_table([(3, 1), (0, 7), (2, 2), (1, 4), (1, 3)])
     serial = upper_bound_findings(t, LAP1, BLOCK_REPS + 1, seed=7)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(hadr._rng, "usable_cpus", lambda: 8)
     assert upper_bound_findings(t, LAP1, BLOCK_REPS + 1, seed=7, threads=64) == serial
     assert seen == [3]
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    """Pinned to one CPU of an 8-CPU machine, --threads 8 creates no pool."""
+    pool, seen = recording_pool()
+    monkeypatch.setattr(hadr._rng, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert hadr._rng.usable_cpus() == 1
+    assert hadr._rng.ordered_map(abs, [-1, -2, -3, -4], 8) == [1, 2, 3, 4]
+    assert seen == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert hadr._rng.ordered_map(abs, [-1, -2, -3, -4], 8) == [1, 2, 3, 4]
+    assert seen == [3]
+    # without an affinity call the machine's count is the cap, and 1 when unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert hadr._rng.usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert hadr._rng.usable_cpus() == 1
 
 
 STREAM_REPS = 2 * BLOCK_REPS + 17  # three blocks, the last one partial
@@ -337,6 +357,50 @@ def test_upper_bound_findings_all_homogeneous():
     t = make_homog_table([2, 5, 9], k=2)
     report = upper_bound_findings(t, LAP1, 10_000, seed=43)
     assert report == {"checked_cells": 0, "reps": 10_000, "violations": []}
+
+
+def test_upper_bound_findings_simulates_each_sorted_configuration_once(monkeypatch):
+    """Cells with the same sorted counts share the estimate of the lowest-index one."""
+    rows = [(3, 1, 0), (1, 3, 0), (0, 1, 3), (2, 2, 0), (3, 1, 0)]
+    t = make_table(rows)
+    reps = 4096
+    # with zero closed forms every cell is a finding, so each cell's estimate shows
+    monkeypatch.setattr(hadr.mc, "expected_risk_cells", lambda table, params: np.zeros(len(rows)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["block_offset"])
+        return mc_expected(*args, **kwargs)
+
+    monkeypatch.setattr(hadr.mc, "mc_expected", counted)
+    report = upper_bound_findings(t, LAP1, reps, seed=53)
+    assert sorted(calls) == [0, 3 << 32]  # (0,1,3) on cell 0's stream, (0,2,2) on cell 3's
+    assert report["checked_cells"] == 5
+    found = {v["key"][0]: v for v in report["violations"]}
+    assert sorted(found) == ["c0", "c1", "c2", "c3", "c4"]
+    for first, members in ((0, (1, 2, 4)), (3, ())):
+        direct = mc_expected(4, np.array(rows[first]) / 4, LAP1, reps, 53, block_offset=first << 32)
+        for i in (first, *members):
+            assert (found[f"c{i}"]["mc_value"], found[f"c{i}"]["se"]) == (direct.value, direct.se)
+    for threads in (2, 64):
+        assert upper_bound_findings(t, LAP1, reps, seed=53, threads=threads) == report
+
+
+@pytest.mark.parametrize("params", [LAP1, GAUSS], ids=["laplace", "gaussian_pdp"])
+def test_mc_expected_is_symmetric_in_the_categories(params):
+    """Permuting p leaves the disclosure law alone: the grouping in
+    upper_bound_findings rests on this, checked here on independent seeds."""
+    reps = 100_000
+    p = np.array([0.5, 0.3, 0.2, 0.0])
+    a = mc_expected(6, p, params, reps, seed=59)
+    b = mc_expected(6, p[[2, 3, 0, 1]], params, reps, seed=61)
+
+    def shares(est):
+        return [est.value, est.scenarios["1"] / reps, est.scenarios["8"] / reps]
+
+    for x, y in zip(shares(a), shares(b)):
+        se_diff = np.sqrt((x * (1 - x) + y * (1 - y)) / reps)
+        assert abs(x - y) <= 4.0 * se_diff
 
 
 def test_threshold_hard_plurality_share():

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import os
 from collections import Counter
 
 import numpy as np
@@ -105,10 +104,10 @@ def test_report_worker_threads_capped(rng, monkeypatch):
     t = product_table(rng, levels=(2, 2))
     params = PrivacyParams("laplace", 1.0)
     serial = utility_report(t, params, ks=(1,), reps=5, seed=3)
-    for cpus in (2, 16, None):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+    for cpus in (2, 16, 1):
+        monkeypatch.setattr(hadr._rng, "usable_cpus", lambda cpus=cpus: cpus)
         assert utility_report(t, params, ks=(1,), reps=5, seed=3, threads=64) == serial
-    # capped by 2 CPUs, then by the 5 replicates; no pool with an unknown CPU count
+    # capped by 2 CPUs, then by the 5 replicates; no pool with one usable CPU
     assert seen == [2, 5]
 
 

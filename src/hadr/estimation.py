@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +33,8 @@ from .tabulation import FrequencyTable, read_number
 
 SIZE_FAMILIES = ("poisson", "negbin")
 
-# Most entries the inverse-cdf table of a size model holds (8 MiB of doubles).
-_CDF_TABLE_CAP = 1 << 20
+# Most sizes a size-model series may sum over.
+MAX_SERIES_TERMS = 10**6
 
 # Largest mean size a model may have: the size-model kernels take sizes as
 # doubles, and 2**53 is the largest bound below which every integer is a
@@ -92,24 +91,6 @@ def fit_dirichlet_mom(table: FrequencyTable) -> DirichletFit:
     return DirichletFit(alpha=alpha, implied_concentrations=concentration, alpha_dot_spread=spread)
 
 
-def _first_size(holds, lo) -> np.ndarray:
-    """Smallest integers n >= lo with holds(n), elementwise, for a holds that
-    turns from false to true once as n grows (a cdf reaching a level, an sf
-    falling below one). Strides from lo double until holds is true, then
-    bisection narrows the bracket: about 2 log2(n - lo) calls."""
-    lo = np.array(lo, dtype=np.int64)
-    hi, step = lo, 1
-    while not (done := holds(hi)).all():
-        hi = np.where(done, hi, lo + step)
-        step *= 2
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        done = holds(mid)
-        hi = np.where(done, mid, hi)
-        lo = np.where(done, lo, mid + 1)
-    return hi
-
-
 @dataclass(frozen=True)
 class CellSizeModel:
     """Count distribution for cell sizes.
@@ -149,25 +130,6 @@ class CellSizeModel:
                 " held exactly"
             )
 
-    @cached_property
-    def _cdf_table(self) -> tuple[int, np.ndarray]:
-        """(s, cdf at sizes s, s + 1, ...), read only by truncated_ppf.
-
-        The table spans one below the lower 1e-16 tail quantile, where the
-        cdf lies below about 1e-16 (it is 0 when that quantile is 0), to
-        the upper 1e-16 tail quantile. A span of more than _CDF_TABLE_CAP
-        entries is cut to that many: s moves up to the median minus half
-        the cap (a size model is right-skewed, so a span that fits is never
-        cut), and the bulk of the draws still fall inside. The running
-        maximum keeps it sorted for np.searchsorted; on a monotone cdf it
-        changes nothing.
-        """
-        start = int(_first_size(lambda n: self.cdf(n) >= 1e-16, 0)) - 1
-        median = int(_first_size(lambda n: self.cdf(n) >= 0.5, 0))
-        start = max(start, median - _CDF_TABLE_CAP // 2)
-        stop = min(self.tail_quantile(1e-16), start + _CDF_TABLE_CAP - 1)
-        return start, np.maximum.accumulate(self.cdf(np.arange(start, stop + 1)))
-
     def pmf(self, n) -> np.ndarray:
         from scipy import special
 
@@ -177,18 +139,9 @@ class CellSizeModel:
         log_choose = special.gammaln(self.r + k) - special.gammaln(k + 1) - special.gammaln(self.r)
         return np.exp(log_choose + self.r * math.log(self.lam) + special.xlog1py(k, -self.lam))
 
-    def cdf(self, n) -> np.ndarray:
-        """P(X <= n) at integers n >= -1: gammaincc(n + 1, lam) is pdtr(n, lam)
-        but is also 0 at n = -1, as betainc(r, 0, p) is."""
-        from scipy import special
-
-        k = np.asarray(n, dtype=float)
-        if self.r is None:
-            return special.gammaincc(k + 1, self.lam)
-        return special.betainc(self.r, k + 1, self.lam)
-
     def sf(self, n) -> np.ndarray:
-        """P(X > n) at integers n >= -1, the complement of cdf."""
+        """P(X > n) at integers n >= -1: gammainc(n + 1, lam) is P(Poisson > n)
+        but is also 1 at n = -1, as betainc(0, r, 1 - p) is."""
         from scipy import special
 
         k = np.asarray(n, dtype=float)
@@ -203,35 +156,20 @@ class CellSizeModel:
         return self.lam if self.r is None else self.r * (1.0 - self.lam) / self.lam
 
     def tail_quantile(self, mass: float) -> int:
-        """Smallest N >= 1 with P(X > N) < mass."""
-        return int(_first_size(lambda n: self.sf(n) < mass, 1))
-
-    def truncated_ppf(self, u) -> np.ndarray:
-        """Quantiles of the size distribution conditioned on X >= 1.
-
-        Maps uniforms on (0, 1) through the zero-truncated cdf, so the
-        result is distributionally identical to rejecting zero draws: each
-        u becomes q = F(0) + u (1 - F(0)) and then the smallest n with
-        F(n) >= q. A uniform so close to 1 that the shift rounds to 1 is
-        clamped to the largest double below 1, where the quantile is still
-        finite.
-
-        The inversion searches a table of F built once per model (inversion
-        by table search, Devroye 1986, ch. III). It spans the sizes between
-        the lower and upper 1e-16 tail quantiles and holds at most 2**20
-        entries, 8 MiB; a longer span is cut to the 2**20 sizes around the
-        median. A q outside it, below its first entry or above its last (a
-        tail past the cap), is found by a search on F instead.
-        """
-        f0 = float(self.cdf(0))
-        q = np.minimum(f0 + np.asarray(u) * (1.0 - f0), np.nextafter(1.0, 0.0))
-        start, cdf = self._cdf_table
-        i = np.searchsorted(cdf, q)
-        sizes = np.asarray(start + i, dtype=np.int64)
-        outside = (i == 0) | (i == cdf.size)
-        if outside.any():
-            sizes[outside] = _first_size(lambda n: self.cdf(n) >= q[outside], 0)
-        return np.maximum(sizes, 1)
+        """Smallest N >= 1 with P(X > N) < mass. An N past MAX_SERIES_TERMS is
+        refused before any search; otherwise strides from 1 double until the
+        tail is below mass, then bisection narrows the bracket."""
+        if not self.sf(MAX_SERIES_TERMS) < mass:
+            raise ValueError(
+                f"size-model series needs more than {MAX_SERIES_TERMS} terms, exceeding the cap"
+            )
+        lo = hi = step = 1
+        while not self.sf(hi) < mass:
+            hi, step = 1 + step, 2 * step
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if self.sf(mid) < mass else (mid + 1, hi)
+        return hi
 
 
 def _check_size_sample(sizes) -> np.ndarray:

@@ -57,7 +57,8 @@ _MODE_LABELS = {
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Simulation estimate with a conservative binomial standard error.
+    """Simulation estimate. Its se is binomial for the event estimators, whose
+    replicates are 0 or 1, and the replicate sd over sqrt(reps) for threshold.
 
     scenarios maps "1".."8" to outcome tallies. Single-cell estimators
     classify one outcome per replicate, so their tallies sum to reps;
@@ -75,6 +76,49 @@ def _noise(gen, params: PrivacyParams, shape):
     if params.mechanism == "laplace":
         return gen.laplace(0.0, params.scale, shape)
     return gen.normal(0.0, params.scale, shape)
+
+
+def _poisson(gen, rate: np.ndarray) -> np.ndarray:
+    """Poisson(rate) draws. numpy's sampler loses precision past 2**40, so there
+    the count of a unit-rate process on [0, rate] is read off its m-th arrival
+    G ~ Gamma(m): m + Poisson(rate - G) if G < rate, else Binomial(m - 1, rate / G)."""
+    if rate.max() <= 2.0**40:
+        return gen.poisson(rate)
+    m = int(rate.max())
+    g = gen.standard_gamma(m, rate.shape)
+    later = m + gen.poisson(np.maximum(rate - g, 0.0))
+    return np.where(g < rate, later, gen.binomial(m - 1, np.minimum(rate / g, 1.0)))
+
+
+def _positive_poisson(gen, lam: float, c: int) -> np.ndarray:
+    """c Poisson(lam) draws given >= 1: the first arrival of a rate-lam process on
+    [0, 1] is at t = -log1p(U expm1(-lam)) / lam, and Poisson(lam (1 - t)) follow."""
+    t = -np.log1p(gen.random(c) * math.expm1(-lam)) / lam
+    return 1 + _poisson(gen, lam * (1.0 - t))
+
+
+def _sizes(gen, size_model: CellSizeModel, c: int) -> np.ndarray:
+    """c exact draws of the model's size conditioned on >= 1.
+
+    A negbin(r, p) size is Poisson(Gamma(r) (1 - p) / p), and also the sum of
+    N ~ Poisson(mu) Logarithmic(1 - p) terms, mu = -r ln p, so it is >= 1 just
+    when N is: below mu = 1 the sum is drawn with N >= 1, and from mu = 1 on,
+    where P(0) = exp(-mu) <= 1/e, mixture draws of 0 are rejected.
+    """
+    lam, r = size_model.lam, size_model.r
+    if size_model.family == "poisson":
+        return _positive_poisson(gen, lam, c)
+    mu = -r * math.log(lam)
+    if mu >= 1.0:
+        sizes = np.empty(0, dtype=np.int64)
+        while sizes.size < c:
+            draws = _poisson(gen, gen.standard_gamma(r, c - sizes.size) * ((1.0 - lam) / lam))
+            sizes = np.concatenate([sizes, draws[draws > 0]])
+        return sizes
+    if 1.0 - lam == 1.0:
+        raise ValueError(f"cannot sample negbin lam={lam:g}, r={r:g}: 1 - lam rounds to 1")
+    n = _positive_poisson(gen, mu, c)
+    return np.add.reduceat(gen.logseries(1.0 - lam, int(n.sum())), np.cumsum(n) - n)
 
 
 def _scenarios(homog, size, occ_at):
@@ -101,7 +145,7 @@ def _chunks(count: int, per: int):
 
 
 def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> McEstimate:
-    """Run ``step(gen, c) -> (value sum, scenario codes)`` over every replicate.
+    """Run ``step(gen, c) -> (replicate values, scenario codes)`` over every replicate.
 
     Replicates are cut into blocks of BLOCK_REPS, block j drawing from
     substream ``block_offset + j``, and each block into chunks of at most
@@ -115,19 +159,22 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
     def run(block):
         idx, count = block
         gen = block_generator(seed, idx)
-        val = 0.0
+        val = sq = 0.0
         tall = np.zeros(8, dtype=np.int64)
         for c in _chunks(count, per):
             v, scen = step(gen, c)
-            val += v
+            val += float(v.sum())
+            sq += float((v * v).sum())
             tall += _tally(scen)
-        return val, tall
+        return val, sq, tall
 
     parts = ordered_map(run, blocks, threads)
     total = sum(p[0] for p in parts)
-    tallies = np.sum(np.stack([p[1] for p in parts]), axis=0)
+    tallies = np.sum(np.stack([p[2] for p in parts]), axis=0)
     value = total / reps
-    se = math.sqrt(max(value * (1.0 - value), 0.0) / reps)
+    squares = sum(p[1] for p in parts)
+    var = value * (1.0 - value) if mode is None else (squares - total * value) / (reps - 1)
+    se = math.sqrt(max(var, 0.0) / reps)
     scen = {str(i + 1): int(tallies[i]) for i in range(8)}
     return McEstimate(value, se, reps, scen, mode)
 
@@ -142,7 +189,7 @@ def _event(reps, seed, threads, k, params, draw, *, block_offset=0) -> McEstimat
         occupied = draws >= 1
         occ_at = occupied[np.arange(c), np.argmax(present, axis=1)]
         scen = _scenarios(occupied.sum(axis=1) == 1, present.sum(axis=1), occ_at)
-        return float(np.count_nonzero((scen == 1) | (scen == 8))), scen
+        return ((scen == 1) | (scen == 8)).astype(float), scen
 
     per = max(1, _CHUNK_ELEMS // k)
     return _simulate(reps, seed, threads, per, step, block_offset=block_offset)
@@ -232,8 +279,7 @@ def mc_global(
     alpha = check_alpha(alpha)
 
     def draw(gen, c):
-        sizes = size_model.truncated_ppf(gen.random(c))
-        return gen.multinomial(sizes, gen.dirichlet(alpha, size=c))
+        return gen.multinomial(_sizes(gen, size_model, c), gen.dirichlet(alpha, size=c))
 
     return _event(reps, seed, threads, alpha.size, params, draw)
 
@@ -256,7 +302,7 @@ def mc_global_variant(
     k = check_int(n_categories, "n_categories", 2)
 
     def draw(gen, c):
-        sizes = size_model.truncated_ppf(gen.random(c))
+        sizes = _sizes(gen, size_model, c)
         draws = np.zeros((c, k), dtype=np.int64)
         draws[np.arange(c), gen.integers(0, k, size=c)] = sizes
         return draws
@@ -286,6 +332,8 @@ def mc_threshold_dr(
     """
     if mode not in THRESHOLD_MODES:
         raise ValueError(f"mode must be one of {THRESHOLD_MODES}")
+    if check_int(reps, "reps") < 2:
+        raise ValueError("the threshold estimator needs reps >= 2 for its standard error")
     counts = table.counts
     occupied = counts >= 1
     homog = occupied.sum(axis=1) == 1
@@ -307,7 +355,7 @@ def mc_threshold_dr(
             wnorm = np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
             contrib = (frac * wnorm).sum(axis=2)
         occ_at = occupied[rows, np.argmax(present, axis=2)]
-        return float(contrib.mean(axis=1).sum()), _scenarios(homog, size, occ_at)
+        return contrib.mean(axis=1), _scenarios(homog, size, occ_at)
 
     per = max(1, _CHUNK_ELEMS // (m * k))
     return _simulate(reps, seed, threads, per, step, mode=mode)

@@ -44,7 +44,7 @@ and ``invert_epsilon`` build one profile for all of their points.
 
 All Gamma and Beta ratios are evaluated in log space and exponentiated
 last. Series over cell sizes are truncated once the remaining size mass
-drops below TAIL_MASS, with a hard cap of MAX_SERIES_TERMS terms.
+drops below TAIL_MASS, with a hard cap of estimation.MAX_SERIES_TERMS terms.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .mechanisms import PrivacyParams
 from .tabulation import FrequencyTable
 
 TAIL_MASS = 1e-12
-MAX_SERIES_TERMS = 10**6
 EPSILON_LO = 1e-4
 EPSILON_HI = 1e4
 EPSILON_TOL = 1e-6
@@ -128,12 +127,7 @@ def _dirichlet_moments(n: np.ndarray, alpha: np.ndarray):
 
 def _series_weights(size_model: CellSizeModel, zero_truncated: bool):
     """Sizes 1..N covering all but TAIL_MASS of the model's mass."""
-    n_max = size_model.tail_quantile(TAIL_MASS)
-    if n_max > MAX_SERIES_TERMS:
-        raise ValueError(
-            f"size-model series needs {n_max} terms, exceeding the cap of {MAX_SERIES_TERMS}"
-        )
-    n = np.arange(1, n_max + 1, dtype=np.int64)
+    n = np.arange(1, size_model.tail_quantile(TAIL_MASS) + 1, dtype=np.int64)
     w = size_model.pmf(n)
     if zero_truncated:
         w = w / (1.0 - size_model.zero_mass())

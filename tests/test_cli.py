@@ -634,7 +634,8 @@ def test_non_finite_size_model_exits_1(capsys, tmp_path, verb, text, field):
 
 @pytest.mark.parametrize("lam", ["1e12", "1e15", "9007199254740992"])
 def test_huge_poisson_rate_exceeds_the_series_cap(capsys, tmp_path, lam):
-    """Such a model has finite quantiles, but its series is longer than the cap allows."""
+    """Such a model has finite quantiles, but its series is longer than the cap allows;
+    the tail is checked at the cap, so the search never runs to the quantile."""
     (tmp_path / "sm.json").write_text(f'{{"family":"poisson","lambda":{lam}}}\n')
     code, _, err = run(
         capsys,
@@ -647,9 +648,7 @@ def test_huge_poisson_rate_exceeds_the_series_cap(capsys, tmp_path, lam):
         "--output", str(tmp_path / "out"),
     )
     assert code == 1
-    assert re.fullmatch(
-        r"error: size-model series needs \d+ terms, exceeding the cap of 1000000\n", err
-    )
+    assert err == "error: size-model series needs more than 1000000 terms, exceeding the cap\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -680,6 +679,34 @@ def test_size_model_mean_beyond_2_53_exits_1(capsys, tmp_path, verb, text, named
     )
     assert code == 1 and err.startswith("error: ") and named in err and "2**53" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "verb,named",
+    [
+        ("risk", "size-model series needs more than 1000000 terms, exceeding the cap"),
+        ("mc", "cannot sample negbin lam=1e-25, r=1e-10: 1 - lam rounds to 1"),
+    ],
+)
+def test_size_model_past_int64_tails_exits_1(capsys, tmp_path, verb, named):
+    """Its mean, 1e15, passes the constructor, but its tail runs past int64
+    sizes: the series search stops at the term cap, and the sampler names it."""
+    (tmp_path / "sm.json").write_text('{"family":"negbin","lambda":1e-25,"r":1e-10}')
+    if verb == "mc":
+        args = ["mc", "--estimator", "global_variant", "--epsilon", "1", "--reps", "10"]
+        args += ["--seed", "3"]
+    else:
+        args = ["risk", "--measure", "global_variant", "--epsilon-grid", "0.1:1:log3"]
+    code, _, err = run(
+        capsys,
+        *args,
+        "--categories", "4",
+        "--size-model", str(tmp_path / "sm.json"),
+        "--mechanism", "laplace",
+        "--output", str(tmp_path / "out"),
+    )
+    assert (code, err) == (1, f"error: {named}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1019,15 +1046,22 @@ def test_import_leaves_scipy_stats_unloaded():
          "--seed", "3"],
         ["utility", "--table", "table.json", "--mechanism", "laplace", "--epsilon", "1",
          "--ks", "1", "--reps", "2", "--seed", "3"],
+        ["mc", "--estimator", "global", "--alpha", "1,2", "--size-model", "sm.json",
+         "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
+        ["mc", "--estimator", "global_variant", "--categories", "2", "--size-model", "sm.json",
+         "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
     ],
-    ids=["tabulate", "sanitize-laplace", "utility-laplace"],
+    ids=["tabulate", "sanitize-laplace", "utility-laplace", "mc-global", "mc-global_variant"],
 )
 def test_tabulate_and_laplace_verbs_leave_scipy_unloaded(data_dir, capsys, argv):
-    """A whole run loads neither, and its manifest still records scipy's version."""
+    """A whole run loads neither, and its manifest still records scipy's version;
+    the MC oracles draw sizes with numpy alone."""
     import scipy
 
     tabulate(data_dir, capsys)
-    argv = [str(data_dir / a) if a in ("micro.csv", "table.json") else a for a in argv]
+    (data_dir / "sm.json").write_text('{"family":"negbin","lambda":0.3,"r":2.5}\n')
+    inputs = ("micro.csv", "table.json", "sm.json")
+    argv = [str(data_dir / a) if a in inputs else a for a in argv]
     argv += ["--output", str(data_dir / "out")]
     code = (
         "import sys, hadr.cli\n"
@@ -1048,13 +1082,8 @@ def test_tabulate_and_laplace_verbs_leave_scipy_unloaded(data_dir, capsys, argv)
          "--mechanism", "laplace", "--epsilon-grid", "0.1:1:log3"],
         ["invert", "--measure", "global", "--alpha", "1,2", "--size-model", "S",
          "--mechanism", "laplace", "--target-risk", "0.3"],
-        ["mc", "--estimator", "global", "--alpha", "1,2", "--size-model", "S",
-         "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
-        ["mc", "--estimator", "global_variant", "--categories", "2", "--size-model", "S",
-         "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
     ],
-    ids=["estimate-poisson-zt", "estimate-negbin", "risk-global", "invert-global", "mc-global",
-         "mc-global_variant"],
+    ids=["estimate-poisson-zt", "estimate-negbin", "risk-global", "invert-global"],
 )
 def test_size_model_verbs_load_only_scipy_special(tmp_path, argv):
     """Fits and size models run on scipy.special kernels: no scipy.stats or scipy.optimize."""

@@ -9,7 +9,12 @@ from scipy import stats
 
 from conftest import make_table
 from hadr import CellSizeModel, fit_dirichlet_mom, fit_negbin, fit_poisson
-from hadr.estimation import dirichlet_to_json, size_model_from_json, size_model_to_json
+from hadr.estimation import (
+    MAX_SERIES_TERMS,
+    dirichlet_to_json,
+    size_model_from_json,
+    size_model_to_json,
+)
 
 
 def beta_binomial_cells(rng, m=2000, a=2.0, b=5.0):
@@ -182,7 +187,7 @@ PARITY_MODELS = [
 
 @pytest.mark.parametrize("model", PARITY_MODELS, ids=lambda m: f"{m.family}-{m.lam:g}")
 def test_kernels_match_scipy_stats(model):
-    """Poisson pmf, cdf and sf and the negbin cdf are scipy's bit for bit.
+    """Poisson pmf and sf are scipy's bit for bit.
 
     scipy evaluates the negbin pmf and sf with boost, so those two only
     agree to rounding.
@@ -190,7 +195,6 @@ def test_kernels_match_scipy_stats(model):
     dist = scipy_dist(model)
     lo = max(int(dist.ppf(1e-16)) - 2, -1)
     n = np.arange(lo, int(dist.isf(1e-16)) + 3)
-    np.testing.assert_array_equal(model.cdf(n), dist.cdf(n))
     if model.r is None:
         np.testing.assert_array_equal(model.pmf(n[n >= 0]), dist.pmf(n[n >= 0]))
         np.testing.assert_array_equal(model.sf(n), dist.sf(n))
@@ -216,114 +220,26 @@ def test_tail_quantile(model):
 
 @pytest.mark.parametrize("lam", [1e12, 1e15, 2.0**53])
 def test_huge_poisson_rates_have_finite_quantiles(lam):
-    """The regularized gamma kernels stay finite where scipy's quantiles are NaN."""
+    """The regularized gamma kernel stays finite where scipy's quantiles are
+    NaN: it is scipy's sf, falling through 1e-16 within 9 sd above the rate.
+    A series that long passes the term cap, which tail_quantile names."""
     model = CellSizeModel(family="poisson", lam=lam)
     dist = stats.poisson(lam)
-    n = model.tail_quantile(1e-16)
-    assert dist.sf(n) < 1e-16 <= dist.sf(n - 1)
-    (size,) = model.truncated_ppf(np.array([0.5]))
-    f0 = dist.cdf(0)
-    q = f0 + 0.5 * (1.0 - f0)
-    assert dist.cdf(size) >= q > dist.cdf(size - 1)
+    assert np.isnan(dist.isf(1e-16))
+    n = np.floor(lam + math.sqrt(lam) * np.arange(-9, 10))
+    sf = model.sf(n)
+    np.testing.assert_array_equal(sf, dist.sf(n))
+    assert np.all(np.diff(sf) <= 0) and sf[0] >= 1e-16 > sf[-1]
+    with pytest.raises(ValueError, match=f"more than {MAX_SERIES_TERMS} terms, exceeding the cap"):
+        model.tail_quantile(1e-16)
 
 
-def test_capped_table_sits_around_the_median():
-    """At lam = 1e12 the 1e-16 tail quantiles lie about 16 million sizes
-    apart, past the 2**20-entry cap; the table covers the median, so about
-    40% of the draws are found in it, and every draw is the smallest n with
-    F(n) >= q (the zero mass is 0, so q = u)."""
-    model = CellSizeModel(family="poisson", lam=1e12)
-    u = np.random.default_rng(23).random(4096)
-    n = model.truncated_ppf(u)
-    start, cdf = model._cdf_table
-    assert cdf.size == 1 << 20
-    assert 0.3 < np.mean((n > start) & (n < start + cdf.size)) < 0.5
-    dist = stats.poisson(1e12)
-    assert np.all(dist.cdf(n) >= u) and np.all(u > dist.cdf(n - 1))
-
-
-def test_truncated_ppf_finite_for_largest_uniform():
-    # zero mass 0.52**2 ~ 0.27: the shifted uniform f0 + u (1 - f0) rounds
-    # to exactly 1 for the largest double below 1, where ppf is infinite
-    model = CellSizeModel(family="negbin", lam=0.52, r=2.0)
-    dist = stats.nbinom(2.0, 0.52)
-    f0 = dist.cdf(0)
-    u = np.nextafter(1.0, 0.0)
-    assert f0 + u * (1.0 - f0) == 1.0
-    out = model.truncated_ppf(np.array([u, 0.5, 1e-9]))
-    assert out[0] >= out[1] >= out[2] == 1
-    assert dist.pmf(out[0]) > 0  # a finite size the model can produce
-    # ordinary draws are untouched by the clamp
-    draws = np.random.default_rng(5).random(1000)
-    plain = dist.ppf(f0 + draws * (1.0 - f0))
-    np.testing.assert_array_equal(model.truncated_ppf(draws), np.maximum(plain, 1.0).astype(np.int64))
-
-
-def test_size_model_cdf_table_cached():
+def test_size_model_value_semantics():
     model = CellSizeModel(family="negbin", lam=0.3, r=2.5)
     fresh = CellSizeModel(family="negbin", lam=0.3, r=2.5)
-    model.pmf([1, 2])
-    # the inverse-cdf table is built on the first draw and kept
-    assert "_cdf_table" not in vars(model)
-    first = model.truncated_ppf(np.array([0.25, 0.5]))
-    table = vars(model)["_cdf_table"]
-    second = model.truncated_ppf(np.array([0.25, 0.5]))
-    assert vars(model)["_cdf_table"] is table
-    np.testing.assert_array_equal(first, second)
-    assert "_cdf_table" not in vars(fresh)
     assert model == fresh and hash(model) == hash(fresh)
     assert size_model_to_json(model) == size_model_to_json(fresh)
     assert repr(model) == repr(fresh)
-
-
-def test_truncated_ppf_matches_conditional_quantiles():
-    model = CellSizeModel(family="poisson", lam=2.0)
-    dist = stats.poisson(2.0)
-    f0 = dist.cdf(0)
-    # conditional cdf at 1 splits the uniforms: below it maps to 1, above to 2+
-    split = (dist.cdf(1) - f0) / (1.0 - f0)
-    out = model.truncated_ppf(np.array([1e-9, split - 1e-9, split + 1e-9, 0.999999]))
-    assert out.dtype == np.int64
-    assert out[0] == 1 and out[1] == 1 and out[2] == 2
-    assert out[3] > 5
-    assert np.all(model.truncated_ppf(np.linspace(1e-6, 1 - 1e-6, 1000)) >= 1)
-
-
-# (model, whether the table reaches q = nextafter(1, 0))
-LOOKUP_MODELS = {
-    "poisson": (CellSizeModel(family="poisson", lam=4.6), True),
-    "negbin": (CellSizeModel(family="negbin", lam=0.1073, r=2.284), True),
-    "negbin_past_cap": (CellSizeModel(family="negbin", lam=1e-5, r=2.0), False),
-    "poisson_far_from_zero": (CellSizeModel(family="poisson", lam=5e6), True),
-}
-
-
-@pytest.mark.parametrize("name", list(LOOKUP_MODELS))
-def test_truncated_ppf_is_smallest_size_reaching_q(name):
-    """Brute force: every draw n has cdf(n) >= q > cdf(n - 1) in scipy's cdf."""
-    model, reaches_one = LOOKUP_MODELS[name]
-    dist = scipy_dist(model)
-    f0 = dist.cdf(0)
-    u = np.random.default_rng(19).random(1 << 15)
-    q = f0 + u * (1.0 - f0)
-    n = model.truncated_ppf(u)
-    assert n.dtype == np.int64
-    assert np.all(dist.cdf(n) >= q)
-    assert np.all((n == 1) | (q > dist.cdf(n - 1)))
-    assert model._cdf_table[1].size <= 1 << 20
-    top = np.nextafter(1.0, 0.0)
-    (last,) = model.truncated_ppf(np.array([top]))
-    if reaches_one:
-        assert dist.cdf(last) >= top > dist.cdf(last - 1)
-    else:
-        # the tail runs past the capped table, so the draw comes from a search on the cdf
-        assert model._cdf_table[1].size == 1 << 20
-        assert dist.cdf(last) >= top > dist.cdf(last - 1)
-
-
-def test_truncated_ppf_accepts_a_scalar():
-    model = CellSizeModel(family="poisson", lam=2.0)
-    assert model.truncated_ppf(0.5) == model.truncated_ppf(np.array([0.5]))[0]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import hadr._rng
 import hadr.mc
@@ -160,18 +161,32 @@ def test_mc_shrinkage_scenario1_component():
     assert abs(rate1 - closed.scenario1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
 
 
-def test_mc_global_scenario1_component():
+# negbin models with mu = -r ln(lam) on either side of 1, so that mc._sizes
+# takes its logarithmic-sum route for the first and its rejection one for the second
+NEGBIN_BELOW_1 = CellSizeModel(family="negbin", lam=0.3, r=0.5)  # mu = 0.60
+NEGBIN_ABOVE_1 = CellSizeModel(family="negbin", lam=0.3, r=2.5)  # mu = 3.01
+
+
+@pytest.mark.parametrize(
+    "sm",
+    [CellSizeModel(family="poisson", lam=3.0), NEGBIN_BELOW_1, NEGBIN_ABOVE_1],
+    ids=["poisson", "negbin_mu_below_1", "negbin_mu_above_1"],
+)
+def test_mc_global_scenario1_component(sm):
     alpha = (1.0, 2.0)
-    sm = CellSizeModel(family="poisson", lam=3.0)
     est = mc_global(alpha, sm, LAP1, REPS, seed=17)
     closed = evaluate_measure("global", LAP1, alpha=alpha, size_model=sm, zero_truncated=True)
     rate1 = est.scenarios["1"] / est.reps
     assert abs(rate1 - closed.scenario1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
 
 
-def test_mc_global_variant_matches_closed_form():
+@pytest.mark.parametrize(
+    "sm",
+    [CellSizeModel(family="poisson", lam=2.43), NEGBIN_BELOW_1, NEGBIN_ABOVE_1],
+    ids=["poisson", "negbin_mu_below_1", "negbin_mu_above_1"],
+)
+def test_mc_global_variant_matches_closed_form(sm):
     """The always-homogeneous prior has no second term, so totals pair exactly."""
-    sm = CellSizeModel(family="poisson", lam=2.43)
     for k, seed in ((2, 19), (3, 23)):
         est = mc_global_variant(sm, LAP1, k, REPS, seed=seed)
         closed = evaluate_measure(
@@ -179,6 +194,44 @@ def test_mc_global_variant_matches_closed_form():
         )
         assert within_3se(est, closed.value)
         assert est.scenarios["8"] == 0
+
+
+SAMPLER_MODELS = {
+    "poisson_1e-3": CellSizeModel(family="poisson", lam=1e-3),
+    "poisson_2.5": CellSizeModel(family="poisson", lam=2.5),
+    "poisson_2**53": CellSizeModel(family="poisson", lam=2.0**53),
+    "negbin_mu_0.005": CellSizeModel(family="negbin", lam=0.6, r=0.01),
+    "negbin_mu_0.60": NEGBIN_BELOW_1,
+    "negbin_mu_0.69_heavy_tail": CellSizeModel(family="negbin", lam=1e-6, r=0.05),
+    "negbin_mu_0.97": CellSizeModel(family="negbin", lam=0.5, r=1.4),
+    "negbin_mu_1.04": CellSizeModel(family="negbin", lam=0.5, r=1.5),
+    "negbin_mu_3.01": NEGBIN_ABOVE_1,
+    "negbin_mean_2e13": CellSizeModel(family="negbin", lam=1e-13, r=2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_MODELS))
+def test_size_sampler_matches_the_zero_truncated_pmf(name):
+    """Chi-square of 65,536 drawn sizes against scipy.stats' pmf conditioned on
+    size >= 1, binned at that law's quantiles (its normal approximation where
+    scipy's quantiles are NaN)."""
+    sm = SAMPLER_MODELS[name]
+    dist = stats.poisson(sm.lam) if sm.r is None else stats.nbinom(sm.r, sm.lam)
+    f0 = dist.pmf(0)
+    levels = np.linspace(0.05, 0.95, 19)
+    edges = dist.ppf(f0 + levels * (1.0 - f0))
+    if np.isnan(edges).any():
+        edges = np.floor(sm.lam + np.sqrt(sm.lam) * stats.norm.ppf(levels))
+    edges = np.unique(edges)
+    below = (dist.cdf(edges) - f0) / (1.0 - f0)
+    probs = np.diff(np.concatenate([[0.0], below, [1.0]]))
+    sizes = hadr.mc._sizes(np.random.default_rng(83), sm, 1 << 16)
+    assert sizes.dtype == np.int64 and sizes.size == 1 << 16 and sizes.min() >= 1
+    seen = np.bincount(np.searchsorted(edges, sizes), minlength=probs.size)
+    want = probs * sizes.size
+    assert want.min() >= 5  # the chi-square approximation holds
+    chi2 = float(((seen - want) ** 2 / want).sum())
+    assert stats.chi2.sf(chi2, probs.size - 1) > 1e-3
 
 
 def test_thread_count_does_not_change_results():
@@ -237,9 +290,10 @@ STREAM_TABLE = make_table([(3, 1), (0, 7), (2, 2)])
 # Outputs frozen from the samplers as they stand: (value, se, tallies of
 # scenarios 1-8) per estimator, and the whole upper_bound_findings report.
 # Any change to what a replicate draws, in what order, or how (for example
-# a new truncated_ppf) moves these numbers; such a change re-records them
-# here and says why, and a change that is not meant to alter sampling must
-# leave them alone.
+# a new size sampler, as mc._sizes is for the global pair), or to how the
+# SE is formed (the threshold pair's comes from the sample variance),
+# moves these numbers; such a change re-records them here and says why,
+# and a change that is not meant to alter sampling must leave them alone.
 FROZEN_STREAMS = {
     "local": (
         lambda threads: mc_local((3, 0, 1), GAUSS, STREAM_REPS, 101, threads=threads),
@@ -264,25 +318,25 @@ FROZEN_STREAMS = {
             104,
             threads=threads,
         ),
-        (0.18507273684290826, 0.0010726240295012306, (12619, 1963, 13962, 2189, 87455, 908, 351, 11642)),
+        (0.1857364080891608, 0.0010741078840787132, (12859, 1900, 14108, 2306, 87192, 880, 355, 11489)),
     ),
     "global_variant": (
         lambda threads: mc_global_variant(
             CellSizeModel(family="poisson", lam=2.5), GAUSS, 3, STREAM_REPS, 105, threads=threads
         ),
-        (0.1743929696618328, 0.0010480163366640468, (22861, 24467, 69949, 13812, 0, 0, 0, 0)),
+        (0.17353858828734675, 0.001045986779068377, (22749, 24622, 69917, 13801, 0, 0, 0, 0)),
     ),
     "threshold_hard": (
         lambda threads: mc_threshold_dr(
             STREAM_TABLE, GAUSS, STREAM_REPS, 106, mode="hard", threads=threads
         ),
-        (0.5264648444949614, 0.0013790425805492222, (57811, 10326, 51279, 11673, 89591, 44405, 0, 128182)),
+        (0.5264648444949614, 0.0005321664099948815, (57811, 10326, 51279, 11673, 89591, 44405, 0, 128182)),
     ),
     "threshold_soft": (
         lambda threads: mc_threshold_dr(
             STREAM_TABLE, LAP1, STREAM_REPS, 107, mode="soft", threads=threads
         ),
-        (0.6843420176018296, 0.001283695047885832, (91290, 21, 39704, 74, 191192, 3297, 0, 67689)),
+        (0.6843420176018296, 0.00016146893041790419, (91290, 21, 39704, 74, 191192, 3297, 0, 67689)),
     ),
     "upper_bound_findings": (
         lambda threads: upper_bound_findings(
@@ -433,12 +487,28 @@ def test_threshold_exceeds_pure_event_risk_at_tiny_epsilon():
     assert est.value - 3.0 * est.se > closed.value
 
 
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_threshold_se_matches_the_spread_over_seeds(mode):
+    """The reported SE is the sample sd of the replicate values over sqrt(reps):
+    over 40 seeds it tracks the sd of the estimates within a factor of 1.5 (a
+    binomial SE of the value overstates it 30 to 50 times on these 120 cells)."""
+    rng = np.random.default_rng(89)
+    t = make_table(rng.multinomial(6, [0.5, 0.3, 0.2], size=120))
+    params = PrivacyParams("laplace", 0.5)
+    ests = [mc_threshold_dr(t, params, 50, seed=s, mode=mode) for s in range(40)]
+    spread = np.std([e.value for e in ests], ddof=1)
+    se = np.mean([e.se for e in ests])
+    assert 1 / 1.5 < se / spread < 1.5
+
+
 def test_threshold_tallies_and_validation():
     t = make_table([(3, 1), (0, 7), (2, 2)])
     est = mc_threshold_dr(t, LAP1, 1000, seed=71)
     assert sum(est.scenarios.values()) == 1000 * 3
     with pytest.raises(ValueError, match="mode"):
         mc_threshold_dr(t, LAP1, 100, seed=1, mode="fuzzy")
+    with pytest.raises(ValueError, match="^the threshold estimator needs reps >= 2"):
+        mc_threshold_dr(t, LAP1, 1, seed=1)
 
 
 def test_mc_json_shapes():
@@ -564,3 +634,21 @@ def test_mc_draws_noise_from_the_scale_alone():
         and node.value.id == "params"
     }
     assert read == {"mechanism", "scale"}
+
+
+def test_mc_draws_sizes_from_the_model_parameters_alone():
+    """MC reads a size model's family, lam and r and calls none of its methods,
+    so the global oracles share no size kernel with the closed-form series."""
+    tree = ast.parse(inspect.getsource(hadr.mc))
+
+    def is_model(node):
+        return isinstance(node, ast.Name) and node.id == "size_model"
+
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and is_model(n.value)}
+    assert read == {"family", "lam", "r"}
+    passed_to = {
+        ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call) and any(
+            is_model(a) for a in [*n.args, *(k.value for k in n.keywords)]
+        )
+    }
+    assert passed_to == {"_sizes"}

@@ -51,6 +51,10 @@ from .utility import tvd_report_to_csv, utility_report
 # manifest so reruns with different parallelism compare byte-identical.
 _MANIFEST_EXCLUDE = {"verb", "threads", "func"}
 
+# The most (epsilon, delta) points one risk curve may hold; a grid is checked
+# against it before its array is built.
+MAX_GRID_POINTS = 100_000
+
 # Verbs that draw noise: main calibrates their mechanism and fixes their seed.
 _SEEDED = ("sanitize", "utility", "mc")
 
@@ -80,21 +84,25 @@ def _manifest(output_path: str, args: argparse.Namespace, seed=None) -> None:
         fh.write("\n")
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Grid syntax lo:hi:logN (log-spaced) or lo:hi:linN (linear)."""
+def _parse_grid(text: str, flag: str, others: int = 1) -> np.ndarray:
+    """Grid syntax lo:hi:logN (log-spaced) or lo:hi:linN (linear); N times
+    ``others``, the points of the grid this one multiplies, is capped."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid {text!r} is not of the form lo:hi:logN or lo:hi:linN")
+        raise ValueError(f"{flag} {text!r} is not of the form lo:hi:logN or lo:hi:linN")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
-        raise ValueError(f"grid {text!r} has non-numeric bounds") from None
+        raise ValueError(f"{flag} {text!r} has non-numeric bounds") from None
     if not np.isfinite([lo, hi]).all():
-        raise ValueError(f"grid {text!r} has non-finite bounds")
-    tag = parts[2]
-    if tag[:3] not in ("log", "lin") or not tag[3:].isdigit():
-        raise ValueError(f"grid {text!r} must end in logN or linN")
-    n = int(tag[3:])
+        raise ValueError(f"{flag} {text!r} has non-finite bounds")
+    tag, count = parts[2][:3], parts[2][3:]
+    if tag not in ("log", "lin") or not count.isdecimal():
+        raise ValueError(f"{flag} {text!r} must end in logN or linN")
+    count = count.lstrip("0") or "0"  # int() refuses strings of over 4,300 digits
+    if len(count) > len(str(MAX_GRID_POINTS)) or int(count) * others > MAX_GRID_POINTS:
+        raise ValueError(f"{flag} {text!r} exceeds the cap of {MAX_GRID_POINTS} curve points")
+    n = int(count)
     if n < 1:
         raise ValueError("grid needs at least one point")
     if n == 1:
@@ -103,7 +111,7 @@ def _parse_grid(text: str) -> np.ndarray:
         return np.array([lo])
     if not lo < hi:
         raise ValueError("grid needs lo < hi")
-    if tag[:3] == "log":
+    if tag == "log":
         if lo <= 0:
             raise ValueError("log grid needs lo > 0")
         return np.geomspace(lo, hi, n)
@@ -201,13 +209,13 @@ def _cmd_tabulate(args) -> tuple[str, str]:
 
 
 def _risk_params(args) -> list:
-    eps_grid = _parse_grid(args.epsilon_grid)
+    eps_grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
     if args.delta is not None and args.delta_grid is not None:
         raise ValueError("give either --delta or --delta-grid, not both")
     if args.delta is not None:
         deltas = [args.delta]
     elif args.delta_grid is not None:
-        deltas = [float(d) for d in _parse_grid(args.delta_grid)]
+        deltas = [float(d) for d in _parse_grid(args.delta_grid, "--delta-grid", len(eps_grid))]
     elif args.mechanism == "laplace":
         deltas = [None]
     else:

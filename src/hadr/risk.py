@@ -36,9 +36,9 @@ Every measure but local is one weighted sum over cell sizes,
 sum_n w1(n) f1(n, eps) + w2(n) f2(n, eps), and only the noise factors f1
 and f2 depend on eps. A profile holds the distinct sizes n with the
 moment weights w1 and w2, so work that does not depend on eps is done
-once and each eps point costs O(distinct sizes); the local profile keeps
-the distinct count vectors instead, so each eps point costs O(distinct
-vectors) before the per-cell values are gathered back.
+once and each eps point costs O(distinct sizes); the local value is
+symmetric in the categories, so the local profile keeps the distinct
+sorted count vectors and each eps point costs O(sorted vectors).
 ``evaluate_measure`` is the public route to one point, and ``risk_curve``
 and ``invert_epsilon`` build one profile for all of their points.
 
@@ -185,31 +185,27 @@ def _global_profile(alpha, size_model: CellSizeModel, zero_truncated: bool, n_ca
     return _SizeProfile(n.astype(float), w * m1, w * m2, n_categories, int(n[-1]))
 
 
-def _collapse_probs(stay: np.ndarray, gone: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Per-row probability that exactly one occupied entry stays present."""
-    vals = np.zeros(stay.shape[0])
-    for j in range(stay.shape[1]):
-        others = np.prod(np.delete(gone, j, axis=1), axis=1)
-        vals += np.where(present[:, j], stay[:, j] * others, 0.0)
-    return vals
-
-
 class _LocalProfile:
-    """Distinct count vectors of a table, each cell's row among them, and the
-    distinct count values with each entry's index into them."""
+    """Distinct sorted count vectors of a counts array, each row's vector
+    among them, and the distinct count values with each entry's index into
+    them; all permutations of a row share one sorted vector and one value."""
 
-    def __init__(self, table: FrequencyTable):
-        rows, inv = np.unique(table.counts, axis=0, return_inverse=True)
+    def __init__(self, counts: np.ndarray):
+        configs, inv = np.unique(np.sort(counts, axis=1), axis=0, return_inverse=True)
         self.row = inv.ravel()
-        self.values, index = np.unique(rows.astype(float), return_inverse=True)
-        self.index = index.reshape(rows.shape)
-        self.present = rows >= 1
+        self.values, index = np.unique(configs.astype(float), return_inverse=True)
+        self.index = index.reshape(configs.shape)
+        self.present = configs >= 1
         self.homogeneous = (self.present.sum(axis=1) == 1)[self.row]
 
     def at(self, params: PrivacyParams) -> RiskValue:
         stay = params.sf(0.5 - self.values)[self.index]
         gone = params.cdf(0.5 - self.values)[self.index]
-        vals = _collapse_probs(stay, gone, self.present)[self.row]
+        vals = np.zeros(len(stay))
+        for j in range(stay.shape[1]):
+            others = np.prod(np.delete(gone, j, axis=1), axis=1)
+            vals += np.where(self.present[:, j], stay[:, j] * others, 0.0)
+        vals = vals[self.row]
         c1 = np.where(self.homogeneous, vals, 0.0)
         return RiskValue(float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
 
@@ -220,19 +216,14 @@ def local_risk(counts, params: PrivacyParams) -> RiskValue:
     ``counts`` is an integer vector; float or bool counts are refused
     rather than truncated. The value is the exact probability (over the
     noise alone) that the sanitized support collapses onto a single
-    occupied category: the disjoint union over occupied k of
-    "count k stays present, every other count drops below threshold". On a
+    occupied category. It is the one-cell case of the table's local
+    profile, so it does not depend on the order of the counts. On a
     homogeneous cell that IS the disclosure probability, all of it in
     scenario1; on a heterogeneous cell, all in scenario8, it upper-bounds
     the fraction of records actually disclosed, since only the
     collapsed-to category's records leak.
     """
-    arr = check_counts(counts)[None, :]
-    t = 0.5 - arr.astype(float)
-    total = float(_collapse_probs(params.sf(t), params.cdf(t), arr >= 1)[0])
-    if np.count_nonzero(arr) == 1:
-        return RiskValue(value=total, scenario1=total, scenario8=0.0)
-    return RiskValue(value=total, scenario1=0.0, scenario8=total)
+    return _LocalProfile(check_counts(counts)[None, :]).at(params)
 
 
 def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndarray:
@@ -273,7 +264,7 @@ def _profile(
     if measure in ("local", "expected"):
         if table is None:
             raise ValueError(f"measure {measure!r} requires a table")
-        return _LocalProfile(table) if measure == "local" else _expected_profile(table)
+        return _LocalProfile(table.counts) if measure == "local" else _expected_profile(table)
     if measure == "shrinkage":
         if table is None or alpha is None:
             raise ValueError("measure 'shrinkage' requires a table and alpha")

@@ -4,12 +4,15 @@ The paper prints the expected, shrinkage and global measures for two
 categories, with Beta-function ratios where the general forms have
 Gamma-ratio moment sums; and on an all-homogeneous table the expected
 measure reduces to the mean over cells of cdf(0.5)^(K-1) * sf(0.5 - n).
-It also prints side results that check the measures rather than form
-them: the epsilon at which the scenario-8 noise factor peaks, and the
-k-way marginals whose total variation distance measures utility. Each
-form here is written straight from its formula and calls no function of
-hadr (it imports only RiskValue and the TAIL_MASS constant), so agreement
-checks the library's kernels instead of restating them.
+The local measure, with the counts held fixed, is a sum over which
+occupied category the noise keeps alone, with tails taken straight from
+the noise densities. The paper also prints side results that check the
+measures rather than form them: the epsilon at which the scenario-8 noise
+factor peaks, and the k-way marginals whose total variation distance
+measures utility. Each form here is written straight from its formula and
+calls no function of hadr (it imports only RiskValue and the TAIL_MASS
+constant), so agreement checks the library's kernels instead of restating
+them.
 """
 
 import math
@@ -53,6 +56,31 @@ def homogeneous_risk(table, params) -> RiskValue:
     n = table.sizes().astype(float)
     t1 = params.cdf(0.5) ** (table.n_categories - 1) * params.sf(0.5 - n)
     return _risk_from_cells(t1, np.zeros_like(t1))
+
+
+def _noise_cdf(t, params):
+    """Pr(E < t) integrated from the mechanism's density at ``params.scale``:
+    exponential tails for Laplace, erf for the Gaussian mechanisms."""
+    t = np.asarray(t, dtype=float)
+    if params.mechanism == "laplace":
+        half_tail = 0.5 * np.exp(-np.abs(t) / params.scale)
+        return np.where(t < 0, half_tail, 1.0 - half_tail)
+    return 0.5 * (1.0 + erf(t / (params.scale * math.sqrt(2.0))))
+
+
+def local_risk_direct(counts, params) -> float:
+    """sum over occupied k of sf(0.5 - n_k) * prod_{t != k} cdf(0.5 - n_t): count
+    k stays present and every other count stays absent, for disjoint k.
+
+    The tails come from ``_noise_cdf``, never from PrivacyParams.cdf or sf;
+    the Gaussian lower tail 0.5 * (1 + erf(x)) loses relative accuracy once
+    it is far below 1e-4, so check it at scales that keep it above that.
+    """
+    counts = np.asarray(counts)
+    t = 0.5 - counts.astype(float)
+    stay, gone = _noise_cdf(-t, params), _noise_cdf(t, params)
+    terms = [stay[k] * np.prod(np.delete(gone, k)) for k in range(counts.size) if counts[k] >= 1]
+    return float(sum(terms))
 
 
 def expected_risk_k2(table, params) -> RiskValue:

@@ -210,9 +210,21 @@ def test_risk_delta_grid_cartesian(data_dir, capsys):
     assert len((data_dir / "grid.csv").read_text().splitlines()) == 1 + 3 * 4
 
 
-@pytest.mark.parametrize(
-    "grid", ["0.1:1", "1:0.1:log5", "0:1:log5", "a:b:log3", "1:2:geo4", "2:3:log1", "0.1:1:log0"]
-)
+# each bad grid with its error; a superscript two passes str.isdigit but not int()
+BAD_GRIDS = {
+    "0.1:1": "--epsilon-grid '0.1:1' is not of the form lo:hi:logN or lo:hi:linN",
+    "1:0.1:log5": "grid needs lo < hi",
+    "0:1:log5": "log grid needs lo > 0",
+    "a:b:log3": "--epsilon-grid 'a:b:log3' has non-numeric bounds",
+    "1:2:geo4": "--epsilon-grid '1:2:geo4' must end in logN or linN",
+    "2:3:log1": "a single-point grid needs lo == hi",
+    "0.1:1:log0": "grid needs at least one point",
+    "1:2:log²": "--epsilon-grid '1:2:log²' must end in logN or linN",
+    "1:2:lin-3": "--epsilon-grid '1:2:lin-3' must end in logN or linN",
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS))
 def test_bad_grids(data_dir, capsys, grid):
     table_path, _ = tabulate(data_dir, capsys)
     code, _, err = run(
@@ -224,7 +236,68 @@ def test_bad_grids(data_dir, capsys, grid):
         "--epsilon-grid", grid,
         "--output", str(data_dir / "c.csv"),
     )
-    assert code == 1 and "error:" in err
+    assert (code, err) == (1, f"error: {BAD_GRIDS[grid]}\n")
+
+
+def refuse_large_grid_arrays(monkeypatch):
+    """Fail the test, instead of allocating, if a grid of over 10**6 points is built."""
+    for name in ("linspace", "geomspace"):
+
+        def guarded(lo, hi, n, *args, _real=getattr(np, name), **kwargs):
+            assert n <= 10**6, f"a {n}-point grid was about to be built"
+            return _real(lo, hi, n, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
+
+
+def risk_on_grids(capsys, table_path, out, *grids):
+    """Run risk with an epsilon grid, and a delta grid when two grids are given."""
+    mechanism = ["laplace"] if len(grids) == 1 else ["gaussian_pdp", "--delta-grid", grids[1]]
+    return run(
+        capsys,
+        "risk",
+        "--table", str(table_path),
+        "--measure", "expected",
+        "--mechanism", *mechanism,
+        "--epsilon-grid", grids[0],
+        "--output", str(out),
+    )
+
+
+def test_epsilon_grid_cap(data_dir, capsys, monkeypatch):
+    """A grid past MAX_GRID_POINTS is refused from its digit string, before
+    any array is built, with the flag, the value and the cap in the message."""
+    refuse_large_grid_arrays(monkeypatch)
+    table_path, _ = tabulate(data_dir, capsys)
+    out = data_dir / "c.csv"
+    assert hadr.cli.MAX_GRID_POINTS == 100_000
+    # past int()'s 4,300-digit limit, with and without leading zeros
+    for grid in ["0.01:10:lin2000000000", "1:2:log" + "9" * 5000, "1:2:lin" + "0" * 5000 + "100001"]:
+        code, _, err = risk_on_grids(capsys, table_path, out, grid)
+        assert (code, err) == (1, f"error: --epsilon-grid {grid!r} exceeds the cap of 100000 curve points\n")
+    assert not out.exists()
+    monkeypatch.setattr(hadr.cli, "MAX_GRID_POINTS", 4)
+    assert risk_on_grids(capsys, table_path, out, "1:2:lin" + "0" * 5000 + "4")[0] == 0
+    assert len(out.read_text().splitlines()) == 1 + 4
+    code, _, err = risk_on_grids(capsys, table_path, out, "1:2:log5")
+    assert (code, err) == (1, "error: --epsilon-grid '1:2:log5' exceeds the cap of 4 curve points\n")
+
+
+def test_delta_grid_cap_counts_the_product(data_dir, capsys, monkeypatch):
+    """The delta grid is capped at MAX_GRID_POINTS over the epsilon points,
+    before its array is built."""
+    refuse_large_grid_arrays(monkeypatch)
+    table_path, _ = tabulate(data_dir, capsys)
+    out = data_dir / "c.csv"
+    code, _, err = risk_on_grids(capsys, table_path, out, "0.1:1:lin3", "1e-6:1e-5:log33334")
+    want = "error: --delta-grid '1e-6:1e-5:log33334' exceeds the cap of 100000 curve points\n"
+    assert (code, err) == (1, want)
+    assert not out.exists()
+    monkeypatch.setattr(hadr.cli, "MAX_GRID_POINTS", 12)
+    assert risk_on_grids(capsys, table_path, out, "0.1:1:log3", "1e-5:0.1:log4")[0] == 0
+    assert len(out.read_text().splitlines()) == 1 + 12
+    code, _, err = risk_on_grids(capsys, table_path, out, "0.1:1:log3", "1e-5:0.1:log5")
+    assert (code, err) == (1, "error: --delta-grid '1e-5:0.1:log5' exceeds the cap of 12 curve points\n")
 
 
 def test_single_point_grid(data_dir, capsys):

@@ -7,6 +7,7 @@ formulas must satisfy (two-category specialization, homogeneous
 specialization, zero-truncation factor).
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -31,6 +32,7 @@ from oracles import (
     expected_risk_k2,
     global_risk_k2,
     homogeneous_risk,
+    local_risk_direct,
     scenario8_peak_epsilon,
     shrinkage_risk_k2,
 )
@@ -169,13 +171,36 @@ def test_local_risk_rejects_non_integer_counts(counts):
         local_risk(counts, LAP1)
 
 
-def test_local_risk_union_of_disjoint_collapses():
+# noise scales at which the oracle's erf form of the Gaussian tail keeps a
+# relative accuracy of 1e-12 (see local_risk_direct)
+ORACLE_PARAMS = [
+    PrivacyParams("laplace", 0.3),
+    LAP1,
+    PrivacyParams("laplace", 3.0),
+    PrivacyParams("gaussian_pdp", 0.5, delta=1e-5),
+    PrivacyParams("gaussian_pdp", 2.0, delta=1e-5),
+    PrivacyParams("gaussian_adp", 0.5, delta=1e-3),
+]
+
+
+def random_cells(rng, m, k_max=5, n_max=5):
+    """Random cells of 2..k_max categories with counts 0..n_max, zeros
+    included, and at least one record each."""
+    cells = []
+    while len(cells) < m:
+        k = int(rng.integers(2, k_max + 1))
+        cell = tuple(int(c) for c in rng.integers(0, n_max + 1, size=k))
+        if sum(cell):
+            cells.append(cell)
+    return cells
+
+
+def test_local_risk_union_of_disjoint_collapses(rng):
     # the event decomposes over which occupied category survives alone
-    counts = np.array([2, 3, 4])
-    stay = LAP1.sf(0.5 - counts.astype(float))
-    gone = LAP1.cdf(0.5 - counts.astype(float))
-    expect = sum(stay[k] * np.prod(np.delete(gone, k)) for k in range(3))
-    assert local_risk(counts, LAP1).value == pytest.approx(expect, rel=1e-14)
+    for cell in [(2, 3, 4), (0, 7), (5, 0, 0, 1)] + random_cells(rng, 100):
+        for params in ORACLE_PARAMS:
+            want = local_risk_direct(cell, params)
+            assert local_risk(cell, params).value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_monotone_in_epsilon():
@@ -427,9 +452,25 @@ def test_risk_curve_matches_pointwise_evaluation(measure, mechanism, rng):
 
 
 @pytest.mark.parametrize("mechanism", sorted(CURVE_MECHANISMS))
+def test_local_risk_ignores_category_order(rng, mechanism):
+    """Every permutation of a cell's counts gives the same bits, and a table
+    whose rows are permutations of one cell has one local configuration."""
+    for cell in random_cells(rng, 50, k_max=4):
+        for p in CURVE_MECHANISMS[mechanism][::8]:
+            values = {local_risk(perm, p) for perm in itertools.permutations(cell)}
+            assert len(values) == 1
+    table = make_table(sorted(set(itertools.permutations((0, 1, 2, 5)))))
+    assert len(hadr.risk._LocalProfile(table.counts).index) == 1
+    for p in CURVE_MECHANISMS[mechanism]:
+        assert evaluate_measure("local", p, table=table).value == pytest.approx(
+            local_risk((0, 1, 2, 5), p).value, rel=1e-14
+        )
+
+
+@pytest.mark.parametrize("mechanism", sorted(CURVE_MECHANISMS))
 def test_local_profile_bitwise_equals_per_cell_values(rng, mechanism):
-    """Evaluating each distinct count vector once and gathering the values
-    back gives the same bits as the per-cell local values."""
+    """Evaluating each distinct sorted count vector once and gathering the
+    values back gives the same bits as the per-cell local values."""
     t = repeated_size_table(rng, m=200)
     assert len(np.unique(t.counts, axis=0)) < t.n_cells
     homogeneous = np.count_nonzero(t.counts, axis=1) == 1
@@ -444,7 +485,7 @@ def test_local_profile_bitwise_equals_per_cell_values(rng, mechanism):
 
 def test_curve_and_inversion_build_profile_once(rng, monkeypatch):
     """A curve or an inversion does each measure's eps-independent work
-    (size grouping, distinct count vectors, Gamma ratios, the size series)
+    (size grouping, sorted count vectors, Gamma ratios, the size series)
     as often as a single point does, however many points it evaluates."""
     calls = Counter()
 

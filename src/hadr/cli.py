@@ -104,16 +104,16 @@ def _parse_grid(text: str, flag: str, others: int = 1) -> np.ndarray:
         raise ValueError(f"{flag} {text!r} exceeds the cap of {MAX_GRID_POINTS} curve points")
     n = int(count)
     if n < 1:
-        raise ValueError("grid needs at least one point")
+        raise ValueError(f"{flag} {text!r} needs at least one point")
     if n == 1:
         if lo != hi:
-            raise ValueError("a single-point grid needs lo == hi")
+            raise ValueError(f"{flag} {text!r} is a single-point grid and needs lo == hi")
         return np.array([lo])
     if not lo < hi:
-        raise ValueError("grid needs lo < hi")
+        raise ValueError(f"{flag} {text!r} needs lo < hi")
     if tag == "log":
         if lo <= 0:
-            raise ValueError("log grid needs lo > 0")
+            raise ValueError(f"{flag} {text!r} is a log grid and needs lo > 0")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
@@ -450,6 +450,10 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -26,7 +26,9 @@ always (tally 1 + tally 8) / reps for the event estimators.
 Reproducibility: work is cut into fixed blocks of ``BLOCK_REPS``
 replicates. Block j always draws from its own counter-spaced substream of
 the seed and block results are combined in index order, so estimates are
-bit-identical for any thread count.
+bit-identical for any thread count. A block runs in chunks that bound its
+working set, but its replicate values are summed once, over the whole
+block, so the chunk size never moves a bit of a result.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ from .tabulation import FrequencyTable
 
 BLOCK_REPS = 1 << 16
 _CHUNK_ELEMS = 1 << 21
+# noise entries per threshold chunk, 2 MB per float array its step holds; the
+# event estimators keep _CHUNK_ELEMS, as a smaller chunk would split their
+# blocks for K >= 5 and reorder their count and noise draws
+_THRESHOLD_CHUNK_ELEMS = 1 << 18
 
 THRESHOLD_MODES = ("hard", "soft")
 
@@ -149,7 +155,9 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
 
     Replicates are cut into blocks of BLOCK_REPS, block j drawing from
     substream ``block_offset + j``, and each block into chunks of at most
-    ``per`` replicates; block results are combined in index order.
+    ``per`` replicates. A block's values are summed once, after its last
+    chunk, so chunking never moves a bit; block results are combined in
+    index order.
     """
     seed = check_seed(seed)
     reps = check_int(reps, "reps")
@@ -159,14 +167,14 @@ def _simulate(reps, seed, threads, per, step, *, block_offset=0, mode=None) -> M
     def run(block):
         idx, count = block
         gen = block_generator(seed, idx)
-        val = sq = 0.0
+        values = []
         tall = np.zeros(8, dtype=np.int64)
         for c in _chunks(count, per):
             v, scen = step(gen, c)
-            val += float(v.sum())
-            sq += float((v * v).sum())
+            values.append(v)
             tall += _tally(scen)
-        return val, sq, tall
+        v = np.concatenate(values)
+        return float(v.sum()), float((v * v).sum()), tall
 
     parts = ordered_map(run, blocks, threads)
     total = sum(p[0] for p in parts)
@@ -343,11 +351,13 @@ def mc_threshold_dr(
     rows = np.arange(m)
 
     def step(gen, c):
-        noisy = base + _noise(gen, params, (c, m, k))
+        noisy = _noise(gen, params, (c, m, k))
+        noisy += base
         present = noisy >= PRESENCE_THRESHOLD
         size = present.sum(axis=2)
         if mode == "hard":
-            which = np.argmax(np.where(present, noisy, -np.inf), axis=2)
+            np.putmask(noisy, ~present, -np.inf)
+            which = np.argmax(noisy, axis=2)
             contrib = frac[rows, which] * (size > 0)
         else:
             w = np.where(present, np.maximum(noisy, 0.0), 0.0)
@@ -357,7 +367,7 @@ def mc_threshold_dr(
         occ_at = occupied[rows, np.argmax(present, axis=2)]
         return contrib.mean(axis=1), _scenarios(homog, size, occ_at)
 
-    per = max(1, _CHUNK_ELEMS // (m * k))
+    per = max(1, _THRESHOLD_CHUNK_ELEMS // (m * k))
     return _simulate(reps, seed, threads, per, step, mode=mode)
 
 

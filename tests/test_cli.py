@@ -213,12 +213,12 @@ def test_risk_delta_grid_cartesian(data_dir, capsys):
 # each bad grid with its error; a superscript two passes str.isdigit but not int()
 BAD_GRIDS = {
     "0.1:1": "--epsilon-grid '0.1:1' is not of the form lo:hi:logN or lo:hi:linN",
-    "1:0.1:log5": "grid needs lo < hi",
-    "0:1:log5": "log grid needs lo > 0",
+    "1:0.1:log5": "--epsilon-grid '1:0.1:log5' needs lo < hi",
+    "0:1:log5": "--epsilon-grid '0:1:log5' is a log grid and needs lo > 0",
     "a:b:log3": "--epsilon-grid 'a:b:log3' has non-numeric bounds",
     "1:2:geo4": "--epsilon-grid '1:2:geo4' must end in logN or linN",
-    "2:3:log1": "a single-point grid needs lo == hi",
-    "0.1:1:log0": "grid needs at least one point",
+    "2:3:log1": "--epsilon-grid '2:3:log1' is a single-point grid and needs lo == hi",
+    "0.1:1:log0": "--epsilon-grid '0.1:1:log0' needs at least one point",
     "1:2:log²": "--epsilon-grid '1:2:log²' must end in logN or linN",
     "1:2:lin-3": "--epsilon-grid '1:2:lin-3' must end in logN or linN",
 }
@@ -237,6 +237,33 @@ def test_bad_grids(data_dir, capsys, grid):
         "--output", str(data_dir / "c.csv"),
     )
     assert (code, err) == (1, f"error: {BAD_GRIDS[grid]}\n")
+
+
+def test_bad_delta_grid_names_its_flag(data_dir, capsys):
+    table_path, _ = tabulate(data_dir, capsys)
+    out = data_dir / "c.csv"
+    code, _, err = risk_on_grids(capsys, table_path, out, "0.1:1:log3", "1e-3:1e-5:log3")
+    assert (code, err) == (1, "error: --delta-grid '1e-3:1e-5:log3' needs lo < hi\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("", "error: out of memory\n"),
+        ("cannot allocate 16 GiB", "error: out of memory: cannot allocate 16 GiB\n"),
+    ],
+)
+def test_memory_error_exits_1_with_one_line(data_dir, capsys, monkeypatch, text, want):
+    table_path, _ = tabulate(data_dir, capsys)
+
+    def exhausted(path):
+        raise MemoryError(text) if text else MemoryError
+
+    monkeypatch.setattr(hadr.cli, "read_table", exhausted)
+    out = data_dir / "c.csv"
+    assert risk_on_grids(capsys, table_path, out, "0.1:1:log3") == (1, "", want)
+    assert not out.exists()
 
 
 def refuse_large_grid_arrays(monkeypatch):

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -499,6 +500,37 @@ def test_threshold_se_matches_the_spread_over_seeds(mode):
     spread = np.std([e.value for e in ests], ddof=1)
     se = np.mean([e.se for e in ests])
     assert 1 / 1.5 < se / spread < 1.5
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_threshold_chunk_size_never_moves_a_bit(monkeypatch, mode):
+    """A block's replicate values are summed once, so chunks of one replicate,
+    of five, and of 2**21 entries give the default's estimate; 64-replicate
+    blocks make 300 replicates span five of them."""
+    rng = np.random.default_rng(97)
+    t = make_table(rng.multinomial(5, [0.5, 0.3, 0.2], size=12))  # 36 entries
+    monkeypatch.setattr(hadr.mc, "BLOCK_REPS", 64)
+    default = mc_threshold_dr(t, LAP1, 300, seed=83, mode=mode)
+    for elems in (36, 5 * 36, 2**21):
+        monkeypatch.setattr(hadr.mc, "_THRESHOLD_CHUNK_ELEMS", elems)
+        for threads in (1, 2):
+            assert mc_threshold_dr(t, LAP1, 300, seed=83, mode=mode, threads=threads) == default
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_threshold_working_set_is_bounded(mode):
+    """On a 20,000-cell K = 4 table, 30 replicates stay under 16 MB traced:
+    chunks of 2**18 noise entries hold 3 replicates, where chunks of 2**21
+    would hold 26, 17 MB in each of their float arrays."""
+    rng = np.random.default_rng(101)
+    t = make_table(rng.multinomial(rng.integers(1, 12, size=20_000), [0.4, 0.3, 0.2, 0.1]))
+    tracemalloc.start()
+    try:
+        mc_threshold_dr(t, LAP1, 30, seed=103, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_threshold_tallies_and_validation():

@@ -4,10 +4,12 @@ The pipeline: cross-tabulate microdata into a frequency table
 (tabulation), sanitize it with a calibrated noise mechanism (mechanisms),
 evaluate closed-form disclosure-risk measures (risk) with hyperparameters
 fitted from the table (estimation), verify them against brute-force
-simulation (mc), and quantify the utility cost (utility). The ``hadr``
-command line exposes the same steps as verbs.
+simulation (mc, with audit the one module that uses both routes), and
+quantify the utility cost (utility). The ``hadr`` command line exposes the
+same steps as verbs.
 """
 
+from .audit import upper_bound_findings
 from .estimation import (
     CellSizeModel,
     DirichletFit,
@@ -23,7 +25,6 @@ from .mc import (
     mc_local,
     mc_shrinkage,
     mc_threshold_dr,
-    upper_bound_findings,
 )
 from .mechanisms import (
     MECHANISMS,

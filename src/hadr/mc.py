@@ -42,7 +42,6 @@ import numpy as np
 from ._rng import block_generator, check_alpha, check_counts, check_int, check_seed, ordered_map
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
-from .risk import expected_risk_cells
 from .tabulation import FrequencyTable
 
 BLOCK_REPS = 1 << 16
@@ -233,8 +232,8 @@ def mc_expected(
 
     Pairs with the per-cell two-term expected value (exactly for the
     scenario-1 component; the scenario-8 term is only a partial cover, see
-    upper_bound_findings). ``block_offset`` shifts the substream index so
-    several cells can share one seed without stream overlap.
+    audit.upper_bound_findings). ``block_offset`` shifts the substream index
+    so several cells can share one seed without stream overlap.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
@@ -369,59 +368,6 @@ def mc_threshold_dr(
 
     per = max(1, _THRESHOLD_CHUNK_ELEMS // (m * k))
     return _simulate(reps, seed, threads, per, step, mode=mode)
-
-
-def upper_bound_findings(
-    table: FrequencyTable,
-    params: PrivacyParams,
-    reps: int,
-    seed: int,
-    *,
-    threads: int = 1,
-) -> dict:
-    """Check the two-term expected value against simulation.
-
-    For homogeneous cells the two-term value is exact. For heterogeneous
-    cells its second term covers only one extreme configuration, and the
-    simulated disclosure frequency can exceed it; each such cell (excess
-    beyond 3 standard errors) is reported as a finding rather than treated
-    as a simulation failure.
-
-    The noise is i.i.d. across categories and the scenarios are symmetric
-    in them, so cells with the same sorted counts have the same event law:
-    each sorted configuration is simulated once, on the substream of its
-    lowest-index cell, and every cell that holds it is judged against its
-    own closed form by that one estimate.
-    """
-    reps = check_int(reps, "reps")
-    check_seed(seed)
-    closed = expected_risk_cells(table, params)
-    counts, sizes, keys = table.counts, table.sizes(), table.keys()
-    cells = np.flatnonzero(np.count_nonzero(counts, axis=1) > 1)
-    _, first, group = np.unique(
-        np.sort(counts[cells], axis=1), axis=0, return_index=True, return_inverse=True
-    )
-
-    def run(i):
-        n = int(sizes[i])
-        return mc_expected(n, counts[i] / n, params, reps, seed, threads=1, block_offset=i << 32)
-
-    estimates = ordered_map(run, cells[first].tolist(), threads)
-    findings = []
-    for i, g in zip(cells.tolist(), group.ravel().tolist()):
-        est = estimates[g]
-        excess = est.value - float(closed[i])
-        if est.se > 0 and excess > 3.0 * est.se:
-            findings.append(
-                {
-                    "key": list(keys[i]),
-                    "mc_value": est.value,
-                    "closed_form": float(closed[i]),
-                    "se": est.se,
-                    "excess_in_se": excess / est.se,
-                }
-            )
-    return {"checked_cells": len(cells), "reps": reps, "violations": findings}
 
 
 def mc_to_json(est: McEstimate) -> str:

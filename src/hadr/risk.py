@@ -24,7 +24,7 @@ Several measures differ only in what is averaged over:
   is exact and whose second term covers only the extreme heterogeneous
   configuration {n-1, 1, 0, ...} at single-sequence probability. The
   second term is NOT a proven bound over all heterogeneous
-  configurations; see mc.upper_bound_findings for the empirical check.
+  configurations; see audit.upper_bound_findings for the empirical check.
 * shrinkage: p is additionally integrated over a Dirichlet(alpha) prior,
   turning the moment sums into Gamma-function ratios.
 * global: the cell size is integrated over a size model (Poisson or
@@ -93,13 +93,6 @@ def _tail_factors(params: PrivacyParams, n_categories: int, n: np.ndarray):
     return t1, t2
 
 
-def _plugin_moments(counts: np.ndarray, n: np.ndarray):
-    phat = counts / n[:, None]
-    m1 = (phat ** n[:, None]).sum(axis=1)
-    m2 = (phat ** (n[:, None] - 1) * (1.0 - phat)).sum(axis=1)
-    return m1, m2
-
-
 def _dirichlet_moments(n: np.ndarray, alpha: np.ndarray):
     """Dirichlet-averaged moment sums as Gamma ratios, in log space.
 
@@ -150,14 +143,17 @@ class _SizeProfile(NamedTuple):
         return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=self.truncated_at)
 
 
-def _expected_profile(table: FrequencyTable) -> _SizeProfile:
-    """Cell average of the plug-in moment sums, grouped by cell size."""
-    sizes = table.sizes()
-    m1, m2 = _plugin_moments(table.counts.astype(float), sizes.astype(float))
+def _expected_profile(counts: np.ndarray) -> _SizeProfile:
+    """Cell average of the plug-in moment sums of each row's sorted counts, by cell size."""
+    phat = np.sort(counts, axis=1).astype(float)
+    sizes = phat.sum(axis=1)
+    phat /= sizes[:, None]
+    m1 = (phat ** sizes[:, None]).sum(axis=1)
+    m2 = (phat ** (sizes[:, None] - 1) * (1.0 - phat)).sum(axis=1)
     n, inv = np.unique(sizes, return_inverse=True)
     w1 = np.bincount(inv, weights=m1) / sizes.size
     w2 = np.bincount(inv, weights=m2) / sizes.size
-    return _SizeProfile(n.astype(float), w1, w2, table.n_categories)
+    return _SizeProfile(n, w1, w2, counts.shape[1])
 
 
 def _shrinkage_profile(table: FrequencyTable, alpha) -> _SizeProfile:
@@ -186,12 +182,13 @@ def _global_profile(alpha, size_model: CellSizeModel, zero_truncated: bool, n_ca
 
 
 class _LocalProfile:
-    """Distinct sorted count vectors of a counts array, each row's vector
-    among them, and the distinct count values with each entry's index into
-    them; all permutations of a row share one sorted vector and one value."""
+    """Distinct sorted count vectors of a counts array, the first row holding
+    each, each row's vector, and the distinct count values with each entry's
+    index into them; all permutations of a row share one vector and value."""
 
     def __init__(self, counts: np.ndarray):
-        configs, inv = np.unique(np.sort(counts, axis=1), axis=0, return_inverse=True)
+        rows = np.sort(counts, axis=1)
+        configs, self.first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         self.row = inv.ravel()
         self.values, index = np.unique(configs.astype(float), return_inverse=True)
         self.index = index.reshape(configs.shape)
@@ -226,14 +223,6 @@ def local_risk(counts, params: PrivacyParams) -> RiskValue:
     return _LocalProfile(check_counts(counts)[None, :]).at(params)
 
 
-def expected_risk_cells(table: FrequencyTable, params: PrivacyParams) -> np.ndarray:
-    """Per-cell two-term expected values, before averaging over cells."""
-    n = table.sizes().astype(float)
-    m1, m2 = _plugin_moments(table.counts.astype(float), n)
-    f1, f2 = _tail_factors(params, table.n_categories, n)
-    return m1 * f1 + m2 * f2
-
-
 @dataclass(frozen=True)
 class RiskPoint:
     epsilon: float
@@ -264,7 +253,7 @@ def _profile(
     if measure in ("local", "expected"):
         if table is None:
             raise ValueError(f"measure {measure!r} requires a table")
-        return _LocalProfile(table.counts) if measure == "local" else _expected_profile(table)
+        return (_LocalProfile if measure == "local" else _expected_profile)(table.counts)
     if measure == "shrinkage":
         if table is None or alpha is None:
             raise ValueError("measure 'shrinkage' requires a table and alpha")

@@ -2,7 +2,8 @@
 
 The paper prints the expected, shrinkage and global measures for two
 categories, with Beta-function ratios where the general forms have
-Gamma-ratio moment sums; and on an all-homogeneous table the expected
+Gamma-ratio moment sums; the expected measure's two-term value is also
+written cell by cell for any K; and on an all-homogeneous table the expected
 measure reduces to the mean over cells of cdf(0.5)^(K-1) * sf(0.5 - n).
 The local measure, with the counts held fixed, is a sum over which
 occupied category the noise keeps alone, with tails taken straight from
@@ -81,6 +82,26 @@ def local_risk_direct(counts, params) -> float:
     stay, gone = _noise_cdf(-t, params), _noise_cdf(t, params)
     terms = [stay[k] * np.prod(np.delete(gone, k)) for k in range(counts.size) if counts[k] >= 1]
     return float(sum(terms))
+
+
+def expected_risk_cells_direct(counts, params) -> np.ndarray:
+    """Per-cell two-term expected values for any number of categories K.
+
+    With p_k = n_k / n: sum_k p_k^n * cdf(0.5)^(K-1) * sf(0.5 - n), the chance
+    that the redraw is homogeneous and stays so, plus, for n >= 2,
+    sum_k p_k^(n-1) (1 - p_k) * sf(1.5 - n) * cdf(-0.5) * cdf(0.5)^(K-2), the
+    extreme configuration {n-1, 1, 0, ...} collapsing onto its majority. The
+    tails come from ``_noise_cdf``, with sf(t) = cdf(-t).
+    """
+    counts = np.asarray(counts, dtype=float)
+    k = counts.shape[1]
+    n = counts.sum(axis=1)
+    p = counts / n[:, None]
+    absent = _noise_cdf(0.5, params)
+    first = np.sum(p ** n[:, None], axis=1) * absent ** (k - 1) * _noise_cdf(n - 0.5, params)
+    mixed = np.sum(p ** (n[:, None] - 1) * (1.0 - p), axis=1)
+    second = mixed * _noise_cdf(n - 1.5, params) * _noise_cdf(-0.5, params) * absent ** (k - 2)
+    return first + np.where(n >= 2, second, 0.0)
 
 
 def expected_risk_k2(table, params) -> RiskValue:

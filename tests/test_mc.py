@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,7 @@ from hadr import (
     upper_bound_findings,
 )
 from hadr.mc import BLOCK_REPS, McEstimate, mc_to_json
-from hadr.risk import expected_risk_cells
-from oracles import classify_scenario, homogeneous_risk
+from oracles import classify_scenario, expected_risk_cells_direct, homogeneous_risk
 
 LAP1 = PrivacyParams("laplace", 1.0)
 GAUSS = PrivacyParams("gaussian_pdp", 0.5, delta=1e-3)
@@ -134,8 +134,9 @@ def test_mc_expected_degenerate_p_matches_homogeneous():
 def test_mc_expected_scenario1_component():
     """The first closed-form term is the exact scenario-1 probability."""
     t = make_table([(4, 2)])
-    assert expected_risk_cells(t, LAP1).shape == (1,)
-    closed_s1 = evaluate_measure("expected", LAP1, table=t).scenario1
+    closed = evaluate_measure("expected", LAP1, table=t)
+    assert closed.value == pytest.approx(expected_risk_cells_direct(t.counts, LAP1)[0], rel=1e-13)
+    closed_s1 = closed.scenario1
     est = mc_expected(6, (4 / 6, 2 / 6), LAP1, REPS, seed=11)
     rate1 = est.scenarios["1"] / est.reps
     assert abs(rate1 - closed_s1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
@@ -393,54 +394,6 @@ def test_block_offset_must_be_a_non_negative_integer(offset):
         mc_expected(5, (0.5, 0.5), LAP1, 16, seed=37, block_offset=offset)
 
 
-def test_upper_bound_findings_catches_known_violation():
-    """(1,1) is the known case where the printed second term undercounts."""
-    t = make_table([(1, 1), (0, 9)])
-    report = upper_bound_findings(t, LAP1, REPS, seed=41)
-    assert report["checked_cells"] == 1  # homogeneous cells are exact and skipped
-    assert report["reps"] == REPS
-    assert len(report["violations"]) == 1
-    v = report["violations"][0]
-    assert v["key"] == ["c0"]
-    assert v["excess_in_se"] > 3.0
-    assert v["mc_value"] > v["closed_form"]
-    # factor-2 undercount of the second term at (1,1): excess is about t2
-    assert v["mc_value"] - v["closed_form"] == pytest.approx(0.1056, abs=0.01)
-
-
-def test_upper_bound_findings_all_homogeneous():
-    t = make_homog_table([2, 5, 9], k=2)
-    report = upper_bound_findings(t, LAP1, 10_000, seed=43)
-    assert report == {"checked_cells": 0, "reps": 10_000, "violations": []}
-
-
-def test_upper_bound_findings_simulates_each_sorted_configuration_once(monkeypatch):
-    """Cells with the same sorted counts share the estimate of the lowest-index one."""
-    rows = [(3, 1, 0), (1, 3, 0), (0, 1, 3), (2, 2, 0), (3, 1, 0)]
-    t = make_table(rows)
-    reps = 4096
-    # with zero closed forms every cell is a finding, so each cell's estimate shows
-    monkeypatch.setattr(hadr.mc, "expected_risk_cells", lambda table, params: np.zeros(len(rows)))
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["block_offset"])
-        return mc_expected(*args, **kwargs)
-
-    monkeypatch.setattr(hadr.mc, "mc_expected", counted)
-    report = upper_bound_findings(t, LAP1, reps, seed=53)
-    assert sorted(calls) == [0, 3 << 32]  # (0,1,3) on cell 0's stream, (0,2,2) on cell 3's
-    assert report["checked_cells"] == 5
-    found = {v["key"][0]: v for v in report["violations"]}
-    assert sorted(found) == ["c0", "c1", "c2", "c3", "c4"]
-    for first, members in ((0, (1, 2, 4)), (3, ())):
-        direct = mc_expected(4, np.array(rows[first]) / 4, LAP1, reps, 53, block_offset=first << 32)
-        for i in (first, *members):
-            assert (found[f"c{i}"]["mc_value"], found[f"c{i}"]["se"]) == (direct.value, direct.se)
-    for threads in (2, 64):
-        assert upper_bound_findings(t, LAP1, reps, seed=53, threads=threads) == report
-
-
 @pytest.mark.parametrize("params", [LAP1, GAUSS], ids=["laplace", "gaussian_pdp"])
 def test_mc_expected_is_symmetric_in_the_categories(params):
     """Permuting p leaves the disclosure law alone: the grouping in
@@ -575,15 +528,6 @@ def test_estimators_reject_bad_reps(reps):
 
 
 @pytest.mark.parametrize(
-    "reps,seed", [(r, 1) for r in BAD_REPS] + [(10, -1), (10, "x"), (10, 1.0)]
-)
-def test_audit_checks_reps_and_seed_without_heterogeneous_cells(reps, seed):
-    """With nothing to simulate, the audit still rejects bad reps and seeds."""
-    with pytest.raises(ValueError, match="must be"):
-        upper_bound_findings(make_homog_table([2, 5, 9]), LAP1, reps, seed)
-
-
-@pytest.mark.parametrize(
     "call,message",
     [
         (lambda: mc_expected(2.5, (0.5, 0.5), LAP1, 100, seed=1), "cell size"),
@@ -625,26 +569,30 @@ def test_reps_come_back_as_a_plain_int():
     assert type(report["reps"]) is int
 
 
-def test_mc_shares_only_the_audit_oracle_with_the_closed_forms():
-    """MC estimators never reuse closed-form code, so each route checks the other."""
-    tree = ast.parse(inspect.getsource(hadr.mc))
-    from_risk = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "risk":
-            from_risk += [alias.name for alias in node.names]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            assert all(alias.name.split(".")[-1] != "risk" for alias in node.names)
-    assert from_risk == ["expected_risk_cells"]
+def hadr_modules(node) -> set:
+    """The hadr modules an import statement names: "risk" for hadr.risk."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    else:
+        package = "hadr" if node.level else ""
+        paths = [".".join(filter(None, (package, node.module, a.name))) for a in node.names]
+    return {path.split(".")[1] for path in paths if path.startswith("hadr.")}
 
-    def uses(node):
-        return any(isinstance(n, ast.Name) and n.id == "expected_risk_cells" for n in ast.walk(node))
 
-    users = [
-        getattr(node, "name", type(node).__name__)
-        for node in tree.body
-        if not isinstance(node, ast.ImportFrom) and uses(node)
-    ]
-    assert users == ["upper_bound_findings"]
+def test_the_two_routes_meet_only_in_the_audit():
+    """MC estimators never reuse closed-form code, so each route checks the other:
+    mc imports nothing from risk or audit, risk nothing from mc or audit, and of
+    the modules that import both mc and risk, the audit is the only one that
+    computes; the package's re-exports and the command line import every layer."""
+    imports = {}
+    for path in Path(hadr.mc.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        imports[path.stem] = set().union(*map(hadr_modules, nodes))
+    assert not imports["mc"] & {"risk", "audit"}
+    assert not imports["risk"] & {"mc", "audit"}
+    both = sorted(name for name, got in imports.items() if {"mc", "risk"} <= got)
+    assert both == ["__init__", "audit", "cli"]
 
 
 def test_mc_draws_noise_from_the_scale_alone():

@@ -152,9 +152,9 @@ class FrequencyTable:
         return self._keys
 
 
-# Rows read and counted at a time: between chunks only the distinct values
-# and the distinct code rows are kept.
-_CHUNK_ROWS = 1 << 16
+# Rows parsed and coded at a time, and rows whose codes fill the buffer that is
+# merged: between merges only the distinct values and code columns are kept.
+_BATCH_ROWS, _CHUNK_ROWS = 1 << 12, 1 << 16
 
 
 def _gc_paused(fn):
@@ -235,21 +235,23 @@ def _merge(seen, tally, codes, cards):
     next chunk is read.
     """
     both = np.concatenate([seen, codes], axis=1)
-    _, first, where = np.unique(_fold(both, cards), return_index=True, return_inverse=True)
+    keys, where = np.unique(_fold(both, cards), return_inverse=True)  # sorts unstably: faster
+    first = np.empty(keys.size, np.intp)
+    first[where] = np.arange(where.size)  # any column of a key stands for it: _fold is injective
     # float weights add up exactly: no input has 2**53 records
     weights = np.concatenate([tally, np.ones(codes.shape[1], np.int64)])
-    return both[:, first], np.bincount(where, weights).astype(np.int64)
+    return both.take(first, axis=1), np.bincount(where, weights).astype(np.int64)
 
 
 @_gc_paused
 def _tally(rows, header, memos, columns, lineno: int, value=None) -> FrequencyTable:
     """The frequency table of ``rows`` over the QID ``columns`` and then the sensitive one.
 
-    ``_chunks``, which takes the same arguments, codes the rows a chunk at
-    a time into arrays with one row per column of ``columns`` and one
-    column per record. Between chunks only the distinct code columns and
-    their counts are kept, so memory grows with the distinct cells, not
-    with the records. The table takes its names from ``header``.
+    ``_chunks``, which takes the same arguments, codes the rows 4,096 at a
+    time into a buffer with one row per column of ``columns`` and one column
+    per record. Every 2**16 records only the distinct code columns and their
+    counts are kept, so memory grows with the distinct cells, not with the
+    records. The table takes its names from ``header``.
     """
     seen = np.zeros((len(columns), 0), np.int64)
     tally = np.zeros(0, np.int64)
@@ -311,7 +313,9 @@ def _bin_label(text: str, width: float) -> str:
     if not math.isfinite(k):
         raise ValueError(f"no finite bin for value {text!r}")
     k = math.floor(k)
-    return f"{k * width:g}-{(k + 1) * width:g}"
+    # each bound as :g writes it where that reads back exactly, else with more digits
+    bounds = (k * width, (k + 1) * width)
+    return "-".join(next(s for p in range(6, 18) if float(s := f"{b:.{p}g}") == b) for b in bounds)
 
 
 def _clean_field(field: str, width) -> str | None:
@@ -348,42 +352,50 @@ def _chunks(rows, header, memos, columns, lineno: int, value=None):
     first of them numbered ``lineno``. ``memos`` holds the memo of every
     column to code: the used ones and any other whose fields must be
     checked. ``value``, when given, maps each field of those columns
-    before its memo sees it. A chunk with a fault is replayed row by row,
-    which raises the first fault in row order.
+    before its memo sees it. Rows are read and coded ``_BATCH_ROWS`` at a
+    time, and a batch with a fault is replayed row by row, which raises the
+    first fault in row order. The codes fill one int64 buffer of
+    ``_CHUNK_ROWS`` records, yielded each time it is full and in part at the end.
     """
-    rows, chunk = iter(rows), []
+    rows, batch = iter(rows), []
+    buffer, filled = np.empty((len(columns), _CHUNK_ROWS), np.int64), 0
     while True:
         try:
-            chunk.extend(islice(rows, _CHUNK_ROWS))
+            batch.extend(islice(rows, min(_BATCH_ROWS, _CHUNK_ROWS - filled)))
         except (csv.Error, ValueError) as exc:
             # a fault in a row read before a parse or decode error comes first
-            _first_fault(chunk, header, memos, lineno)
+            _first_fault(batch, header, memos, lineno)
             if isinstance(exc, csv.Error):  # not a ValueError: name the row that failed
-                raise ValueError(f"{exc} at line {lineno + len(chunk)}") from None
+                raise ValueError(f"{exc} at line {lineno + len(batch)}") from None
             raise
-        if not chunk:
+        if not batch:
+            if filled:
+                yield buffer[:, :filled]
             return
-        n = len(chunk)
+        n = len(batch)
         try:
-            if set(map(len, chunk)) != {len(header)}:
+            if set(map(len, batch)) != {len(header)}:
                 raise ValueError("ragged row")
-            fields = {i: map(itemgetter(i), chunk) for i in memos}
+            fields = {i: map(itemgetter(i), batch) for i in memos}
             if value is not None:
                 fields = {i: map(value, column) for i, column in fields.items()}
             codes = {i: memo.codes(fields[i], n) for i, memo in memos.items()}
         except ValueError:
-            _first_fault(chunk, header, memos, lineno)
+            _first_fault(batch, header, memos, lineno)
             raise
-        chunk.clear()  # the rows are freed before the codes are counted
+        batch.clear()  # the rows are freed before a merge
         lineno += n
-        yield np.array([codes[i] for i in columns])
+        buffer[:, filled : filled + n] = [codes[i] for i in columns]
+        filled = (filled + n) % _CHUNK_ROWS
+        if not filled:  # the buffer is full
+            yield buffer
 
 
 def cross_tabulate(column_names, rows, qid_columns, sensitive_column: str) -> FrequencyTable:
     """Build the QID-by-sensitive frequency table from in-memory rows.
 
     ``rows`` may be any iterable of sequences, each holding one value per
-    name in ``column_names``; it is walked once, 2**16 rows at a time, as
+    name in ``column_names``; it is walked once, 4,096 rows at a time, as
     ``tabulate_csv`` walks a file. A row of any other length raises
     ValueError naming it as a line, counted from 1. Rows with a missing
     value (None) in any selected column are dropped (the count is kept on
@@ -400,17 +412,19 @@ def cross_tabulate(column_names, rows, qid_columns, sensitive_column: str) -> Fr
 def tabulate_csv(path, qid_columns, sensitive_column: str, bins=()) -> FrequencyTable:
     """Cross-tabulate an RFC-4180-style delimited file with a header row.
 
-    The file is read once, 2**16 rows at a time, and only the QID, the
+    The file is read once, 4,096 rows at a time, and only the QID, the
     sensitive and the binned columns are looked at. Each distinct field of
-    a column is cleaned once and coded as an integer, so memory holds one
-    chunk of rows besides the distinct values and the distinct cells. The
-    cyclic garbage collector is paused during the pass.
+    a column is cleaned once and coded as an integer into a buffer merged
+    every 2**16 rows, so memory holds one batch of rows and one code buffer
+    besides the distinct values and cells. The cyclic garbage collector is
+    paused during the pass.
 
     Fields are compared after stripping whitespace; the tokens in
     ``MISSING_TOKENS`` ("", "?" and "NA") are missing in any column. Each
     ``(column, width)`` in ``bins`` replaces a numeric column by the label
     "lo-hi" of its lower-inclusive bin anchored at 0: value v falls in
-    [k*width, (k+1)*width) with k = floor(v / width). A ragged row, and a
+    [k*width, (k+1)*width) with k = floor(v / width), each bound written as
+    ``:g`` writes it unless that loses digits. A ragged row, and a
     binned value that does not parse or is not finite, raise with the line
     of the first such row and, for a value, its column, whether or not the
     column is tabulated. A row the csv module cannot parse (say, a field

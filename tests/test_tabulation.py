@@ -19,7 +19,20 @@ from hadr import (
 )
 from hadr import PrivacyParams, mechanisms, read_sanitized, sanitize, tabulation
 from hadr.mechanisms import SanitizedTable, sanitized_from_json, sanitized_to_json
-from hadr.tabulation import _fold, check_schema, table_from_json, table_to_json
+from hadr.tabulation import _fold, _merge, check_schema, table_from_json, table_to_json
+
+# (rows per batch, rows per chunk): 3 does not divide 7, 4 overruns a chunk of
+# 2 unless a batch is capped by the room left in the chunk; then the defaults
+BATCH_CHUNK = [
+    pytest.param((batch, chunk), id=f"batch{batch}-chunk{chunk}")
+    for batch, chunk in [(1, 1), (3, 7), (4, 2), (tabulation._BATCH_ROWS, tabulation._CHUNK_ROWS)]
+]
+
+
+def _batch_and_chunk(monkeypatch, batch_chunk):
+    batch, chunk = batch_chunk
+    monkeypatch.setattr(tabulation, "_BATCH_ROWS", batch)
+    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -73,6 +86,17 @@ def test_bin_numeric_labels(tmp_path):
     t = tabulate_csv(path, ["age"], "y", bins=[("age", 5.0)])
     assert cells_of(t) == {("15-20",): (1, 0), ("25-30",): (0, 1)}
     assert t.dropped_rows == 1
+
+
+def test_bin_labels_keep_distinct_bins_apart(tmp_path):
+    """With 6 significant digits both bins would be 1.23457e+06-1.23457e+06."""
+    path = write_csv(tmp_path, "inc,y\n1234567,u\n1234568,v\n")
+    t = tabulate_csv(path, ["inc"], "y", bins=[("inc", 1.0)])
+    assert cells_of(t) == {("1234567-1234568",): (1, 0), ("1234568-1234569",): (0, 1)}
+    # a bound is written as :g writes it wherever that reads back exactly
+    path = write_csv(tmp_path, "inc,y\n1000010,u\n0.25,v\n", name="g.csv")
+    t = tabulate_csv(path, ["inc"], "y", bins=[("inc", 10.0)])
+    assert set(t.keys()) == {("1.00001e+06-1.00002e+06",), ("0-10",)}
 
 
 def test_bin_numeric_rejects_bad_width(tmp_path):
@@ -165,9 +189,9 @@ def test_tabulate_csv_matches_hand_count_on_messy_input(tmp_path):
     assert {"-7.5--5", "-2.5-0", "0-2.5", "17.5-20"} <= {key[0] for key in t.keys()}
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 7])
-def test_tabulate_csv_chunks_match_hand_count(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+@pytest.mark.parametrize("batch_chunk", BATCH_CHUNK)
+def test_tabulate_csv_chunks_match_hand_count(tmp_path, monkeypatch, batch_chunk):
+    _batch_and_chunk(monkeypatch, batch_chunk)
     path = _messy_csv(tmp_path)
     _check_against_hand_count(path, [("age", 2.5)])
     _check_against_hand_count(path, [])
@@ -181,7 +205,7 @@ def _faulty_csv(tmp_path, faults):
     return write_csv(tmp_path, "\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 7, 1 << 16])
+@pytest.mark.parametrize("batch_chunk", BATCH_CHUNK)
 @pytest.mark.parametrize(
     "faults,qids,message",
     [
@@ -204,10 +228,10 @@ def _faulty_csv(tmp_path, faults):
     ],
 )
 def test_tabulate_csv_chunks_report_the_first_fault(
-    tmp_path, monkeypatch, chunk_rows, faults, qids, message
+    tmp_path, monkeypatch, batch_chunk, faults, qids, message
 ):
-    """The fault found first in row order is named, at any chunk size."""
-    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+    """The fault found first in row order is named, at any batch and chunk size."""
+    _batch_and_chunk(monkeypatch, batch_chunk)
     path = _faulty_csv(tmp_path, faults)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tabulate_csv(path, qids, "y", bins=[("a", 1.0), ("b", 1.0)])
@@ -242,21 +266,21 @@ def test_cross_tabulate_validations():
         cross_tabulate(names, rows, ["g"], "y")
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 1 << 16])
+@pytest.mark.parametrize("batch_chunk", BATCH_CHUNK)
 @pytest.mark.parametrize("bad,got", [(("b",), 1), (("b", "u", "w"), 3), ((), 0)])
-def test_cross_tabulate_ragged_row_names_the_row(monkeypatch, chunk_rows, bad, got):
+def test_cross_tabulate_ragged_row_names_the_row(monkeypatch, batch_chunk, bad, got):
     """A row of the wrong length is named as a line, counted from 1, as in a CSV file."""
-    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+    _batch_and_chunk(monkeypatch, batch_chunk)
     rows = iter([("a", "u"), ("a", "v"), bad, ("b", "u"), ("c",)])
     message = f"^ragged row at line 3: expected 2 fields, got {got}$"
     with pytest.raises(ValueError, match=message):
         cross_tabulate(("g", "y"), rows, ["g"], "y")
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 1 << 16])
-def test_cross_tabulate_keys_are_str_of_values(monkeypatch, chunk_rows):
+@pytest.mark.parametrize("batch_chunk", BATCH_CHUNK)
+def test_cross_tabulate_keys_are_str_of_values(monkeypatch, batch_chunk):
     """Values that compare equal but print differently stay apart."""
-    monkeypatch.setattr(tabulation, "_CHUNK_ROWS", chunk_rows)
+    _batch_and_chunk(monkeypatch, batch_chunk)
     rows = [(1, "u"), (1.0, "v"), (True, "u"), ("1", "v"), (0.0, "u"), (-0.0, "v"),
             (None, "u"), ("None", "v"), (2, 1), (2, 1.0), (2, "1")]
     t = cross_tabulate(("g", "y"), rows, ["g"], "y")
@@ -282,6 +306,22 @@ def test_fold_keys_equal_where_columns_are_without_overflow():
         _, pattern = np.unique(key, return_inverse=True)
         _, truth = np.unique(codes, axis=1, return_inverse=True)
         assert np.array_equal(pattern, truth.ravel())
+
+
+@pytest.mark.parametrize("cards", [[3, 4, 2], [2**40, 2**40, 3, 2**40]])  # the latter needs ranks
+def test_merge_counts_each_distinct_column_over_any_chunking(cards):
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n = int(rng.integers(1, 400))
+        codes = rng.integers(0, np.minimum(cards, 3)[:, None], size=(len(cards), n))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 4), replace=False))
+        seen, tally = np.zeros((len(cards), 0), np.int64), np.zeros(0, np.int64)
+        for chunk in np.split(codes, cuts, axis=1):
+            seen, tally = _merge(seen, tally, chunk, cards)
+        assert tally.dtype == np.int64
+        merged = Counter(dict(zip(map(tuple, seen.T.tolist()), tally.tolist())))
+        assert len(merged) == seen.shape[1]  # each column once
+        assert merged == Counter(map(tuple, codes.T.tolist()))
 
 
 def test_table_invariants():

@@ -157,7 +157,7 @@ def _resolve_size_model(args: argparse.Namespace, table):
             raise ValueError("--fit-sizes requires --table")
         if args.size_family == "negbin":
             return fit_negbin(table.sizes())
-        return fit_poisson(table.sizes())
+        return fit_poisson(table.sizes(), zero_truncated=getattr(args, "zero_truncated", False))
     return None
 
 
@@ -224,8 +224,8 @@ def _risk_params(args) -> list:
 
 
 def _cmd_risk(args) -> tuple[str, str]:
-    inputs = _measure_inputs(args)
-    points = risk_curve(args.measure, _risk_params(args), **inputs)
+    params = _risk_params(args)  # grids are refused before the table is read
+    points = risk_curve(args.measure, params, **_measure_inputs(args))
     return curve_to_csv(points), f"{len(points)} curve points -> {args.output}"
 
 

@@ -10,35 +10,37 @@ in the cell. Two disjoint routes contribute:
 * component 2 ("becomes homogeneous"): the cell is heterogeneous and the
   noise suppresses every occupied category but one.
 
-With cdf(t) = Pr(E < t) and sf(t) = 1 - cdf(t), the per-cell probability
-that a count n stays present is sf(0.5 - n), that a zero count stays
-absent is cdf(0.5), and that a count of 1 disappears is cdf(-0.5).
+With cdf(t) = Pr(E < t), sf(t) = 1 - cdf(t) and 0.5 the presence
+threshold (mechanisms.PRESENCE_THRESHOLD), the per-cell probability that a
+count n stays present is sf(0.5 - n), that a zero count stays absent is
+cdf(0.5), and that a count of 1 disappears is cdf(-0.5).
 
-Several measures differ only in what is averaged over:
+Every measure but local is one weighted sum over cell sizes,
+sum_n w1(n) f1(n, eps) + w2(n) f2(n, eps), and only the noise factors f1
+and f2 depend on eps. The weights are a size law's mass at n times a
+moment pair (M1(n), M2(n)); the measures differ only in those two:
 
 * local: the observed counts are held fixed; the formula
   sum_{k in support} sf(0.5 - n_k) prod_{t != k} cdf(0.5 - n_t)
   is exact for the event probability.
-* expected: counts are redrawn from Multinomial(n, p) with p the plug-in
-  cell proportions; evaluated by the two-term expression whose first term
-  is exact and whose second term covers only the extreme heterogeneous
-  configuration {n-1, 1, 0, ...} at single-sequence probability. The
-  second term is NOT a proven bound over all heterogeneous
+* expected: each table cell at its own size, with the plug-in moments of
+  its proportions p (counts redrawn from Multinomial(n, p)); the two-term
+  expression's first term is exact and its second covers only the extreme
+  heterogeneous configuration {n-1, 1, 0, ...} at single-sequence
+  probability, which is NOT a proven bound over all heterogeneous
   configurations; see audit.upper_bound_findings for the empirical check.
-* shrinkage: p is additionally integrated over a Dirichlet(alpha) prior,
-  turning the moment sums into Gamma-function ratios.
-* global: the cell size is integrated over a size model (Poisson or
-  negative binomial), summing the shrinkage integrand over n >= 1.
-* global variant: like global but with the degenerate prior that makes
-  every draw homogeneous, leaving only component 1.
+* shrinkage: the table's distinct sizes at their cell shares, times the
+  Dirichlet(alpha) moment pair (p integrated over the prior).
+* global: a size model's series over n >= 1 (Poisson or negative
+  binomial, optionally zero-truncated), times the Dirichlet(alpha) pair.
+* global variant: that series times the always-homogeneous pair (1, 0) of
+  the degenerate prior, leaving only component 1.
 
-Every measure but local is one weighted sum over cell sizes,
-sum_n w1(n) f1(n, eps) + w2(n) f2(n, eps), and only the noise factors f1
-and f2 depend on eps. A profile holds the distinct sizes n with the
-moment weights w1 and w2, so work that does not depend on eps is done
-once and each eps point costs O(distinct sizes); the local value is
-symmetric in the categories, so the local profile keeps the distinct
-sorted count vectors and each eps point costs O(sorted vectors).
+A profile holds the distinct sizes n with the weights w1 and w2, so work
+that does not depend on eps is done once and each eps point costs
+O(distinct sizes); the local value is symmetric in the categories, so the
+local profile keeps the distinct sorted count vectors and each eps point
+costs O(sorted vectors).
 ``evaluate_measure`` is the public route to one point, and ``risk_curve``
 and ``invert_epsilon`` build one profile for all of their points.
 
@@ -57,7 +59,7 @@ import numpy as np
 
 from ._rng import check_alpha, check_counts, check_int
 from .estimation import CellSizeModel
-from .mechanisms import PrivacyParams
+from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
 from .tabulation import FrequencyTable
 
 TAIL_MASS = 1e-12
@@ -65,7 +67,15 @@ EPSILON_LO = 1e-4
 EPSILON_HI = 1e4
 EPSILON_TOL = 1e-6
 
-MEASURES = ("local", "expected", "shrinkage", "global", "global_variant")
+# The inputs each measure needs, named as its error message names them.
+_NEEDS = {
+    "local": ("a table",),
+    "expected": ("a table",),
+    "shrinkage": ("a table", "alpha"),
+    "global": ("alpha", "a size model"),
+    "global_variant": ("a size model", "n_categories"),
+}
+MEASURES = tuple(_NEEDS)
 
 
 class RiskValue(NamedTuple):
@@ -84,10 +94,10 @@ def _tail_factors(params: PrivacyParams, n_categories: int, n: np.ndarray):
     component-1 moment of size n[i] and t2_factor[i] (already masked to
     n >= 2) multiplies the component-2 moment.
     """
-    stay_absent = params.cdf(0.5)
-    drop_one = params.cdf(-0.5)
-    stay_present = params.sf(0.5 - n)
-    keep_majority = params.sf(1.5 - n)
+    stay_absent = params.cdf(PRESENCE_THRESHOLD)
+    drop_one = params.cdf(PRESENCE_THRESHOLD - 1.0)
+    stay_present = params.sf(PRESENCE_THRESHOLD - n)
+    keep_majority = params.sf(PRESENCE_THRESHOLD + 1.0 - n)
     t1 = stay_absent ** (n_categories - 1) * stay_present
     t2 = np.where(n >= 2, keep_majority * drop_one * stay_absent ** (n_categories - 2), 0.0)
     return t1, t2
@@ -116,15 +126,6 @@ def _dirichlet_moments(n: np.ndarray, alpha: np.ndarray):
         )
     ).sum(axis=1)
     return m1, m2
-
-
-def _series_weights(size_model: CellSizeModel, zero_truncated: bool):
-    """Sizes 1..N covering all but TAIL_MASS of the model's mass."""
-    n = np.arange(1, size_model.tail_quantile(TAIL_MASS) + 1, dtype=np.int64)
-    w = size_model.pmf(n)
-    if zero_truncated:
-        w = w / (1.0 - size_model.zero_mass())
-    return n, w
 
 
 class _SizeProfile(NamedTuple):
@@ -156,31 +157,6 @@ def _expected_profile(counts: np.ndarray) -> _SizeProfile:
     return _SizeProfile(n, w1, w2, counts.shape[1])
 
 
-def _shrinkage_profile(table: FrequencyTable, alpha) -> _SizeProfile:
-    """Cell share of each size times the Dirichlet(alpha) moment sums."""
-    alpha = check_alpha(alpha)
-    if alpha.size != table.n_categories:
-        raise ValueError(
-            f"alpha has {alpha.size} entries but the table has {table.n_categories} categories"
-        )
-    n, cells = np.unique(table.sizes(), return_counts=True)
-    m1, m2 = _dirichlet_moments(n, alpha)
-    share = cells / cells.sum()
-    return _SizeProfile(n.astype(float), share * m1, share * m2, alpha.size)
-
-
-def _global_profile(alpha, size_model: CellSizeModel, zero_truncated: bool, n_categories=None):
-    """Size-model series; alpha None is the always-homogeneous prior (M1 = 1, M2 = 0)."""
-    if alpha is not None:
-        alpha = check_alpha(alpha)
-        n_categories = alpha.size
-    else:
-        n_categories = check_int(n_categories, "n_categories", 2)
-    n, w = _series_weights(size_model, zero_truncated)
-    m1, m2 = (1.0, 0.0) if alpha is None else _dirichlet_moments(n, alpha)
-    return _SizeProfile(n.astype(float), w * m1, w * m2, n_categories, int(n[-1]))
-
-
 class _LocalProfile:
     """Distinct sorted count vectors of a counts array, the first row holding
     each, each row's vector, and the distinct count values with each entry's
@@ -196,8 +172,8 @@ class _LocalProfile:
         self.homogeneous = (self.present.sum(axis=1) == 1)[self.row]
 
     def at(self, params: PrivacyParams) -> RiskValue:
-        stay = params.sf(0.5 - self.values)[self.index]
-        gone = params.cdf(0.5 - self.values)[self.index]
+        stay = params.sf(PRESENCE_THRESHOLD - self.values)[self.index]
+        gone = params.cdf(PRESENCE_THRESHOLD - self.values)[self.index]
         vals = np.zeros(len(stay))
         for j in range(stay.shape[1]):
             others = np.prod(np.delete(gone, j, axis=1), axis=1)
@@ -247,24 +223,36 @@ def _profile(
 
     The only declaration of the measure inputs: ``evaluate_measure``,
     ``risk_curve`` and ``invert_epsilon`` forward their ``**inputs`` here.
+    Every measure but local and expected is one size law times one moment pair.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    needs = _NEEDS[measure]
+    given = {"a table": table, "alpha": alpha, "a size model": size_model,
+             "n_categories": n_categories}
+    if any(given[need] is None for need in needs):
+        raise ValueError(f"measure {measure!r} requires {' and '.join(needs)}")
     if measure in ("local", "expected"):
-        if table is None:
-            raise ValueError(f"measure {measure!r} requires a table")
         return (_LocalProfile if measure == "local" else _expected_profile)(table.counts)
-    if measure == "shrinkage":
-        if table is None or alpha is None:
-            raise ValueError("measure 'shrinkage' requires a table and alpha")
-        return _shrinkage_profile(table, alpha)
-    if measure == "global":
-        if alpha is None or size_model is None:
-            raise ValueError("measure 'global' requires alpha and a size model")
-        return _global_profile(alpha, size_model, zero_truncated)
-    if size_model is None or n_categories is None:
-        raise ValueError("measure 'global_variant' requires a size model and n_categories")
-    return _global_profile(None, size_model, zero_truncated, n_categories)
+    if "alpha" in needs:
+        alpha = check_alpha(alpha)
+        n_categories = alpha.size
+    else:
+        n_categories = check_int(n_categories, "n_categories", 2)
+    if "a table" in needs:  # the table's distinct sizes at their cell shares
+        if alpha.size != table.n_categories:
+            raise ValueError(
+                f"alpha has {alpha.size} entries but the table has {table.n_categories} categories"
+            )
+        n, cells = np.unique(table.sizes(), return_counts=True)
+        w, truncated_at = cells / cells.sum(), None
+    else:  # the size model's series, all but TAIL_MASS of its mass
+        n = np.arange(1, size_model.tail_quantile(TAIL_MASS) + 1, dtype=np.int64)
+        w, truncated_at = size_model.pmf(n), int(n[-1])
+        if zero_truncated:
+            w = w / (1.0 - size_model.zero_mass())
+    m1, m2 = _dirichlet_moments(n, alpha) if "alpha" in needs else (1.0, 0.0)
+    return _SizeProfile(n.astype(float), w * m1, w * m2, n_categories, truncated_at)
 
 
 def evaluate_measure(measure: str, params: PrivacyParams, **inputs) -> RiskValue:

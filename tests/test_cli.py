@@ -715,7 +715,8 @@ def test_malformed_size_model_json_exits_1(capsys, tmp_path, text):
 def test_non_finite_size_model_exits_1(capsys, tmp_path, verb, text, field):
     (tmp_path / "sm.json").write_text(text)
     if verb == "mc":
-        args = ["mc", "--estimator", "global_variant", "--reps", "1000", "--seed", "3"]
+        args = ["mc", "--estimator", "global_variant", "--reps", "1000", "--seed", "3",
+                "--epsilon", "1"]
     else:
         args = ["risk", "--measure", "global_variant", "--epsilon-grid", "0.1:1:log3"]
     code, _, err = run(
@@ -724,7 +725,6 @@ def test_non_finite_size_model_exits_1(capsys, tmp_path, verb, text, field):
         "--categories", "2",
         "--size-model", str(tmp_path / "sm.json"),
         "--mechanism", "laplace",
-        "--epsilon", "1",
         "--output", str(tmp_path / "out"),
     )
     assert code == 1 and err.startswith(f"error: size model {field} must be finite")
@@ -972,12 +972,22 @@ def test_fit_flags_name_themselves_without_table(capsys, tmp_path, flags):
 # cell sizes and category mixes both overdispersed, so either size family and
 # the moment fit of alpha succeed
 FIT_ROWS = [(1, 9), (8, 2), (3, 3), (0, 5), (12, 1), (2, 0), (6, 6), (1, 20)]
+# mean size 1.625: the plain Poisson fit is 1.625, the zero-truncated one about 1.065
+SMALL_ROWS = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 0), (0, 3), (0, 1)]
 
 
-@pytest.mark.parametrize("family", ["poisson", "negbin"])
-def test_fitted_global_curve_matches_the_estimates_given(capsys, tmp_path, family):
-    """--estimate-alpha --fit-sizes draws the curve of the estimate verb's alpha and sizes."""
-    write_table(make_table(FIT_ROWS), tmp_path / "t.json")
+@pytest.mark.parametrize(
+    "rows,family,truncated",
+    [(FIT_ROWS, "poisson", []), (FIT_ROWS, "negbin", []),
+     (SMALL_ROWS, "poisson", ["--zero-truncated"])],
+    ids=["poisson", "negbin", "poisson-zero-truncated"],
+)
+def test_fitted_global_curve_matches_the_estimates_given(
+    capsys, tmp_path, rows, family, truncated
+):
+    """--estimate-alpha --fit-sizes draws the curve of the estimate verb's alpha and sizes;
+    with --zero-truncated, a Poisson fit is the zero-truncated one."""
+    write_table(make_table(rows), tmp_path / "t.json")
     table = ["--table", str(tmp_path / "t.json")]
     code, stdout, _ = run(
         capsys, "estimate", *table, "--what", "alpha", "--output", str(tmp_path / "alpha.json")
@@ -986,10 +996,12 @@ def test_fitted_global_curve_matches_the_estimates_given(capsys, tmp_path, famil
     alpha = ",".join(map(repr, json.loads(stdout)["alpha"]))
     sizes = tmp_path / "sizes.json"
     code, _, _ = run(
-        capsys, "estimate", *table, "--what", "sizes", "--family", family, "--output", str(sizes)
+        capsys, "estimate", *table, "--what", "sizes", "--family", family, *truncated,
+        "--output", str(sizes),
     )
     assert code == 0
-    curve = ["risk", "--measure", "global", "--mechanism", "laplace", "--epsilon-grid", "0.1:10:log5"]
+    curve = ["risk", "--measure", "global", "--mechanism", "laplace", "--epsilon-grid", "0.1:10:log5",
+             *truncated]
     code, _, _ = run(
         capsys, *curve, *table, "--estimate-alpha", "--fit-sizes", "--size-family", family,
         "--output", str(tmp_path / "fitted.csv"),
@@ -1021,7 +1033,7 @@ def test_conflicting_flags_exit_1(capsys, tmp_path, flags, conflict):
         "--table", str(tmp_path / "t.json"),
         "--measure", "global",
         *flags,
-        "--mechanism", "gaussian_pdp",
+        "--mechanism", "laplace",
         "--epsilon-grid", "1:2:lin2",
         "--output", str(out),
     )
@@ -1150,12 +1162,20 @@ def test_import_leaves_scipy_stats_unloaded():
          "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
         ["mc", "--estimator", "global_variant", "--categories", "2", "--size-model", "sm.json",
          "--mechanism", "laplace", "--epsilon", "1", "--reps", "500", "--seed", "3"],
+        ["risk", "--table", "table.json", "--measure", "local", "--mechanism", "laplace",
+         "--epsilon-grid", "0.1:10:log5"],
+        ["risk", "--table", "table.json", "--measure", "expected", "--mechanism", "laplace",
+         "--epsilon-grid", "0.1:10:log5"],
+        ["invert", "--table", "table.json", "--measure", "expected", "--mechanism", "laplace",
+         "--target-risk", "0.001"],
     ],
-    ids=["tabulate", "sanitize-laplace", "utility-laplace", "mc-global", "mc-global_variant"],
+    ids=["tabulate", "sanitize-laplace", "utility-laplace", "mc-global", "mc-global_variant",
+         "risk-local-laplace", "risk-expected-laplace", "invert-expected-laplace"],
 )
 def test_tabulate_and_laplace_verbs_leave_scipy_unloaded(data_dir, capsys, argv):
     """A whole run loads neither, and its manifest still records scipy's version;
-    the MC oracles draw sizes with numpy alone."""
+    the MC oracles draw sizes with numpy alone, and the Laplace local and
+    expected measures compute no Dirichlet moments."""
     import scipy
 
     tabulate(data_dir, capsys)

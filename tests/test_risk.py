@@ -386,14 +386,18 @@ def test_evaluate_measure_requirements(rng):
     t = random_table(rng, m=4)
     with pytest.raises(ValueError, match="unknown measure"):
         evaluate_measure("total", LAP1, table=t)
-    with pytest.raises(ValueError, match="requires a table"):
-        evaluate_measure("expected", LAP1)
-    with pytest.raises(ValueError, match="alpha"):
-        evaluate_measure("shrinkage", LAP1, table=t)
-    with pytest.raises(ValueError, match="size model"):
-        evaluate_measure("global", LAP1, alpha=[1.0, 1.0])
-    with pytest.raises(ValueError, match="n_categories"):
-        evaluate_measure("global_variant", LAP1, size_model=CellSizeModel(family="poisson", lam=2.0))
+    sm = CellSizeModel(family="poisson", lam=2.0)
+    for measure, inputs, message in [
+        ("local", dict(alpha=[1.0, 1.0]), "measure 'local' requires a table"),
+        ("expected", {}, "measure 'expected' requires a table"),
+        ("shrinkage", dict(table=t), "measure 'shrinkage' requires a table and alpha"),
+        ("global", dict(alpha=[1.0, 1.0]), "measure 'global' requires alpha and a size model"),
+        ("global_variant", dict(size_model=sm),
+         "measure 'global_variant' requires a size model and n_categories"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            evaluate_measure(measure, LAP1, **inputs)
+        assert str(info.value) == message
     assert MEASURES == ("local", "expected", "shrinkage", "global", "global_variant")
 
 

@@ -161,9 +161,27 @@ def _resolve_size_model(args: argparse.Namespace, table):
     return None
 
 
+# The measures and mc estimators that read each model flag; any other refuses it.
+_READERS = {
+    "--alpha": ("shrinkage", "global"),
+    "--estimate-alpha": ("shrinkage", "global"),
+    "--size-model": ("global", "global_variant"),
+    "--fit-sizes": ("global", "global_variant"),
+    "--zero-truncated": ("global", "global_variant"),
+    "--categories": ("global_variant",),
+}
+
+
 def _measure_inputs(args: argparse.Namespace) -> dict:
     """The measure inputs of risk_curve and invert_epsilon from the model flags;
-    mc reads the ones its estimator needs."""
+    mc reads the ones its estimator needs. A flag that the measure or estimator
+    does not read is refused before any file is read."""
+    kind = "estimator" if args.verb == "mc" else "measure"
+    name = getattr(args, kind)
+    for flag, readers in _READERS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value is not False and name not in readers:
+            raise ValueError(f"{flag} is not read by {kind} {name!r}")
     table = read_table(args.table) if args.table else None
     alpha = _resolve_alpha(args, table)
     size_model = _resolve_size_model(args, table)
@@ -208,7 +226,7 @@ def _cmd_tabulate(args) -> tuple[str, str]:
     )
 
 
-def _risk_params(args) -> list:
+def _risk_params(args) -> tuple:
     eps_grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
     if args.delta is not None and args.delta_grid is not None:
         raise ValueError("give either --delta or --delta-grid, not both")
@@ -220,12 +238,15 @@ def _risk_params(args) -> list:
         deltas = [None]
     else:
         raise ValueError(f"mechanism {args.mechanism!r} requires --delta or --delta-grid")
-    return [PrivacyParams(args.mechanism, float(e), d) for e in eps_grid for d in deltas]
+    return eps_grid, deltas
 
 
 def _cmd_risk(args) -> tuple[str, str]:
-    params = _risk_params(args)  # grids are refused before the table is read
-    points = risk_curve(args.measure, params, **_measure_inputs(args))
+    eps_grid, deltas = _risk_params(args)  # grids are refused before the table is read
+    inputs = _measure_inputs(args)
+    # calibrated after the read, so a Gaussian's scipy.special reuses the memory it freed
+    params = [PrivacyParams(args.mechanism, float(e), d) for e in eps_grid for d in deltas]
+    points = risk_curve(args.measure, params, **inputs)
     return curve_to_csv(points), f"{len(points)} curve points -> {args.output}"
 
 

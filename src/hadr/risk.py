@@ -38,9 +38,8 @@ moment pair (M1(n), M2(n)); the measures differ only in those two:
 
 A profile holds the distinct sizes n with the weights w1 and w2, so work
 that does not depend on eps is done once and each eps point costs
-O(distinct sizes); the local value is symmetric in the categories, so the
-local profile keeps the distinct sorted count vectors and each eps point
-costs O(sorted vectors).
+O(distinct sizes). The per-cell measures are symmetric in the categories,
+so both read the local profile's grouping of cells by sorted count vector.
 ``evaluate_measure`` is the public route to one point, and ``risk_curve``
 and ``invert_epsilon`` build one profile for all of their points.
 
@@ -60,7 +59,7 @@ import numpy as np
 from ._rng import check_alpha, check_counts, check_int
 from .estimation import CellSizeModel
 from .mechanisms import PRESENCE_THRESHOLD, PrivacyParams
-from .tabulation import FrequencyTable
+from .tabulation import FrequencyTable, _fold
 
 TAIL_MASS = 1e-12
 EPSILON_LO = 1e-4
@@ -144,32 +143,24 @@ class _SizeProfile(NamedTuple):
         return RiskValue(value=c1 + c2, scenario1=c1, scenario8=c2, truncated_at=self.truncated_at)
 
 
-def _expected_profile(counts: np.ndarray) -> _SizeProfile:
-    """Cell average of the plug-in moment sums of each row's sorted counts, by cell size."""
-    phat = np.sort(counts, axis=1).astype(float)
-    sizes = phat.sum(axis=1)
-    phat /= sizes[:, None]
-    m1 = (phat ** sizes[:, None]).sum(axis=1)
-    m2 = (phat ** (sizes[:, None] - 1) * (1.0 - phat)).sum(axis=1)
-    n, inv = np.unique(sizes, return_inverse=True)
-    w1 = np.bincount(inv, weights=m1) / sizes.size
-    w2 = np.bincount(inv, weights=m2) / sizes.size
-    return _SizeProfile(n, w1, w2, counts.shape[1])
-
-
 class _LocalProfile:
-    """Distinct sorted count vectors of a counts array, the first row holding
-    each, each row's vector, and the distinct count values with each entry's
-    index into them; all permutations of a row share one vector and value."""
+    """Distinct sorted count vectors of a counts array in lexicographic order, the first
+    row holding each, its indices into the distinct count values, its size n and moment
+    sums m1 and m2, and each row's vector; all permutations of a row share one vector."""
 
     def __init__(self, counts: np.ndarray):
-        rows = np.sort(counts, axis=1)
-        configs, self.first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        self.row = inv.ravel()
-        self.values, index = np.unique(configs.astype(float), return_inverse=True)
-        self.index = index.reshape(configs.shape)
+        values, index = np.unique(np.sort(counts, axis=1), return_inverse=True)
+        index = index.reshape(counts.shape)  # folded, its rows keep their order
+        key = _fold(index.T, [values.size] * counts.shape[1])
+        _, self.first, self.row = np.unique(key, return_index=True, return_inverse=True)
+        self.index, self.values = index[self.first], values.astype(float)
+        configs = self.values[self.index]
         self.present = configs >= 1
         self.homogeneous = (self.present.sum(axis=1) == 1)[self.row]
+        self.n = configs.sum(axis=1)
+        phat = configs / self.n[:, None]
+        self.m1 = (phat ** self.n[:, None]).sum(axis=1)
+        self.m2 = (phat ** (self.n[:, None] - 1) * (1.0 - phat)).sum(axis=1)
 
     def at(self, params: PrivacyParams) -> RiskValue:
         stay = params.sf(PRESENCE_THRESHOLD - self.values)[self.index]
@@ -181,6 +172,20 @@ class _LocalProfile:
         vals = vals[self.row]
         c1 = np.where(self.homogeneous, vals, 0.0)
         return RiskValue(float(np.mean(vals)), float(np.mean(c1)), float(np.mean(vals - c1)))
+
+    def expected(self, params: PrivacyParams) -> np.ndarray:
+        """Each configuration's two-term expected value, its one-cell expected profile's."""
+        f1, f2 = _tail_factors(params, self.index.shape[1], self.n)
+        return self.m1 * f1 + self.m2 * f2
+
+
+def _expected_profile(counts: np.ndarray) -> _SizeProfile:
+    """Cell average of the plug-in moment sums of each cell's configuration, by cell size."""
+    local = _LocalProfile(counts)
+    n, cell = np.unique(local.n[local.row], return_inverse=True)
+    w1 = np.bincount(cell, weights=local.m1[local.row]) / cell.size
+    w2 = np.bincount(cell, weights=local.m2[local.row]) / cell.size
+    return _SizeProfile(n, w1, w2, counts.shape[1])
 
 
 def local_risk(counts, params: PrivacyParams) -> RiskValue:

@@ -244,7 +244,7 @@ def _merge(seen, tally, codes, cards):
 
 
 @_gc_paused
-def _tally(rows, header, memos, columns, lineno: int, value=None) -> FrequencyTable:
+def _tally(rows, header, memos, columns, lineno: int) -> FrequencyTable:
     """The frequency table of ``rows`` over the QID ``columns`` and then the sensitive one.
 
     ``_chunks``, which takes the same arguments, codes the rows 4,096 at a
@@ -256,7 +256,7 @@ def _tally(rows, header, memos, columns, lineno: int, value=None) -> FrequencyTa
     seen = np.zeros((len(columns), 0), np.int64)
     tally = np.zeros(0, np.int64)
     labels = [memos[i].labels for i in columns]  # grown in place as the memos meet new values
-    for codes in _chunks(rows, header, memos, columns, lineno, value):
+    for codes in _chunks(rows, header, memos, columns, lineno):
         seen, tally = _merge(seen, tally, codes, list(map(len, labels)))
 
     complete = seen.all(axis=0)
@@ -345,17 +345,16 @@ def _first_fault(rows, header, memos, start: int) -> None:
                 raise ValueError(f"{exc} in column {header[i]!r} at line {lineno}") from None
 
 
-def _chunks(rows, header, memos, columns, lineno: int, value=None):
+def _chunks(rows, header, memos, columns, lineno: int):
     """Code arrays of ``columns`` for ``_tally``, one chunk of ``rows`` at a time.
 
     ``rows`` yields one sequence of fields per name in ``header``, the
     first of them numbered ``lineno``. ``memos`` holds the memo of every
     column to code: the used ones and any other whose fields must be
-    checked. ``value``, when given, maps each field of those columns
-    before its memo sees it. Rows are read and coded ``_BATCH_ROWS`` at a
-    time, and a batch with a fault is replayed row by row, which raises the
-    first fault in row order. The codes fill one int64 buffer of
-    ``_CHUNK_ROWS`` records, yielded each time it is full and in part at the end.
+    checked. Rows are read and coded ``_BATCH_ROWS`` at a time, and a batch
+    with a fault is replayed row by row, which raises the first fault in
+    row order. The codes fill one int64 buffer of ``_CHUNK_ROWS`` records,
+    yielded each time it is full and in part at the end.
     """
     rows, batch = iter(rows), []
     buffer, filled = np.empty((len(columns), _CHUNK_ROWS), np.int64), 0
@@ -376,10 +375,7 @@ def _chunks(rows, header, memos, columns, lineno: int, value=None):
         try:
             if set(map(len, batch)) != {len(header)}:
                 raise ValueError("ragged row")
-            fields = {i: map(itemgetter(i), batch) for i in memos}
-            if value is not None:
-                fields = {i: map(value, column) for i, column in fields.items()}
-            codes = {i: memo.codes(fields[i], n) for i, memo in memos.items()}
+            codes = {i: memo.codes(map(itemgetter(i), batch), n) for i, memo in memos.items()}
         except ValueError:
             _first_fault(batch, header, memos, lineno)
             raise
@@ -406,7 +402,8 @@ def cross_tabulate(column_names, rows, qid_columns, sensitive_column: str) -> Fr
     """
     columns = _used_columns(column_names, qid_columns, sensitive_column)
     memos = {i: _Codes(lambda label: label) for i in columns}
-    return _tally(rows, column_names, memos, columns, 1, lambda v: None if v is None else str(v))
+    rows = ([None if v is None else str(v) for v in row] for row in rows)
+    return _tally(rows, column_names, memos, columns, 1)
 
 
 def tabulate_csv(path, qid_columns, sensitive_column: str, bins=()) -> FrequencyTable:

@@ -3,22 +3,24 @@
 The agreement tests use fixed seeds, so they are deterministic.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import hadr.audit
 from conftest import make_homog_table, make_table
 from hadr import PrivacyParams, evaluate_measure, mc_expected, upper_bound_findings
-from hadr.risk import _SizeProfile
+from hadr.risk import _LocalProfile
 from test_mc import BAD_REPS
 
 LAP1 = PrivacyParams("laplace", 1.0)
 REPS = 200_000
 
 
-def zero_profile(counts):
-    """An expected profile whose value is 0 at every privacy setting."""
-    return _SizeProfile(np.ones(1), np.zeros(1), np.zeros(1), counts.shape[1])
+def zero_values(local, params):
+    """Two-term values of 0 for every configuration at every privacy setting."""
+    return np.zeros(len(local.first))
 
 
 def test_upper_bound_findings_catches_known_violation():
@@ -48,7 +50,7 @@ def test_upper_bound_findings_simulates_each_sorted_configuration_once(monkeypat
     t = make_table(rows)
     reps = 4096
     # with zero closed forms every cell is a finding, so each cell's estimate shows
-    monkeypatch.setattr(hadr.audit, "_expected_profile", zero_profile)
+    monkeypatch.setattr(_LocalProfile, "expected", zero_values)
     calls = []
 
     def counted(*args, **kwargs):
@@ -89,3 +91,27 @@ def test_permuted_cells_share_one_closed_form():
     assert found[0]["closed_form"] == found[1]["closed_form"]
     one_cell = evaluate_measure("expected", LAP1, table=make_table([(1, 1, 4)]))
     assert found[0]["closed_form"] == one_cell.value
+
+
+@pytest.mark.parametrize("params", [LAP1, PrivacyParams("gaussian_pdp", 1.0, 1e-6)])
+def test_each_closed_form_is_the_expected_measure_of_its_lowest_index_cell(monkeypatch, params):
+    """Every configuration's closed form in the audit is the expected measure
+    of its lowest-index cell alone, to 1e-14: a moment sum over many
+    configurations can differ in the last bit from the same sum over one."""
+    rng = np.random.default_rng(71)
+    rows = [r for r in map(tuple, rng.integers(0, 6, size=(80, 4)).tolist())
+            if sum(x > 0 for x in r) > 1]
+    rows += [r[::-1] for r in rows[:20]]
+    t = make_table(rows)
+
+    def above_every_closed_form(*args, **kwargs):  # so each cell is a finding
+        return SimpleNamespace(value=2.0, se=1e-3)
+
+    monkeypatch.setattr(hadr.audit, "mc_expected", above_every_closed_form)
+    report = upper_bound_findings(t, params, 10, seed=1)
+    assert report["checked_cells"] == len(report["violations"]) == len(rows)
+    local = _LocalProfile(t.counts)
+    for i, v in enumerate(report["violations"]):
+        lowest = t.counts[local.first[local.row[i]]]
+        one_cell = evaluate_measure("expected", params, table=make_table([lowest.tolist()]))
+        assert v["closed_form"] == pytest.approx(one_cell.value, rel=1e-14, abs=0)

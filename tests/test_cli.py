@@ -940,6 +940,47 @@ def test_mc_refuses_zero_truncated(capsys, tmp_path):
     assert "unrecognized arguments: --zero-truncated" in capsys.readouterr().err
 
 
+# each model flag as given, and the measures or estimators that read it
+_MODEL_FLAGS = [
+    (["--alpha=1,2"], ("shrinkage", "global")),
+    (["--estimate-alpha"], ("shrinkage", "global")),
+    (["--size-model", "S"], ("global", "global_variant")),
+    (["--fit-sizes"], ("global", "global_variant")),
+    (["--zero-truncated"], ("global", "global_variant")),
+    (["--categories", "4"], ("global_variant",)),
+]
+_VERB_FLAGS = {
+    "risk": ["--mechanism", "laplace", "--epsilon-grid", "0.1:1:log3", "--output", "O"],
+    "invert": ["--mechanism", "laplace", "--target-risk", "0.3", "--output", "O"],
+    "mc": ["--mechanism", "laplace", "--epsilon", "1", "--reps", "10", "--seed", "1",
+           "--output", "O"],
+}
+_ESTIMATORS = ("local", "expected", "shrinkage", "global", "global_variant", "threshold")
+_UNREAD = [
+    (verb, name, flag)
+    for verb in _VERB_FLAGS
+    for name in (_ESTIMATORS if verb == "mc" else hadr.risk.MEASURES)
+    for flag, readers in _MODEL_FLAGS
+    if name not in readers and not (verb == "mc" and flag == ["--zero-truncated"])
+]
+
+
+@pytest.mark.parametrize(
+    "verb,name,flag", _UNREAD, ids=[f"{v}-{n}-{f[0].split('=')[0][2:]}" for v, n, f in _UNREAD]
+)
+def test_model_flags_the_measure_does_not_read_are_refused(capsys, tmp_path, verb, name, flag):
+    """A model flag that the measure or estimator never reads exits 1, naming
+    both, before any file is read: the table and size-model paths do not exist."""
+    kind = "estimator" if verb == "mc" else "measure"
+    paths = {"S": str(tmp_path / "sizes.json"), "O": str(tmp_path / "out")}
+    argv = [verb, f"--{kind}", name, "--table", str(tmp_path / "table.json"), *flag,
+            *_VERB_FLAGS[verb]]
+    code, _, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 1
+    assert f"{flag[0].split('=')[0]} is not read by {kind} {name!r}" in err
+    assert not os.listdir(tmp_path)
+
+
 def test_missing_table_file(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -1220,6 +1261,21 @@ def test_size_model_verbs_load_only_scipy_special(tmp_path, argv):
     )
     assert _fresh(code).splitlines()[-1] == "[]"
     assert (tmp_path / "out.manifest.json").exists()
+
+
+def test_gaussian_risk_calibrates_its_grid_after_the_table_read(tmp_path):
+    """A Gaussian curve loads scipy.special only once its table is read, so
+    the calibration's pages can reuse the memory the read freed: a run whose
+    table does not exist exits 1 with scipy.special unloaded."""
+    argv = ["risk", "--table", str(tmp_path / "missing.json"), "--measure", "expected",
+            "--mechanism", "gaussian_pdp", "--delta", "1e-06", "--epsilon-grid", "0.1:10:log5",
+            "--output", str(tmp_path / "out")]
+    code = (
+        "import sys, hadr.cli\n"
+        f"assert hadr.cli.main({argv!r}) == 1\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    assert _fresh(code).splitlines()[-1] == "False"
 
 
 @pytest.mark.skipif(usable_cpus() < 2, reason="ordered_map needs two usable CPUs for two threads")

@@ -472,6 +472,39 @@ def test_local_risk_ignores_category_order(rng, mechanism):
         )
 
 
+def _grouping_tables():
+    """Counts arrays with repeated and permuted cells: K from 2 to 6, one K = 12
+    array of over 100 distinct values, and one of counts near 2**62."""
+    rng = np.random.default_rng(62)
+    for k in range(2, 7):
+        counts = rng.integers(0, 5, size=(300, k))
+        counts = counts[counts.sum(axis=1) > 0]  # a table has no empty cell
+        yield np.concatenate([counts, rng.permuted(counts[:100], axis=1)])
+    counts = rng.integers(0, 400, size=(200, 12))
+    yield np.concatenate([counts, rng.permuted(counts[:50], axis=1)])
+    counts = 2**62 - rng.integers(0, 4, size=(200, 3))
+    counts[:, 0] = rng.integers(0, 3, size=200)
+    yield np.concatenate([counts, rng.permuted(counts[:50], axis=1)])
+
+
+@pytest.mark.parametrize("counts", list(_grouping_tables()),
+                         ids=["k2", "k3", "k4", "k5", "k6", "k12", "near-2**62"])
+def test_local_profile_groups_as_an_axis_0_unique_of_the_sorted_rows(counts):
+    """The grouping has the configurations, first rows and row map of the
+    former route, np.unique over the sorted rows along axis 0, in its order.
+    With K = 12 and over 100 distinct values the fold ranks its keys, and
+    near 2**62 distinct counts share a double but not a configuration."""
+    rows = np.sort(counts, axis=1)
+    configs, first, row = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    local = hadr.risk._LocalProfile(counts)
+    assert np.array_equal(rows[local.first], configs)
+    assert np.array_equal(local.first, first)
+    assert np.array_equal(local.row, row.ravel())
+    assert np.array_equal(local.values[local.index], configs.astype(float))
+    if counts.shape[1] == 12:
+        assert np.unique(counts).size > 100
+
+
 def test_expected_risk_of_1_1_4_and_4_1_1_is_one_value():
     """Summed in category order, the two cells gave 0.051819607346683214 and
     0.05181960734668322; the moments are now summed over sorted counts."""

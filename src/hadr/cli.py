@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .estimation import (
+    SIZE_FAMILIES,
     dirichlet_to_json,
     fit_dirichlet_mom,
     fit_negbin,
@@ -161,27 +162,52 @@ def _resolve_size_model(args: argparse.Namespace, table):
     return None
 
 
-# The measures and mc estimators that read each model flag; any other refuses it.
-_READERS = {
-    "--alpha": ("shrinkage", "global"),
-    "--estimate-alpha": ("shrinkage", "global"),
-    "--size-model": ("global", "global_variant"),
-    "--fit-sizes": ("global", "global_variant"),
-    "--zero-truncated": ("global", "global_variant"),
-    "--categories": ("global_variant",),
+# The inputs each measure (risk, invert), mc estimator and estimate --what value
+# reads, named as messages name them; an mc estimator requires all but --mode.
+_READS = {
+    ("measure", "local"): (),
+    ("measure", "expected"): (),
+    ("measure", "shrinkage"): ("--alpha",),
+    ("measure", "global"): ("--alpha", "a size model", "--zero-truncated"),
+    ("measure", "global_variant"): ("a size model", "--categories", "--zero-truncated"),
+    ("estimator", "local"): ("--cell",),
+    ("estimator", "expected"): ("--n", "--p"),
+    ("estimator", "shrinkage"): ("--n", "--alpha"),
+    ("estimator", "global"): ("--alpha", "a size model"),
+    ("estimator", "global_variant"): ("a size model", "--categories"),
+    ("estimator", "threshold"): ("--table", "--mode"),
+    ("--what", "alpha"): (),
+    ("--what", "sizes"): ("--family", "--zero-truncated"),
+}
+# The flags that supply an input, where that is more than the input's own flag.
+_SUPPLIES = {
+    "--alpha": ("--alpha", "--estimate-alpha"),
+    "a size model": ("--size-model", "--fit-sizes", "--size-family"),
+    "--categories": ("--categories", "--table"),
 }
 
 
+def _check_reads(args: argparse.Namespace) -> None:
+    """Refuse a given flag that the run does not read, but not --table, which is read
+    under conditions; then name all that an mc estimator requires if it lacks any."""
+    given = {"--" + key.replace("_", "-") for key, value in vars(args).items()
+             if value is not None and value is not False}
+    flags = set().union(*_READS.values(), *_SUPPLIES.values()) - {"--table"}
+    for (kind, name), needs in _READS.items():
+        if getattr(args, kind.lstrip("-"), None) == name:
+            reads = {flag for need in needs for flag in _SUPPLIES.get(need, (need,))}
+            unread = sorted((given - reads) & flags)
+            if unread:
+                raise ValueError(f"{unread[0]} is not read by {kind} {name!r}")
+            if "--size-family" in given and "--fit-sizes" not in given:
+                raise ValueError("--size-family is read only with --fit-sizes")
+            required = [need for need in needs if kind == "estimator" and need != "--mode"]
+            if any(given.isdisjoint(_SUPPLIES.get(need, (need,))) for need in required):
+                raise ValueError(f"estimator {name!r} requires {' and '.join(required)}")
+
+
 def _measure_inputs(args: argparse.Namespace) -> dict:
-    """The measure inputs of risk_curve and invert_epsilon from the model flags;
-    mc reads the ones its estimator needs. A flag that the measure or estimator
-    does not read is refused before any file is read."""
-    kind = "estimator" if args.verb == "mc" else "measure"
-    name = getattr(args, kind)
-    for flag, readers in _READERS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and value is not False and name not in readers:
-            raise ValueError(f"{flag} is not read by {kind} {name!r}")
+    """The inputs of risk_curve, invert_epsilon and the mc estimators from the model flags."""
     table = read_table(args.table) if args.table else None
     alpha = _resolve_alpha(args, table)
     size_model = _resolve_size_model(args, table)
@@ -277,38 +303,21 @@ def _cmd_estimate(args) -> tuple[str, str]:
     return text, text.rstrip("\n")
 
 
-# The inputs each mc estimator needs, named as its error message names them.
-_MC_NEEDS = {
-    "local": ("--cell",),
-    "expected": ("--n", "--p"),
-    "shrinkage": ("--n", "--alpha"),
-    "global": ("--alpha", "a size model"),
-    "global_variant": ("a size model", "--categories"),
-    "threshold": ("--table",),
-}
-
-
 def _cmd_mc(args, params, seed) -> tuple[str, str]:
     inputs = _measure_inputs(args)
-    alpha, size_model, k = inputs["alpha"], inputs["size_model"], inputs["n_categories"]
-    given = {"--cell": args.cell, "--n": args.n, "--p": args.p, "--alpha": alpha,
-             "a size model": size_model, "--categories": k, "--table": inputs["table"]}
-    name, needs = args.estimator, _MC_NEEDS[args.estimator]
-    if any(given[need] is None for need in needs):
-        raise ValueError(f"estimator {name!r} requires {' and '.join(needs)}")
     shared = dict(reps=args.reps, seed=seed, threads=args.threads)
-    if name == "local":
+    if args.estimator == "local":
         est = mc_local(np.array(_parse_list(args.cell, "--cell", int)), params, **shared)
-    elif name == "expected":
+    elif args.estimator == "expected":
         est = mc_expected(args.n, _parse_list(args.p, "--p"), params, **shared)
-    elif name == "shrinkage":
-        est = mc_shrinkage(args.n, alpha, params, **shared)
-    elif name == "global":
-        est = mc_global(alpha, size_model, params, **shared)
-    elif name == "global_variant":
-        est = mc_global_variant(size_model, params, k, **shared)
+    elif args.estimator == "shrinkage":
+        est = mc_shrinkage(args.n, inputs["alpha"], params, **shared)
+    elif args.estimator == "global":
+        est = mc_global(inputs["alpha"], inputs["size_model"], params, **shared)
+    elif args.estimator == "global_variant":
+        est = mc_global_variant(inputs["size_model"], params, inputs["n_categories"], **shared)
     else:
-        est = mc_threshold_dr(inputs["table"], params, mode=args.mode, **shared)
+        est = mc_threshold_dr(inputs["table"], params, mode=args.mode or "hard", **shared)
     summary = f"value {est.value:.6g} (se {est.se:.3g}, reps {est.reps}) -> {args.output}"
     return mc_to_json(est), summary
 
@@ -344,7 +353,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fit-sizes", action="store_true", help="fit the size model from --table"
     )
-    p.add_argument("--size-family", choices=["poisson", "negbin"], default="poisson")
+    p.add_argument("--size-family", choices=SIZE_FAMILIES, help="with --fit-sizes; unset: poisson")
     p.add_argument("--categories", type=int, help="K for the global variant; default: the table's")
 
 
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit hyperparameters from a table")
     p.add_argument("--table", required=True)
     p.add_argument("--what", required=True, choices=["alpha", "sizes"])
-    p.add_argument("--family", choices=["poisson", "negbin"], default="poisson")
+    p.add_argument("--family", choices=SIZE_FAMILIES, help="read by --what sizes; unset: poisson")
     p.add_argument(
         "--zero-truncated",
         action="store_true",
@@ -411,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo oracle estimates",
         epilog='output JSON: {"value","se","reps","scenarios"} plus "mode" for threshold',
     )
-    p.add_argument("--estimator", required=True, choices=list(_MC_NEEDS))
+    p.add_argument("--estimator", required=True, choices=[n for k, n in _READS if k == "estimator"])
     p.add_argument("--table", help="table JSON (threshold estimator, fits)")
     p.add_argument("--cell", help="cell counts for 'local', comma-separated")
     p.add_argument("--n", type=int, help="cell size for 'expected'/'shrinkage'")
     p.add_argument("--p", help="probability vector for 'expected', comma-separated")
     _add_mechanism_flags(p, grid=False)
     _add_model_flags(p)
-    p.add_argument("--mode", choices=list(THRESHOLD_MODES), default="hard")
+    p.add_argument("--mode", choices=list(THRESHOLD_MODES), help="read by threshold; unset: hard")
     p.add_argument("--reps", type=int, required=True)
     p.set_defaults(func=_cmd_mc)
 
@@ -452,6 +461,7 @@ def main(argv=None) -> int:
     """Run one verb, then write its output, then its manifest, then print its summary line."""
     args = build_parser().parse_args(argv)
     try:
+        _check_reads(args)
         seed = None
         if args.verb in _SEEDED:
             params = PrivacyParams(args.mechanism, args.epsilon, args.delta)

@@ -245,7 +245,10 @@ def size_model_to_json(model: CellSizeModel) -> str:
 
 def size_model_from_json(text: str) -> CellSizeModel:
     """Parse a size-model JSON; malformed fields are rejected, never coerced."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("size-model JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("size-model JSON must be an object")
     try:

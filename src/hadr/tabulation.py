@@ -487,7 +487,10 @@ def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, tu
     first bad one. ``schema``, the names, categories and keys as read, is
     left to ``check_schema``. ``what`` names the format in messages.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("cells", []), list):
         raise ValueError(f"{what} must be an object whose 'cells' is a list")
     try:

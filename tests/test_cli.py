@@ -981,6 +981,100 @@ def test_model_flags_the_measure_does_not_read_are_refused(capsys, tmp_path, ver
     assert not os.listdir(tmp_path)
 
 
+# runs that exit 0, then the flag each adds that its measure, estimator or
+# --what value never reads, and the refusal; T is a K = 4 table, F the FIT_ROWS
+# table (defined below) and S a size model
+_UNREAD_GIVEN = [
+    (["risk", "--measure", "local", "--table", "T"], ["--size-family", "negbin"],
+     "--size-family is not read by measure 'local'"),
+    (["risk", "--measure", "shrinkage", "--alpha", "1,1,1,1", "--table", "T"],
+     ["--size-family", "negbin"], "--size-family is not read by measure 'shrinkage'"),
+    (["risk", "--measure", "global", "--alpha", "1,1,1,1", "--size-model", "S"],
+     ["--size-family", "negbin"], "--size-family is read only with --fit-sizes"),
+    (["invert", "--measure", "expected", "--table", "T"], ["--size-family", "negbin"],
+     "--size-family is not read by measure 'expected'"),
+    (["mc", "--estimator", "local", "--cell", "3,1"], ["--mode", "soft"],
+     "--mode is not read by estimator 'local'"),
+    (["mc", "--estimator", "local", "--cell", "3,1"], ["--n", "7"],
+     "--n is not read by estimator 'local'"),
+    (["mc", "--estimator", "local", "--cell", "3,1"], ["--p", "0.5,0.5"],
+     "--p is not read by estimator 'local'"),
+    (["mc", "--estimator", "threshold", "--table", "T"], ["--cell", "1,2"],
+     "--cell is not read by estimator 'threshold'"),
+    (["mc", "--estimator", "global_variant", "--size-model", "S", "--categories", "4"],
+     ["--n", "5"], "--n is not read by estimator 'global_variant'"),
+    (["estimate", "--what", "alpha", "--table", "F"], ["--family", "negbin"],
+     "--family is not read by --what 'alpha'"),
+    (["estimate", "--what", "alpha", "--table", "F"], ["--family", "poisson"],
+     "--family is not read by --what 'alpha'"),
+    (["estimate", "--what", "alpha", "--table", "F"], ["--zero-truncated"],
+     "--zero-truncated is not read by --what 'alpha'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,unread,message", _UNREAD_GIVEN,
+    ids=[f"{a[0]}-{a[2]}-{u[0][2:]}" + (f"-{u[1]}" if u[1:] else "") for a, u, _ in _UNREAD_GIVEN],
+)
+def test_flags_the_run_never_reads_are_refused(capsys, tmp_path, argv, unread, message):
+    """A flag that the run never reads exits 1 with one line naming it, and
+    writes nothing; without that flag the same run exits 0. The defaulted
+    flags (--size-family, --mode, --family) are refused too when given."""
+    write_table(make_table([(3, 1, 0, 2), (0, 4, 1, 1), (2, 0, 0, 0)]), tmp_path / "t.json")
+    write_table(make_table(FIT_ROWS), tmp_path / "f.json")
+    (tmp_path / "s.json").write_text('{"family":"poisson","lambda":3.0}\n')
+    out = tmp_path / "out.json"
+    paths = {"T": str(tmp_path / "t.json"), "F": str(tmp_path / "f.json"),
+             "S": str(tmp_path / "s.json"), "O": str(out)}
+    argv = [paths.get(a, a) for a in argv + (_VERB_FLAGS.get(argv[0]) or ["--output", "O"])]
+    code, stdout, err = run(capsys, *argv, *unread)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["f.json", "s.json", "t.json"]
+    assert run(capsys, *argv)[0] == 0 and out.exists()
+
+
+def test_every_flag_is_read_by_some_entry_or_by_the_whole_verb():
+    """Each option of risk, invert, mc and estimate is an input some measure,
+    estimator or --what value reads, or one the whole verb reads; so a flag
+    added later is declared where the refusals look, not silently dropped.
+    Every flag the declaration names is an option of one of these verbs."""
+    from hadr.cli import _READS, _SUPPLIES, build_parser
+
+    declared = {f for f in set().union(*_READS.values(), *_SUPPLIES.values()) if f[:2] == "--"}
+    verb_wide = {"--help", "--table", "--measure", "--estimator", "--what", "--mechanism",
+                 "--epsilon", "--epsilon-grid", "--delta", "--delta-grid", "--target-risk",
+                 "--seed", "--threads", "--reps", "--output"}
+    verbs = build_parser()._subparsers._group_actions[0].choices
+    options = set()
+    for verb in ("risk", "invert", "mc", "estimate"):
+        flags = {f for action in verbs[verb]._actions for f in action.option_strings}
+        assert flags - declared - verb_wide - {"-h"} == set(), verb
+        options |= flags
+    assert declared <= options
+
+
+@pytest.mark.parametrize(
+    "argv,unset",
+    [
+        (["risk", "--measure", "local", "--table", "T", "--mechanism", "laplace",
+          "--epsilon-grid", "1:1:lin1"], "size_family"),
+        (["mc", "--estimator", "local", "--cell", "3,1", "--mechanism", "laplace",
+          "--epsilon", "1", "--reps", "10", "--seed", "1"], "mode"),
+        (["estimate", "--what", "alpha", "--table", "T"], "family"),
+    ],
+    ids=["risk", "mc", "estimate"],
+)
+def test_manifest_records_no_flag_that_was_not_given(capsys, tmp_path, argv, unset):
+    """--size-family, --mode and --family have no parser default: a run that
+    does not give one neither reads it nor records it."""
+    write_table(make_table(FIT_ROWS), tmp_path / "t.json")
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "t.json") if a == "T" else a for a in argv]
+    assert run(capsys, *argv, "--output", str(out))[0] == 0
+    recorded = json.loads((tmp_path / "out.manifest.json").read_text())["arguments"]
+    assert unset not in recorded
+
+
 def test_missing_table_file(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -1080,6 +1174,22 @@ def test_conflicting_flags_exit_1(capsys, tmp_path, flags, conflict):
     )
     assert (code, err) == (1, f"error: give either {conflict}, not both\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--table", "--size-model"])
+def test_deeply_nested_json_exits_1_with_one_line(capsys, tmp_path, flag):
+    """A table or size-model file nested beyond the decoder's recursion limit
+    exits 1 with one error line, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    what = "table JSON" if flag == "--table" else "size-model JSON"
+    code, _, err = run(
+        capsys, "risk", "--measure", "global_variant", flag, str(path), "--categories", "4",
+        *(["--fit-sizes"] if flag == "--table" else []), "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3", "--output", str(tmp_path / "c.csv"),
+    )
+    assert (code, err) == (1, f"error: {what} is nested too deeply\n")
+    assert os.listdir(tmp_path) == ["deep.json"]
 
 
 def test_malformed_table_json_exits_1(capsys, tmp_path):

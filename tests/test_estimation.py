@@ -316,6 +316,7 @@ def test_size_model_json_missing_field():
         ('{"family":"negbin","lambda":0.5,"r":1%s}' % ("0" * 400), "'r' is too large for a double"),
         ("[1, 2]", "object"),
         ('"poisson"', "object"),
+        pytest.param("[" * 100_000, "^size-model JSON is nested too deeply$", id="deep"),
     ],
 )
 def test_size_model_json_rejects_malformed(text, field):

@@ -494,6 +494,16 @@ def test_json_readers_name_the_first_malformed_cell(fmt, later_fault, cell, mess
     assert str(exc.value) == message.format(what=what, field=field, noun=noun)
 
 
+@pytest.mark.parametrize("fmt", list(JSON_FORMATS))
+def test_json_readers_refuse_deeply_nested_documents(fmt):
+    """A document nested too deeply for the JSON decoder is a ValueError naming
+    the format, not a RecursionError."""
+    read, _, what, _, _ = JSON_FORMATS[fmt]
+    with pytest.raises(ValueError) as exc:
+        read("[" * 100_000)  # far beyond any interpreter's recursion limit
+    assert str(exc.value) == f"{what} is nested too deeply"
+
+
 def test_a_read_checks_the_schema_once(tmp_path, monkeypatch):
     """read_table and read_sanitized each run check_schema once, in the constructor."""
     calls = []

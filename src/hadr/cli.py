@@ -165,9 +165,9 @@ def _resolve_size_model(args: argparse.Namespace, table):
 # The inputs each measure (risk, invert), mc estimator and estimate --what value
 # reads, named as messages name them; an mc estimator requires all but --mode.
 _READS = {
-    ("measure", "local"): (),
-    ("measure", "expected"): (),
-    ("measure", "shrinkage"): ("--alpha",),
+    ("measure", "local"): ("--table",),
+    ("measure", "expected"): ("--table",),
+    ("measure", "shrinkage"): ("--table", "--alpha"),
     ("measure", "global"): ("--alpha", "a size model", "--zero-truncated"),
     ("measure", "global_variant"): ("a size model", "--categories", "--zero-truncated"),
     ("estimator", "local"): ("--cell",),
@@ -176,8 +176,8 @@ _READS = {
     ("estimator", "global"): ("--alpha", "a size model"),
     ("estimator", "global_variant"): ("a size model", "--categories"),
     ("estimator", "threshold"): ("--table", "--mode"),
-    ("--what", "alpha"): (),
-    ("--what", "sizes"): ("--family", "--zero-truncated"),
+    ("--what", "alpha"): ("--table",),
+    ("--what", "sizes"): ("--table", "--family", "--zero-truncated"),
 }
 # The flags that supply an input, where that is more than the input's own flag.
 _SUPPLIES = {
@@ -188,14 +188,16 @@ _SUPPLIES = {
 
 
 def _check_reads(args: argparse.Namespace) -> None:
-    """Refuse a given flag that the run does not read, but not --table, which is read
-    under conditions; then name all that an mc estimator requires if it lacks any."""
+    """Refuse a flag the run does not read (a row reads --table if it lists it or an input
+    in _SUPPLIES, which the table can fill), then name what an mc estimator lacks."""
     given = {"--" + key.replace("_", "-") for key, value in vars(args).items()
              if value is not None and value is not False}
-    flags = set().union(*_READS.values(), *_SUPPLIES.values()) - {"--table"}
+    flags = set().union(*_READS.values(), *_SUPPLIES.values())
     for (kind, name), needs in _READS.items():
         if getattr(args, kind.lstrip("-"), None) == name:
             reads = {flag for need in needs for flag in _SUPPLIES.get(need, (need,))}
+            if not _SUPPLIES.keys().isdisjoint(needs):
+                reads.add("--table")
             unread = sorted((given - reads) & flags)
             if unread:
                 raise ValueError(f"{unread[0]} is not read by {kind} {name!r}")
@@ -291,12 +293,12 @@ def _cmd_utility(args, params, seed) -> tuple[str, str]:
 
 
 def _cmd_estimate(args) -> tuple[str, str]:
+    if args.family == "negbin" and args.zero_truncated:  # refused before the table is read
+        raise ValueError("the zero-truncated fit applies to the poisson family")
     table = read_table(args.table)
     if args.what == "alpha":
         text = dirichlet_to_json(fit_dirichlet_mom(table))
     elif args.family == "negbin":
-        if args.zero_truncated:
-            raise ValueError("the zero-truncated fit applies to the poisson family")
         text = size_model_to_json(fit_negbin(table.sizes()))
     else:
         text = size_model_to_json(fit_poisson(table.sizes(), zero_truncated=args.zero_truncated))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from reprlib import repr as _brief  # bounded: echoed input values may be huge
 
 import numpy as np
 
@@ -107,7 +108,7 @@ class CellSizeModel:
 
     def __post_init__(self):
         if self.family not in SIZE_FAMILIES:
-            raise ValueError(f"unknown size family {self.family!r}")
+            raise ValueError(f"unknown size family {_brief(self.family)}")
         for name in ("lam", "r"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from reprlib import repr as _brief  # bounded: echoed input values may be huge
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class PrivacyParams:
     def __post_init__(self):
         mechanism, eps, delta, s = self.mechanism, self.epsilon, self.delta, self.sensitivity
         if mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
+            raise ValueError(f"unknown mechanism {_brief(mechanism)}; expected one of {MECHANISMS}")
         if not all(map(math.isfinite, (eps, s, 0.0 if delta is None else delta))):
             raise ValueError(
                 f"epsilon {eps!r}, delta {delta!r} and sensitivity {s!r} must be finite"
@@ -228,7 +229,7 @@ def sanitized_from_json(text: str) -> SanitizedTable:
                 read_number(value, f"{what} cell {i}:", "noisy_counts")
     try:
         if type(doc["mechanism"]) is not str:
-            raise ValueError(f"{what} 'mechanism' must be a string, got {doc['mechanism']!r}")
+            raise ValueError(f"{what} 'mechanism' must be a string, got {_brief(doc['mechanism'])}")
         params = PrivacyParams(
             doc["mechanism"],
             read_number(doc["epsilon"], what, "epsilon"),

@@ -17,6 +17,7 @@ import json
 import math
 from itertools import chain, islice
 from operator import itemgetter, lt
+from reprlib import repr as _brief  # bounded: echoed input values may be huge
 
 import numpy as np
 
@@ -71,14 +72,14 @@ def check_schema(qid_names, sensitive_name, categories, keys):
     """
     for name, names in (("qid_names", qid_names), ("categories", categories)):
         if type(names) not in (tuple, list) or not set(map(type, names)) <= {str}:
-            raise ValueError(f"'{name}' must be a sequence of strings, got {names!r}")
+            raise ValueError(f"'{name}' must be a sequence of strings, got {_brief(names)}")
     if type(sensitive_name) is not str:
-        raise ValueError(f"'sensitive_name' must be a string, got {sensitive_name!r}")
+        raise ValueError(f"'sensitive_name' must be a string, got {_brief(sensitive_name)}")
     for i, name in enumerate(qid_names):
         if name in qid_names[:i]:
-            raise ValueError(f"duplicate QID name {name!r}")
+            raise ValueError(f"duplicate QID name {_brief(name)}")
     if sensitive_name in qid_names:
-        raise ValueError(f"sensitive name {sensitive_name!r} is also a QID name")
+        raise ValueError(f"sensitive name {_brief(sensitive_name)} is also a QID name")
     if len(categories) < 2:
         raise ValueError("sensitive attribute must take at least 2 categories")
     if len(set(categories)) != len(categories):
@@ -93,13 +94,13 @@ def check_schema(qid_names, sensitive_name, categories, keys):
     ):
         for i, key in enumerate(keys):
             if type(key) not in (tuple, list) or len(key) != n or not set(map(type, key)) <= {str}:
-                raise ValueError(f"cell {i}: 'key' must hold one string per QID, got {key!r}")
+                raise ValueError(f"cell {i}: 'key' must hold one string per QID, got {_brief(key)}")
     keys, order = tuple(map(tuple, keys)), None
     if not all(map(lt, keys, keys[1:])):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         dup = next((keys[a] for a, b in zip(order, order[1:]) if keys[a] == keys[b]), None)
         if dup is not None:
-            raise ValueError(f"duplicate cell key {dup!r}")
+            raise ValueError(f"duplicate cell key {_brief(dup)}")
     return tuple(qid_names), tuple(categories), keys, order
 
 
@@ -496,7 +497,7 @@ def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, tu
     try:
         cells, categories = doc["cells"], doc["categories"]
         if type(categories) is not list:
-            raise ValueError(f"{what} 'categories' must be a list, got {categories!r}")
+            raise ValueError(f"{what} 'categories' must be a list, got {_brief(categories)}")
         k = len(categories)
         try:
             keys = list(map(itemgetter("key"), cells))
@@ -516,11 +517,11 @@ def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, tu
                 _, vals = cell["key"], cell[field]  # a missing 'key' is named first
                 if type(vals) is not list or not set(map(type, vals)) <= number_types:
                     raise ValueError(
-                        f"{what} cell {i}: '{field}' must be a list of {noun}, got {vals!r}"
+                        f"{what} cell {i}: '{field}' must be a list of {noun}, got {_brief(vals)}"
                     )
                 if len(vals) != k:
                     raise ValueError(
-                        f"{what} cell {i}: '{field}' must hold {k} values, got {vals!r}"
+                        f"{what} cell {i}: '{field}' must hold {k} values, got {_brief(vals)}"
                     )
         return doc, (doc["qid_names"], doc["sensitive_name"], categories, keys), values
     except KeyError as exc:
@@ -534,7 +535,7 @@ def read_number(value, what: str, name: str, nullable: bool = False) -> float | 
         return None
     if type(value) not in (int, float):
         noun = "a number or null" if nullable else "a number"
-        raise ValueError(f"{what} '{name}' must be {noun}, got {value!r}")
+        raise ValueError(f"{what} '{name}' must be {noun}, got {_brief(value)}")
     try:
         return float(value)
     except OverflowError:

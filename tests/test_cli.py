@@ -1033,6 +1033,28 @@ def test_flags_the_run_never_reads_are_refused(capsys, tmp_path, argv, unread, m
     assert run(capsys, *argv)[0] == 0 and out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["mc", "--estimator", "local", "--cell", "3,1"],
+         "--table is not read by estimator 'local'"),
+        (["mc", "--estimator", "expected", "--n", "3", "--p", "0.5,0.5"],
+         "--table is not read by estimator 'expected'"),
+        (["estimate", "--what", "sizes", "--family", "negbin", "--zero-truncated"],
+         "the zero-truncated fit applies to the poisson family"),
+    ],
+    ids=["mc-local", "mc-expected", "estimate-negbin-zero-truncated"],
+)
+def test_refused_before_the_table_is_read(capsys, tmp_path, argv, message):
+    """On a table path that does not exist, a run refused for its flags names them
+    in one line, not the read error: the flags are checked before any read."""
+    rest = [str(tmp_path / "out") if a == "O" else a
+            for a in _VERB_FLAGS.get(argv[0], ["--output", "O"])]
+    code, stdout, err = run(capsys, *argv, "--table", str(tmp_path / "missing.json"), *rest)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not os.listdir(tmp_path)
+
+
 def test_every_flag_is_read_by_some_entry_or_by_the_whole_verb():
     """Each option of risk, invert, mc and estimate is an input some measure,
     estimator or --what value reads, or one the whole verb reads; so a flag

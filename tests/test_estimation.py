@@ -151,6 +151,9 @@ def test_fit_negbin_underdispersed():
 def test_size_model_validation():
     with pytest.raises(ValueError, match="unknown size family"):
         CellSizeModel(family="geometric", lam=0.5)
+    # a family nested 500 deep is quoted in brief, not as 1,000 brackets
+    with pytest.raises(ValueError, match=r"^unknown size family \[{7}\.{3}\]{7}$"):
+        size_model_from_json('{"family": %s, "lambda": 1}' % ("[" * 500 + "]" * 500))
     with pytest.raises(ValueError):
         CellSizeModel(family="poisson", lam=0.0)
     with pytest.raises(ValueError, match="no shape"):

@@ -1,7 +1,7 @@
 """Simulation oracles: scenario taxonomy, reproducibility, closed-form pairings.
 
-The agreement tests use fixed seeds, so they are deterministic; the 3-SE
-windows were checked to hold at those seeds.
+Every closed form meets its MC oracle in one registry, PAIRS, run over
+ORACLE_CASES; all tests use fixed seeds, so they are deterministic.
 """
 
 import ast
@@ -10,7 +10,9 @@ import itertools
 import json
 import os
 import tracemalloc
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from hadr import (
     upper_bound_findings,
 )
 from hadr.mc import BLOCK_REPS, McEstimate, mc_to_json
-from oracles import classify_scenario, expected_risk_cells_direct, homogeneous_risk
+from oracles import classify_scenario, homogeneous_risk
 
 LAP1 = PrivacyParams("laplace", 1.0)
 GAUSS = PrivacyParams("gaussian_pdp", 0.5, delta=1e-3)
@@ -85,61 +87,12 @@ def test_scenario_codes_match_oracle():
     assert got.tolist() == want
 
 
-def within_3se(est, closed):
-    return abs(est.value - closed) <= 3.0 * est.se
-
-
-def component_se(tally, reps):
-    v = tally / reps
-    return np.sqrt(max(v * (1.0 - v), 1e-12) / reps)
-
-
-def test_mc_local_homogeneous_matches_exact():
-    est = mc_local((0, 10), LAP1, REPS, seed=101)
-    closed = local_risk((0, 10), LAP1)
-    assert closed.scenario1 == closed.value
-    assert within_3se(est, closed.value)
-    assert est.scenarios["8"] == 0 and est.scenarios["5"] == 0
-
-
-def test_mc_local_gaussian_matches_exact():
-    params = PrivacyParams("gaussian_pdp", 0.5, delta=1.0)  # sigma = 1
-    est = mc_local((0, 10), params, REPS, seed=102)
-    assert within_3se(est, local_risk((0, 10), params).value)
-
-
-def test_mc_local_heterogeneous_matches_union_form():
-    est = mc_local((2, 3), LAP1, REPS, seed=103)
-    closed = local_risk((2, 3), LAP1)
-    assert closed.scenario8 == closed.value
-    assert within_3se(est, closed.value)
-    assert est.scenarios["1"] == 0  # a heterogeneous cell never yields codes 1-4
-    assert est.scenarios["3"] == 0
-
-
 def test_mc_local_tallies_and_cellrecord():
     est = mc_local((1, 4), LAP1, 10_000, seed=5)
     assert sum(est.scenarios.values()) == est.reps == 10_000
     assert est.mode is None
     assert 0.0 <= est.value <= 1.0
     assert est.se > 0
-
-
-def test_mc_expected_degenerate_p_matches_homogeneous():
-    est = mc_expected(1, (1.0, 0.0), LAP1, REPS, seed=7)
-    closed = homogeneous_risk(make_table([(1, 0)]), LAP1)
-    assert within_3se(est, closed.value)
-
-
-def test_mc_expected_scenario1_component():
-    """The first closed-form term is the exact scenario-1 probability."""
-    t = make_table([(4, 2)])
-    closed = evaluate_measure("expected", LAP1, table=t)
-    assert closed.value == pytest.approx(expected_risk_cells_direct(t.counts, LAP1)[0], rel=1e-13)
-    closed_s1 = closed.scenario1
-    est = mc_expected(6, (4 / 6, 2 / 6), LAP1, REPS, seed=11)
-    rate1 = est.scenarios["1"] / est.reps
-    assert abs(rate1 - closed_s1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
 
 
 def test_mc_expected_validation():
@@ -154,48 +107,95 @@ def test_mc_expected_validation():
         mc_expected(3, (np.nan, 0.5, 0.5), LAP1, 100, seed=1)
 
 
-def test_mc_shrinkage_scenario1_component():
-    alpha = (2.0, 3.0)
-    est = mc_shrinkage(10, alpha, LAP1, REPS, seed=13)
-    table = make_homog_table([10], k=len(alpha))
-    closed = evaluate_measure("shrinkage", LAP1, table=table, alpha=alpha)
-    rate1 = est.scenarios["1"] / est.reps
-    assert abs(rate1 - closed.scenario1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
+
+def small_counts(g):  # 2 to 4 categories: one count of 1 to 5, the others 0 or 1
+    counts = g.integers(0, 2, size=g.integers(2, 5))
+    counts[g.integers(counts.size)] = g.integers(1, 6)
+    return tuple(counts.tolist())
 
 
+def concentrations(g):
+    return tuple(g.uniform(0.3, 2.0, size=g.integers(2, 5)))
+
+
+def size_law(g):
+    if g.integers(2):
+        return CellSizeModel("poisson", lam=g.uniform(0.5, 4.0))
+    return CellSizeModel("negbin", lam=g.uniform(0.2, 0.7), r=g.uniform(0.5, 3.0))
+
+
+class Pair(NamedTuple):  # a closed form and its MC oracle, both called with keywords
+    closed: Callable  # (params, **inputs) -> RiskValue, through the public API
+    oracle: Callable  # (params, reps, seed, **inputs) -> McEstimate
+    inputs: Callable  # (numpy Generator) -> the inputs, a dict
+    exact: str  # the exact component: "total" (scenarios 1 and 8) or "scenario1"
+    impossible: Callable = lambda **inputs: ()  # -> the scenario codes never drawn
+
+
+PAIRS = {
+    "local": Pair(local_risk, mc_local, lambda g: dict(counts=small_counts(g)), "total",
+                  lambda counts: range(5, 9) if np.count_nonzero(counts) == 1 else range(1, 5)),
+    "expected": Pair(
+        lambda params, counts: evaluate_measure("expected", params, table=make_table([counts])),
+        lambda counts, **run: mc_expected(sum(counts), np.divide(counts, sum(counts)), **run),
+        lambda g: dict(counts=small_counts(g)), "scenario1",
+        lambda counts: range(5, 9) if np.count_nonzero(counts) == 1 else ()),
+    "shrinkage": Pair(
+        lambda params, n, alpha: evaluate_measure(
+            "shrinkage", params, table=make_homog_table([n], k=len(alpha)), alpha=alpha),
+        mc_shrinkage, lambda g: dict(n=int(g.integers(2, 7)), alpha=concentrations(g)),
+        "scenario1"),
+    "global": Pair(partial(evaluate_measure, "global", zero_truncated=True), mc_global,
+                   lambda g: dict(alpha=concentrations(g), size_model=size_law(g)), "scenario1"),
+    "global_variant": Pair(
+        partial(evaluate_measure, "global_variant", zero_truncated=True), mc_global_variant,
+        lambda g: dict(size_model=size_law(g), n_categories=int(g.integers(2, 5))), "total",
+        lambda **inputs: range(5, 9)),
+}
+# three epsilons per mechanism, for noise scales from 0.5 to 18
+CALIBRATIONS = [PrivacyParams(m, e, delta=d) for m, e, d in [
+    ("laplace", 0.5, None), ("laplace", 1.0, None), ("laplace", 2.0, None),
+    ("gaussian_pdp", 0.5, 1e-6), ("gaussian_pdp", 2.0, 1e-3), ("gaussian_pdp", 5.0, 0.1),
+    ("gaussian_adp", 0.3, 1e-6), ("gaussian_adp", 0.6, 1e-2), ("gaussian_adp", 0.9, 0.5)]]
 # negbin models with mu = -r ln(lam) on either side of 1, so that mc._sizes
 # takes its logarithmic-sum route for the first and its rejection one for the second
 NEGBIN_BELOW_1 = CellSizeModel(family="negbin", lam=0.3, r=0.5)  # mu = 0.60
 NEGBIN_ABOVE_1 = CellSizeModel(family="negbin", lam=0.3, r=2.5)  # mu = 3.01
+# (row, params, inputs, seed, |z| limit): hand-picked cases, then each row at each calibration
+ORACLE_CASES = [
+    ("local", LAP1, dict(counts=(0, 10)), 101, 3),
+    ("local", PrivacyParams("gaussian_pdp", 0.5, delta=1.0), dict(counts=(0, 10)), 102, 3),
+    ("local", LAP1, dict(counts=(2, 3)), 103, 3),
+    ("expected", LAP1, dict(counts=(1, 0)), 7, 3),
+    ("expected", LAP1, dict(counts=(4, 2)), 11, 3),
+    ("shrinkage", LAP1, dict(n=10, alpha=(2.0, 3.0)), 13, 3),
+    *[("global", LAP1, dict(alpha=(1.0, 2.0), size_model=sm), 17, 3)
+      for sm in (CellSizeModel("poisson", lam=3.0), NEGBIN_BELOW_1, NEGBIN_ABOVE_1)],
+    *[("global_variant", LAP1, dict(size_model=sm, n_categories=k), seed, 3)
+      for sm in (CellSizeModel("poisson", lam=2.43), NEGBIN_BELOW_1, NEGBIN_ABOVE_1)
+      for k, seed in ((2, 19), (3, 23))],
+    *[(name, params, PAIRS[name].inputs(np.random.default_rng(seed)), seed, 4)
+      for i, name in enumerate(PAIRS) for j, params in enumerate(CALIBRATIONS)
+      for seed in [1000 + 10 * i + j]],
+]
 
 
 @pytest.mark.parametrize(
-    "sm",
-    [CellSizeModel(family="poisson", lam=3.0), NEGBIN_BELOW_1, NEGBIN_ABOVE_1],
-    ids=["poisson", "negbin_mu_below_1", "negbin_mu_above_1"],
+    "name,params,inputs,seed,limit", ORACLE_CASES,
+    ids=[f"{n}-{p.mechanism}-{p.epsilon:g}-seed{s}" for n, p, _, s, _ in ORACLE_CASES],
 )
-def test_mc_global_scenario1_component(sm):
-    alpha = (1.0, 2.0)
-    est = mc_global(alpha, sm, LAP1, REPS, seed=17)
-    closed = evaluate_measure("global", LAP1, alpha=alpha, size_model=sm, zero_truncated=True)
-    rate1 = est.scenarios["1"] / est.reps
-    assert abs(rate1 - closed.scenario1) <= 3.0 * component_se(est.scenarios["1"], est.reps)
-
-
-@pytest.mark.parametrize(
-    "sm",
-    [CellSizeModel(family="poisson", lam=2.43), NEGBIN_BELOW_1, NEGBIN_ABOVE_1],
-    ids=["poisson", "negbin_mu_below_1", "negbin_mu_above_1"],
-)
-def test_mc_global_variant_matches_closed_form(sm):
-    """The always-homogeneous prior has no second term, so totals pair exactly."""
-    for k, seed in ((2, 19), (3, 23)):
-        est = mc_global_variant(sm, LAP1, k, REPS, seed=seed)
-        closed = evaluate_measure(
-            "global_variant", LAP1, size_model=sm, n_categories=k, zero_truncated=True
-        )
-        assert within_3se(est, closed.value)
-        assert est.scenarios["8"] == 0
+def test_closed_form_matches_its_oracle(name, params, inputs, seed, limit):
+    """The exact component of a closed form lies within ``limit`` binomial SEs of its MC
+    oracle's frequency, and the oracle draws no scenario that the inputs rule out. On fresh
+    seeds a correct closed form fails a 3-SE case with probability 0.0027 and a 4-SE one
+    with 6.3e-5: 15 x 0.0027 + 45 x 6.3e-5 = 0.043 false alarms expected in 60 cases."""
+    pair = PAIRS[name]
+    est = pair.oracle(params=params, reps=REPS, seed=seed, **inputs)
+    closed = pair.closed(params=params, **inputs)
+    want, codes = (closed.value, "18") if pair.exact == "total" else (closed.scenario1, "1")
+    rate = sum(est.scenarios[c] for c in codes) / est.reps
+    assert abs(rate - want) <= limit * np.sqrt(max(rate * (1.0 - rate), 1e-12) / est.reps)
+    assert not any(est.scenarios[str(c)] for c in pair.impossible(**inputs))
 
 
 SAMPLER_MODELS = {

@@ -88,6 +88,21 @@ def test_pdp_sigma_delta_one():
     assert PrivacyParams("gaussian_pdp", 8.0, 1.0, sensitivity=3.0).scale == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize(
+    "mechanism,hi,deltas",
+    [("laplace", 1e12, [None]), ("gaussian_adp", 1 - 1e-9, [1e-12, 1e-5, 0.5, 1 - 1e-9]),
+     ("gaussian_pdp", 1e12, [1e-12, 1e-5, 0.5, 1.0])],
+)
+def test_scale_falls_strictly_as_epsilon_grows(mechanism, hi, deltas):
+    """At fixed delta the noise scale strictly decreases over a log grid of epsilon from
+    1e-12 to the top of the mechanism's domain, so every noise tail at a fixed point is
+    monotone in epsilon: the premise of a risk bound between two grid points."""
+    for delta in deltas:
+        eps = np.geomspace(1e-12, hi, 500)
+        scales = [PrivacyParams(mechanism, float(e), delta).scale for e in eps]
+        assert all(b < a for a, b in zip(scales, scales[1:])), delta
+
+
 def test_privacy_params_dispatch():
     p = PrivacyParams("laplace", 2.0)
     assert p.scale == 0.5
@@ -389,6 +404,32 @@ def test_sanitized_json_rejects_malformed(path, value, match):
     target[path[-1]] = value
     with pytest.raises(ValueError, match=match):
         sanitized_from_json(json.dumps(doc))
+
+
+# a list nested 500 deep, whose full repr runs to 1,000 characters, and a 5,000-character string
+_NESTED = "[" * 500 + "]" * 500
+_LONG = json.dumps("x" * 5000)
+
+
+@pytest.mark.parametrize(
+    "path,raw",
+    [(("mechanism",), _NESTED), (("epsilon",), _NESTED), (("qid_names",), _NESTED),
+     (("sensitive_name",), _NESTED), (("categories",), _LONG), (("categories", 1), _NESTED),
+     (("cells", 1, "key"), _LONG), (("cells", 1, "noisy_counts"), _NESTED)],
+    ids=["mechanism", "epsilon", "qid_names", "sensitive_name", "categories", "category",
+         "key", "noisy_counts"],
+)
+def test_a_bad_value_is_quoted_in_brief(path, raw):
+    """A reader's message quotes a bounded part of the bad value, so a huge value
+    still gives a short line."""
+    doc = sanitized_doc()
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = "@"
+    with pytest.raises(ValueError, match="got ") as exc:
+        sanitized_from_json(json.dumps(doc).replace('"@"', raw))
+    assert len(str(exc.value)) < 120
 
 
 def test_sanitized_json_rejects_non_object():

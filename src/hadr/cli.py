@@ -135,35 +135,8 @@ def _seed_for(args: argparse.Namespace) -> int:
     return seed
 
 
-def _resolve_alpha(args: argparse.Namespace, table):
-    if args.alpha is not None and args.estimate_alpha:
-        raise ValueError("give either --alpha or --estimate-alpha, not both")
-    if args.alpha is not None:
-        return _parse_list(args.alpha, "--alpha")
-    if args.estimate_alpha:
-        if table is None:
-            raise ValueError("--estimate-alpha requires --table")
-        return fit_dirichlet_mom(table).alpha
-    return None
-
-
-def _resolve_size_model(args: argparse.Namespace, table):
-    if args.size_model is not None and args.fit_sizes:
-        raise ValueError("give either --size-model or --fit-sizes, not both")
-    if args.size_model is not None:
-        with open(args.size_model, encoding="utf-8") as fh:
-            return size_model_from_json(fh.read())
-    if args.fit_sizes:
-        if table is None:
-            raise ValueError("--fit-sizes requires --table")
-        if args.size_family == "negbin":
-            return fit_negbin(table.sizes())
-        return fit_poisson(table.sizes(), zero_truncated=getattr(args, "zero_truncated", False))
-    return None
-
-
 # The inputs each measure (risk, invert), mc estimator and estimate --what value
-# reads, named as messages name them; an mc estimator requires all but --mode.
+# reads, named as messages name them; a run requires all but the _DEFAULTED ones.
 _READS = {
     ("measure", "local"): ("--table",),
     ("measure", "expected"): ("--table",),
@@ -185,11 +158,24 @@ _SUPPLIES = {
     "a size model": ("--size-model", "--fit-sizes", "--size-family"),
     "--categories": ("--categories", "--table"),
 }
+# The inputs a run may leave unset: --mode is then hard, --family poisson,
+# --zero-truncated off.
+_DEFAULTED = ("--mode", "--family", "--zero-truncated")
+# Pairs of flags that give one input two ways, and the flags that fit an input
+# from the table.
+_EITHER = (("--alpha", "--estimate-alpha"), ("--size-model", "--fit-sizes"),
+           ("--delta", "--delta-grid"))
+_FITS = ("--estimate-alpha", "--fit-sizes")
+# The comma-separated list flags and the type of their entries, parsed once here
+# too, so that a bad list is refused before a seeded verb prints its seed.
+_LISTS = {"--alpha": float, "--cell": int, "--p": float, "--ks": int}
 
 
 def _check_reads(args: argparse.Namespace) -> None:
-    """Refuse a flag the run does not read (a row reads --table if it lists it or an input
-    in _SUPPLIES, which the table can fill), then name what an mc estimator lacks."""
+    """Refuse a run for its flags alone, before any file is read or seed drawn: in its
+    row, a flag the row does not read (a row reads --table if it lists it or an input
+    in _SUPPLIES, which the table can fill), an _EITHER pair, a fit without --table,
+    a missing input; then the fit family, the mechanism's delta and the lists."""
     given = {"--" + key.replace("_", "-") for key, value in vars(args).items()
              if value is not None and value is not False}
     flags = set().union(*_READS.values(), *_SUPPLIES.values())
@@ -203,26 +189,45 @@ def _check_reads(args: argparse.Namespace) -> None:
                 raise ValueError(f"{unread[0]} is not read by {kind} {name!r}")
             if "--size-family" in given and "--fit-sizes" not in given:
                 raise ValueError("--size-family is read only with --fit-sizes")
-            required = [need for need in needs if kind == "estimator" and need != "--mode"]
+            for pair in _EITHER:
+                if given.issuperset(pair):
+                    raise ValueError(f"give either {pair[0]} or {pair[1]}, not both")
+            for fit in _FITS:
+                if fit in given and "--table" not in given:
+                    raise ValueError(f"{fit} requires --table")
+            required = [need for need in needs if need not in _DEFAULTED]
             if any(given.isdisjoint(_SUPPLIES.get(need, (need,))) for need in required):
-                raise ValueError(f"estimator {name!r} requires {' and '.join(required)}")
+                raise ValueError(f"{kind} {name!r} requires {' and '.join(required)}")
+    if getattr(args, "family", None) == "negbin" and args.zero_truncated:
+        raise ValueError("the zero-truncated fit applies to the poisson family")
+    mechanism, deltas = getattr(args, "mechanism", None), given & {"--delta", "--delta-grid"}
+    if mechanism == "laplace" and deltas:
+        raise ValueError("the laplace mechanism takes no delta")
+    if mechanism not in (None, "laplace") and not deltas:
+        grid = " or --delta-grid" if hasattr(args, "delta_grid") else ""
+        raise ValueError(f"mechanism {mechanism!r} requires --delta{grid}")
+    for flag, entry in _LISTS.items():
+        if flag in given:
+            _parse_list(getattr(args, flag[2:]), flag, entry)
 
 
 def _measure_inputs(args: argparse.Namespace) -> dict:
     """The inputs of risk_curve, invert_epsilon and the mc estimators from the model flags."""
+    alpha = None if args.alpha is None else _parse_list(args.alpha, "--alpha")
     table = read_table(args.table) if args.table else None
-    alpha = _resolve_alpha(args, table)
-    size_model = _resolve_size_model(args, table)
-    n_categories = args.categories
-    if n_categories is None and table is not None:
-        n_categories = table.n_categories
-    return dict(
-        table=table,
-        alpha=alpha,
-        size_model=size_model,
-        n_categories=n_categories,
-        zero_truncated=getattr(args, "zero_truncated", False),
-    )
+    size_model, zero_truncated = None, getattr(args, "zero_truncated", False)
+    if args.estimate_alpha:
+        alpha = fit_dirichlet_mom(table).alpha
+    if args.size_model is not None:
+        with open(args.size_model, encoding="utf-8") as fh:
+            size_model = size_model_from_json(fh.read())
+    elif args.fit_sizes and args.size_family == "negbin":
+        size_model = fit_negbin(table.sizes())
+    elif args.fit_sizes:
+        size_model = fit_poisson(table.sizes(), zero_truncated=zero_truncated)
+    n_categories = table.n_categories if args.categories is None and table else args.categories
+    return dict(table=table, alpha=alpha, size_model=size_model, n_categories=n_categories,
+                zero_truncated=zero_truncated)
 
 
 def _utf8(text: str, flag: str) -> str:
@@ -254,23 +259,11 @@ def _cmd_tabulate(args) -> tuple[str, str]:
     )
 
 
-def _risk_params(args) -> tuple:
-    eps_grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
-    if args.delta is not None and args.delta_grid is not None:
-        raise ValueError("give either --delta or --delta-grid, not both")
-    if args.delta is not None:
-        deltas = [args.delta]
-    elif args.delta_grid is not None:
-        deltas = [float(d) for d in _parse_grid(args.delta_grid, "--delta-grid", len(eps_grid))]
-    elif args.mechanism == "laplace":
-        deltas = [None]
-    else:
-        raise ValueError(f"mechanism {args.mechanism!r} requires --delta or --delta-grid")
-    return eps_grid, deltas
-
-
 def _cmd_risk(args) -> tuple[str, str]:
-    eps_grid, deltas = _risk_params(args)  # grids are refused before the table is read
+    eps_grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")  # grids are refused before the read
+    deltas = [args.delta]
+    if args.delta_grid is not None:
+        deltas = [float(d) for d in _parse_grid(args.delta_grid, "--delta-grid", len(eps_grid))]
     inputs = _measure_inputs(args)
     # calibrated after the read, so a Gaussian's scipy.special reuses the memory it freed
     params = [PrivacyParams(args.mechanism, float(e), d) for e in eps_grid for d in deltas]
@@ -285,16 +278,14 @@ def _cmd_sanitize(args, params, seed) -> tuple[str, str]:
 
 
 def _cmd_utility(args, params, seed) -> tuple[str, str]:
-    table = read_table(args.table)
     ks = _parse_list(args.ks, "--ks", int)
+    table = read_table(args.table)
     report = utility_report(table, params, ks, args.reps, seed, threads=args.threads)
     summary = f"{len(report.rows)} marginals x {report.reps} reps -> {args.output}"
     return tvd_report_to_csv(report), summary
 
 
 def _cmd_estimate(args) -> tuple[str, str]:
-    if args.family == "negbin" and args.zero_truncated:  # refused before the table is read
-        raise ValueError("the zero-truncated fit applies to the poisson family")
     table = read_table(args.table)
     if args.what == "alpha":
         text = dirichlet_to_json(fit_dirichlet_mom(table))

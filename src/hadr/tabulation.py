@@ -46,10 +46,10 @@ def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
             for c in row:
                 if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
                     raise ValueError(
-                        f"cell {key!r} counts must be non-negative integers, got {c!r}"
+                        f"cell {_brief(key)} counts must be non-negative integers, got {_brief(c)}"
                     )
                 if c > _INT64_MAX:
-                    raise ValueError(f"cell {key!r} has a count that does not fit int64")
+                    raise ValueError(f"cell {_brief(key)} has a count that does not fit int64")
     arr = arr.astype(np.int64, copy=False)
     if (arr < 0).any():
         raise ValueError("cell counts must be non-negative integers")
@@ -57,7 +57,7 @@ def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
     wrapped = (np.cumsum(arr, axis=1) < 0).any(axis=1)
     if wrapped.any():
         key = keys[int(np.argmax(wrapped))]
-        raise ValueError(f"cell {key!r} has a size that does not fit int64")
+        raise ValueError(f"cell {_brief(key)} has a size that does not fit int64")
     return arr
 
 
@@ -124,7 +124,7 @@ class FrequencyTable:
         counts = _counts_array(keys, counts, len(self.categories))
         sizes = counts.sum(axis=1)
         if not sizes.all():
-            raise ValueError(f"cell {keys[int(np.argmin(sizes))]!r} is empty")
+            raise ValueError(f"cell {_brief(keys[int(np.argmin(sizes))])} is empty")
         if order is not None:
             keys = tuple(map(keys.__getitem__, order))
             counts, sizes = counts[order], sizes[order]

@@ -1033,24 +1033,51 @@ def test_flags_the_run_never_reads_are_refused(capsys, tmp_path, argv, unread, m
     assert run(capsys, *argv)[0] == 0 and out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["mc", "--estimator", "local", "--cell", "3,1"],
-         "--table is not read by estimator 'local'"),
-        (["mc", "--estimator", "expected", "--n", "3", "--p", "0.5,0.5"],
-         "--table is not read by estimator 'expected'"),
-        (["estimate", "--what", "sizes", "--family", "negbin", "--zero-truncated"],
-         "the zero-truncated fit applies to the poisson family"),
-    ],
-    ids=["mc-local", "mc-expected", "estimate-negbin-zero-truncated"],
-)
+# runs refused for their flags alone, on paths that do not exist: T is a table,
+# S a size model; O the output, and a run that does not name it takes the
+# verb's _VERB_FLAGS (or --output alone)
+_REFUSED_BEFORE_READ = {
+    "mc-local": (["mc", "--estimator", "local", "--cell", "3,1", "--table", "T"],
+                 "--table is not read by estimator 'local'"),
+    "mc-expected": (["mc", "--estimator", "expected", "--n", "3", "--p", "0.5,0.5", "--table", "T"],
+                    "--table is not read by estimator 'expected'"),
+    "estimate-negbin-zero-truncated": (
+        ["estimate", "--what", "sizes", "--family", "negbin", "--zero-truncated", "--table", "T"],
+        "the zero-truncated fit applies to the poisson family"),
+    "alpha-both": (["risk", "--measure", "shrinkage", "--alpha", "1,1", "--estimate-alpha",
+                    "--table", "T"], "give either --alpha or --estimate-alpha, not both"),
+    "sizes-both": (["risk", "--measure", "global", "--size-model", "S", "--fit-sizes",
+                    "--alpha", "1,1", "--table", "T"],
+                   "give either --size-model or --fit-sizes, not both"),
+    "shrinkage-no-alpha": (["risk", "--measure", "shrinkage", "--table", "T"],
+                           "measure 'shrinkage' requires --table and --alpha"),
+    "global-no-size-model": (["invert", "--measure", "global", "--alpha", "1,1", "--table", "T"],
+                             "measure 'global' requires --alpha and a size model"),
+    "global-variant-no-k": (["risk", "--measure", "global_variant", "--size-model", "S"],
+                            "measure 'global_variant' requires a size model and --categories"),
+    "risk-laplace-delta": (["risk", "--measure", "expected", "--delta", "0.1", "--table", "T"],
+                           "the laplace mechanism takes no delta"),
+    "invert-laplace-delta": (["invert", "--measure", "expected", "--delta", "0.1", "--table", "T"],
+                             "the laplace mechanism takes no delta"),
+    "utility-ks": (["utility", "--mechanism", "laplace", "--epsilon", "1", "--ks", "1,x",
+                    "--table", "T"], "--ks must be a comma-separated list of integers"),
+    "risk-alpha": (["risk", "--measure", "shrinkage", "--alpha", "1,x", "--table", "T"],
+                   "--alpha must be a comma-separated list of numbers"),
+    "invert-gaussian-no-delta": (
+        ["invert", "--measure", "expected", "--mechanism", "gaussian_pdp", "--target-risk", "0.3",
+         "--table", "T", "--output", "O"], "mechanism 'gaussian_pdp' requires --delta"),
+}
+
+
+@pytest.mark.parametrize("argv,message", _REFUSED_BEFORE_READ.values(), ids=_REFUSED_BEFORE_READ)
 def test_refused_before_the_table_is_read(capsys, tmp_path, argv, message):
-    """On a table path that does not exist, a run refused for its flags names them
-    in one line, not the read error: the flags are checked before any read."""
-    rest = [str(tmp_path / "out") if a == "O" else a
-            for a in _VERB_FLAGS.get(argv[0], ["--output", "O"])]
-    code, stdout, err = run(capsys, *argv, "--table", str(tmp_path / "missing.json"), *rest)
+    """On a table or size-model path that does not exist, a run refused for its
+    flags names them in one line, not the read error: the flags are checked
+    before any read. A seeded verb given no --seed prints no seed line."""
+    rest = [] if "O" in argv else _VERB_FLAGS.get(argv[0], ["--output", "O"])
+    paths = {"T": str(tmp_path / "missing.json"), "S": str(tmp_path / "sizes.json"),
+             "O": str(tmp_path / "out")}
+    code, stdout, err = run(capsys, *[paths.get(a, a) for a in argv + rest])
     assert (code, stdout, err) == (1, "", f"error: {message}\n")
     assert not os.listdir(tmp_path)
 
@@ -1059,8 +1086,10 @@ def test_every_flag_is_read_by_some_entry_or_by_the_whole_verb():
     """Each option of risk, invert, mc and estimate is an input some measure,
     estimator or --what value reads, or one the whole verb reads; so a flag
     added later is declared where the refusals look, not silently dropped.
-    Every flag the declaration names is an option of one of these verbs."""
-    from hadr.cli import _READS, _SUPPLIES, build_parser
+    Every flag the declaration names is an option of one of these verbs, and every
+    flag of a conflict pair, a table fit or a list check is an option of some verb,
+    so a renamed flag cannot silently switch a refusal off."""
+    from hadr.cli import _EITHER, _FITS, _LISTS, _READS, _SUPPLIES, build_parser
 
     declared = {f for f in set().union(*_READS.values(), *_SUPPLIES.values()) if f[:2] == "--"}
     verb_wide = {"--help", "--table", "--measure", "--estimator", "--what", "--mechanism",
@@ -1073,6 +1102,8 @@ def test_every_flag_is_read_by_some_entry_or_by_the_whole_verb():
         assert flags - declared - verb_wide - {"-h"} == set(), verb
         options |= flags
     assert declared <= options
+    every = {f for p in verbs.values() for action in p._actions for f in action.option_strings}
+    assert set().union(*_EITHER, _FITS, _LISTS) <= every
 
 
 @pytest.mark.parametrize(
@@ -1249,6 +1280,26 @@ def test_table_counts_beyond_int64_exit_1(capsys, tmp_path, counts):
     )
     assert code == 1 and "cell ('b',)" in err and "does not fit int64" in err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "counts,message", [([0, 0], "is empty"), ([2**63, 0], "does not fit int64")],
+    ids=["empty", "int64"],
+)
+def test_a_long_cell_key_is_quoted_briefly(capsys, tmp_path, counts, message):
+    """A cell whose key is 100,000 characters long exits 1 with one short line
+    that names the fault, not with the whole key."""
+    doc = {"qid_names": ["g"], "sensitive_name": "y", "categories": ["u", "v"]}
+    doc["cells"] = [{"key": ["k" * 100_000], "counts": counts}]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(
+        capsys, "risk", "--table", str(path), "--measure", "local", "--mechanism", "laplace",
+        "--epsilon-grid", "0.1:1:log3", "--output", str(tmp_path / "c.csv"),
+    )
+    assert (code, stdout, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: cell ('kkk") and message in err and len(err.encode()) < 200
+    assert os.listdir(tmp_path) == ["long.json"]
 
 
 def _fresh(code: str) -> str:

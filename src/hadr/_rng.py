@@ -17,17 +17,21 @@ bits:
 ``ordered_map`` is the one worker pool of the package: tasks that each own
 their stream positions give the same results on any number of threads.
 The input checks shared by the closed forms and the simulations live here
-too, so neither route imports the other.
+too, so neither route imports the other. Among them ``check_cells`` holds
+the one rule for a cell's counts, which tables, single cells and size
+samples all obey.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from reprlib import repr as _brief  # bounded: echoed input values may be huge
 
 import numpy as np
 
 MAX_SEED = 2**64 - 1
+INT64_MAX = 2**63 - 1
 
 # Counter layout: word-positional streams occupy counter blocks
 # [0, 2**64); block substream j starts at _BLOCK_REGION + j * 2**64.
@@ -68,27 +72,50 @@ def check_alpha(alpha) -> np.ndarray:
     return arr
 
 
-def check_integers(values, arr: np.ndarray, name: str) -> None:
-    """Refuse ``arr = np.asarray(values)`` unless its entries are integers; a list
-    is checked entry by entry too, since np.asarray reads a bool in it as 0 or 1."""
-    if not np.issubdtype(arr.dtype, np.integer):  # bool is not an integer dtype
-        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
-    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
-        raise ValueError(f"{name} must be integers, got a bool")
+def check_cells(rows, k: int, name=lambda i: "cell") -> np.ndarray:
+    """The cells' category counts as a fresh int64 (cells, k) array, one row per cell.
+
+    The one rule for a cell: every count is an integer in [0, 2**63) and every
+    cell's size in [1, 2**63). ``name(i)`` names cell i in a refusal. An ndarray
+    of signed integers is typed by its dtype; other rows are checked entry by
+    entry, since np.array reads a bool as 0 or 1 and a count beyond int64 as a
+    float or an unsigned integer.
+    """
+    try:
+        arr = np.array(rows)
+    except ValueError:  # rows of unequal length
+        arr = np.empty(0)
+    if arr.shape != (len(rows), k):
+        raise ValueError("cell counts length does not match categories")
+    if arr.dtype.kind != "i" or not isinstance(rows, np.ndarray):
+        for i, row in enumerate(rows):
+            for c in row:
+                if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+                    raise ValueError(
+                        f"{name(i)} counts must be non-negative integers, got {_brief(c)}"
+                    )
+                if c > INT64_MAX:
+                    raise ValueError(f"{name(i)} has a count that does not fit int64")
+    arr = arr.astype(np.int64, copy=False)
+    if (arr < 0).any():
+        raise ValueError("cell counts must be non-negative integers")
+    # partial sums of non-negative entries wrap to a negative value first
+    sums = np.cumsum(arr, axis=1)
+    wrapped = (sums < 0).any(axis=1)
+    if wrapped.any():
+        raise ValueError(f"{name(int(np.argmax(wrapped)))} has a size that does not fit int64")
+    if not sums[:, -1].all():
+        raise ValueError(f"{name(int(np.argmin(sums[:, -1])))} is empty")
+    return arr
 
 
 def check_counts(counts) -> np.ndarray:
-    """Validate one cell's category counts and return them as int64.
-
-    Integers only: float or bool counts are refused rather than truncated.
-    """
-    arr = np.asarray(counts)
-    if arr.ndim != 1 or arr.size < 2:
+    """Validate one cell's category counts, by the rule of check_cells, and
+    return them as int64."""
+    if np.ndim(counts) != 1 or len(counts) < 2:
         raise ValueError("counts must be a vector with at least 2 categories")
-    check_integers(counts, arr, "counts")
-    if np.any(arr < 0) or arr.sum() < 1:
-        raise ValueError("counts must be non-negative with at least one record")
-    return arr.astype(np.int64)
+    rows = counts[None] if isinstance(counts, np.ndarray) else [counts]
+    return check_cells(rows, len(counts))[0]
 
 
 def raw_words(seed: int, start: int, count: int) -> np.ndarray:

@@ -300,7 +300,7 @@ def _cmd_mc(args, params, seed) -> tuple[str, str]:
     inputs = _measure_inputs(args)
     shared = dict(reps=args.reps, seed=seed, threads=args.threads)
     if args.estimator == "local":
-        est = mc_local(np.array(_parse_list(args.cell, "--cell", int)), params, **shared)
+        est = mc_local(_parse_list(args.cell, "--cell", int), params, **shared)
     elif args.estimator == "expected":
         est = mc_expected(args.n, _parse_list(args.p, "--p"), params, **shared)
     elif args.estimator == "shrinkage":

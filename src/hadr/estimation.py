@@ -29,7 +29,7 @@ from reprlib import repr as _brief  # bounded: echoed input values may be huge
 
 import numpy as np
 
-from ._rng import check_integers
+from ._rng import check_cells
 from .tabulation import FrequencyTable, read_number
 
 SIZE_FAMILIES = ("poisson", "negbin")
@@ -174,13 +174,11 @@ class CellSizeModel:
 
 
 def _check_size_sample(sizes) -> np.ndarray:
-    arr = np.asarray(sizes)
-    if arr.ndim != 1 or arr.size < 2:
+    """The sizes as floats; size i is checked as the count of a one-category cell named cell i."""
+    if np.ndim(sizes) != 1 or len(sizes) < 2:
         raise ValueError("need at least 2 cell sizes to fit a size model")
-    check_integers(sizes, arr, "cell sizes")
-    if not np.all(arr >= 1):
-        raise ValueError("cell sizes must be >= 1")
-    return arr.astype(float)
+    rows = sizes[:, None] if isinstance(sizes, np.ndarray) else [(s,) for s in sizes]
+    return check_cells(rows, 1, lambda i: f"cell {i}")[:, 0].astype(float)
 
 
 def fit_poisson(sizes, *, zero_truncated: bool = False) -> CellSizeModel:

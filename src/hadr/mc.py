@@ -207,7 +207,7 @@ def mc_local(
 ) -> McEstimate:
     """Disclosure frequency with the observed counts held fixed.
 
-    Pairs with risk.local_risk; ``counts`` is an integer vector.
+    Pairs with risk.local_risk and checks ``counts`` by the same rule.
     """
     counts = check_counts(counts)
     k = counts.size

@@ -191,8 +191,10 @@ def _expected_profile(counts: np.ndarray) -> _SizeProfile:
 def local_risk(counts, params: PrivacyParams) -> RiskValue:
     """Event probability for one cell with fixed observed counts.
 
-    ``counts`` is an integer vector; float or bool counts are refused
-    rather than truncated. The value is the exact probability (over the
+    ``counts`` holds one cell's 2 or more counts, checked by the rule a
+    table's cells obey: each an integer in [0, 2**63), their sum in
+    [1, 2**63); a float, a bool or a value beyond int64 is refused rather
+    than truncated or wrapped. The value is the exact probability (over the
     noise alone) that the sanitized support collapses onto a single
     occupied category. It is the one-cell case of the table's local
     profile, so it does not depend on the order of the counts. On a

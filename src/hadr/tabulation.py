@@ -21,44 +21,9 @@ from reprlib import repr as _brief  # bounded: echoed input values may be huge
 
 import numpy as np
 
+from ._rng import INT64_MAX, check_cells
+
 MISSING_TOKENS = frozenset(("", "?", "NA"))
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _counts_array(keys: tuple, counts, k: int) -> np.ndarray:
-    """The counts as a fresh int64 (cells, k) array with one row per key.
-
-    An ndarray of signed integers is typed by its dtype; other counts are
-    checked entry by entry, since np.array reads a bool as 0 or 1. The
-    value checks then run over the whole array.
-    """
-    if len(counts) != len(keys):
-        raise ValueError("cell keys and counts differ in length")
-    try:
-        arr = np.array(counts)
-    except ValueError:  # rows of unequal length
-        arr = np.empty(0)
-    if arr.shape != (len(keys), k):
-        raise ValueError("cell counts length does not match categories")
-    if arr.dtype.kind != "i" or not isinstance(counts, np.ndarray):
-        for key, row in zip(keys, counts):
-            for c in row:
-                if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
-                    raise ValueError(
-                        f"cell {_brief(key)} counts must be non-negative integers, got {_brief(c)}"
-                    )
-                if c > _INT64_MAX:
-                    raise ValueError(f"cell {_brief(key)} has a count that does not fit int64")
-    arr = arr.astype(np.int64, copy=False)
-    if (arr < 0).any():
-        raise ValueError("cell counts must be non-negative integers")
-    # partial sums of non-negative entries wrap to a negative value first
-    wrapped = (np.cumsum(arr, axis=1) < 0).any(axis=1)
-    if wrapped.any():
-        key = keys[int(np.argmax(wrapped))]
-        raise ValueError(f"cell {_brief(key)} has a size that does not fit int64")
-    return arr
 
 
 def check_schema(qid_names, sensitive_name, categories, keys):
@@ -121,10 +86,10 @@ class FrequencyTable:
         )
         self.sensitive_name = sensitive_name
         self.dropped_rows = dropped_rows
-        counts = _counts_array(keys, counts, len(self.categories))
+        if len(counts) != len(keys):
+            raise ValueError("cell keys and counts differ in length")
+        counts = check_cells(counts, len(self.categories), lambda i: f"cell {_brief(keys[i])}")
         sizes = counts.sum(axis=1)
-        if not sizes.all():
-            raise ValueError(f"cell {_brief(keys[int(np.argmin(sizes))])} is empty")
         if order is not None:
             keys = tuple(map(keys.__getitem__, order))
             counts, sizes = counts[order], sizes[order]
@@ -220,7 +185,7 @@ def _fold(codes: np.ndarray, cards) -> np.ndarray:
     """
     key, bound = codes[0], cards[0]
     for row, card in zip(codes[1:], cards[1:]):
-        if bound * card > _INT64_MAX:
+        if bound * card > INT64_MAX:
             _, key = np.unique(key, return_inverse=True)
             bound = int(key.max()) + 1
         key = key * card + row

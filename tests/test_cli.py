@@ -1033,9 +1033,9 @@ def test_flags_the_run_never_reads_are_refused(capsys, tmp_path, argv, unread, m
     assert run(capsys, *argv)[0] == 0 and out.exists()
 
 
-# runs refused for their flags alone, on paths that do not exist: T is a table,
-# S a size model; O the output, and a run that does not name it takes the
-# verb's _VERB_FLAGS (or --output alone)
+# runs refused for their flags alone (an mc --cell beyond int64 among them), on
+# paths that do not exist: T is a table, S a size model; O the output, and a run
+# that does not name it takes the verb's _VERB_FLAGS (or --output alone)
 _REFUSED_BEFORE_READ = {
     "mc-local": (["mc", "--estimator", "local", "--cell", "3,1", "--table", "T"],
                  "--table is not read by estimator 'local'"),
@@ -1063,6 +1063,10 @@ _REFUSED_BEFORE_READ = {
                     "--table", "T"], "--ks must be a comma-separated list of integers"),
     "risk-alpha": (["risk", "--measure", "shrinkage", "--alpha", "1,x", "--table", "T"],
                    "--alpha must be a comma-separated list of numbers"),
+    "mc-local-count-beyond-int64": (["mc", "--estimator", "local", "--cell", f"{2**63},1"],
+                                    "cell has a count that does not fit int64"),
+    "mc-local-size-beyond-int64": (["mc", "--estimator", "local", "--cell", f"{2**62},{2**62}"],
+                                   "cell has a size that does not fit int64"),
     "invert-gaussian-no-delta": (
         ["invert", "--measure", "expected", "--mechanism", "gaussian_pdp", "--target-risk", "0.3",
          "--table", "T", "--output", "O"], "mechanism 'gaussian_pdp' requires --delta"),

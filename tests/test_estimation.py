@@ -123,17 +123,6 @@ def test_fit_size_sample_validation():
         fit_poisson([0, 3])
 
 
-@pytest.mark.parametrize("fit", [fit_poisson, fit_negbin])
-@pytest.mark.parametrize(
-    "sizes", [[1.5, 2.5], [2.0, 3.0], [True, 2, 3], np.array([True, True])],
-    ids=["fraction", "float", "bool_in_list", "bool_array"],
-)
-def test_fit_refuses_sizes_that_are_not_integers(fit, sizes):
-    """Sizes are refused, not averaged as floats or read as 1."""
-    with pytest.raises(ValueError, match="^cell sizes must be integers, got "):
-        fit(sizes)
-
-
 def test_fit_negbin_moments():
     rng = np.random.default_rng(3)
     sizes = rng.negative_binomial(4, 0.35, size=5000) + 1

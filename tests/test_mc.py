@@ -537,7 +537,6 @@ def test_estimators_reject_bad_reps(reps):
             lambda: mc_global_variant(CellSizeModel(family="poisson", lam=2.0), LAP1, 2.9, 100, 1),
             "n_categories must be an integer >= 2",
         ),
-        (lambda: mc_local([1.5, 0.7], LAP1, 100, seed=1), "counts must be integers"),
         (lambda: mc_shrinkage(3, (np.inf, 1.0), LAP1, 100, seed=1), "finite and positive"),
         (
             lambda: mc_global((1.0, np.nan), CellSizeModel("poisson", 2.0), LAP1, 100, 1),
@@ -551,7 +550,6 @@ def test_estimators_reject_bad_reps(reps):
         "expected_bool_n",
         "shrinkage_float_n",
         "variant_float_k",
-        "local_float_counts",
         "shrinkage_infinite_alpha",
         "global_nan_alpha",
         "zero_threads",

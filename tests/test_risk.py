@@ -161,17 +161,6 @@ def test_local_risk_validation():
         local_risk([3, -1], LAP1)
 
 
-@pytest.mark.parametrize(
-    "counts",
-    [[2.7, 0.3], [2.0, 0.0], np.array([True, False]), [True, 2]],
-    ids=["fraction", "float", "bool", "bool_in_list"],
-)
-def test_local_risk_rejects_non_integer_counts(counts):
-    """Counts are refused, not truncated, by the same rule as mc_local's."""
-    with pytest.raises(ValueError, match="counts must be integers"):
-        local_risk(counts, LAP1)
-
-
 # noise scales at which the oracle's erf form of the Gaussian tail keeps a
 # relative accuracy of 1e-12 (see local_risk_direct)
 ORACLE_PARAMS = [

@@ -14,6 +14,10 @@ from conftest import cells_of, make_table, write_table
 from hadr import (
     FrequencyTable,
     cross_tabulate,
+    fit_negbin,
+    fit_poisson,
+    local_risk,
+    mc_local,
     read_table,
     tabulate_csv,
 )
@@ -646,6 +650,45 @@ def test_constructor_rejects(fields, message):
         noisy = np.ones((len(args["keys"]), 2))
         with pytest.raises(ValueError, match=message):
             SanitizedTable(**args, noisy=noisy, params=PrivacyParams("laplace", 1.0), seed=3)
+
+
+# (counts, message) of one cell in table form, named as the table's cell ('a',):
+# the COUNT_FAULTS rows of one two-category cell, an empty cell, and the inputs
+# once refused by the one-cell and size-sample checks under their own wording
+CELL_FAULTS = [
+    (counts, message) for keys, counts, message in COUNT_FAULTS
+    if len(keys) == 1 and np.shape(counts) == (1, 2)
+] + [
+    ([(0, 0)], r"^cell \('a',\) is empty$"),
+    ([[2.7, 0.3]], NOT_COUNT + ", got 2.7$"),
+    ([[2.0, 0.0]], NOT_COUNT + ", got 2.0$"),
+    ([[1.5, 0.7]], NOT_COUNT + ", got 1.5$"),
+    ([[1.5, 2.5]], NOT_COUNT + ", got 1.5$"),
+    ([[2.0, 3.0]], NOT_COUNT + ", got 2.0$"),
+    ([[True, 2, 3]], NOT_COUNT + ", got True$"),
+    (np.array([[True, False]]), NOT_COUNT),
+]
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    CELL_FAULTS,
+    ids=[repr(c) if isinstance(c, list) else f"{c.dtype}{c.tolist()}" for c, _ in CELL_FAULTS],
+)
+def test_every_entry_point_refuses_a_faulty_cell(counts, message):
+    """Tables, single cells and size samples share one rule for a cell's counts:
+    the table names the cell by its key, local_risk and mc_local as "cell", and
+    the size fits, which read each size as a one-category cell, by position.
+    Each fault but a size beyond int64 is one a size sample can have too."""
+    cell, lap1 = counts[0], PrivacyParams("laplace", 1.0)
+    with pytest.raises(ValueError, match=message):
+        FrequencyTable(("g",), "y", ("u", "v", "w")[: len(cell)], [("a",)], counts)
+    for call in (lambda: local_risk(cell, lap1), lambda: mc_local(cell, lap1, 10, seed=1)):
+        with pytest.raises(ValueError, match=message.replace(r"cell \('a',\)", "cell")):
+            call()
+    for fit in () if "size" in message else (fit_poisson, fit_negbin):
+        with pytest.raises(ValueError, match=message.replace(r"cell \('a',\)", "cell 0")):
+            fit(cell)
 
 
 def test_largest_int64_size_accepted():

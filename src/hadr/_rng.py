@@ -97,8 +97,10 @@ def check_cells(rows, k: int, name=lambda i: "cell") -> np.ndarray:
                 if c > INT64_MAX:
                     raise ValueError(f"{name(i)} has a count that does not fit int64")
     arr = arr.astype(np.int64, copy=False)
-    if (arr < 0).any():
-        raise ValueError("cell counts must be non-negative integers")
+    negative = arr < 0
+    if negative.any():
+        i, c = divmod(int(np.argmax(negative)), k)
+        raise ValueError(f"{name(i)} counts must be non-negative integers, got {arr[i, c]}")
     # partial sums of non-negative entries wrap to a negative value first
     sums = np.cumsum(arr, axis=1)
     wrapped = (sums < 0).any(axis=1)

@@ -8,8 +8,10 @@ marginals), estimate (hyperparameters), mc (simulation oracles), invert
 Every file-producing run leaves a ``<output>.manifest.json`` next to its
 output, recording the verb, all input arguments, the seed, and library
 versions; with the seed pinned, output bytes are reproducible from the
-manifest alone. Exit codes: 0 success, 1 domain error (message names the
-violated precondition), 2 usage error.
+manifest alone. The manifest is the one place a seed is kept: a seeded verb
+run without --seed draws one and prints nothing of it. Exit codes: 0
+success, 1 domain error (message names the violated precondition), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -127,14 +129,6 @@ def _parse_list(text: str, what: str, kind=float) -> tuple:
         raise ValueError(f"{what} must be a comma-separated list of {noun}") from None
 
 
-def _seed_for(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = int.from_bytes(os.urandom(8), "big")
-    print(f"seed: {seed}", file=sys.stderr)
-    return seed
-
-
 # The inputs each measure (risk, invert), mc estimator and estimate --what value
 # reads, named as messages name them; a run requires all but the _DEFAULTED ones.
 _READS = {
@@ -166,16 +160,14 @@ _DEFAULTED = ("--mode", "--family", "--zero-truncated")
 _EITHER = (("--alpha", "--estimate-alpha"), ("--size-model", "--fit-sizes"),
            ("--delta", "--delta-grid"))
 _FITS = ("--estimate-alpha", "--fit-sizes")
-# The comma-separated list flags and the type of their entries, parsed once here
-# too, so that a bad list is refused before a seeded verb prints its seed.
-_LISTS = {"--alpha": float, "--cell": int, "--p": float, "--ks": int}
 
 
 def _check_reads(args: argparse.Namespace) -> None:
-    """Refuse a run for its flags alone, before any file is read or seed drawn: in its
-    row, a flag the row does not read (a row reads --table if it lists it or an input
-    in _SUPPLIES, which the table can fill), an _EITHER pair, a fit without --table,
-    a missing input; then the fit family, the mechanism's delta and the lists."""
+    """Refuse a run for its flags alone, before any file is read: in its row, a flag
+    the row does not read (a row reads --table if it lists it or an input in
+    _SUPPLIES, which the table can fill), an _EITHER pair, a fit without --table, a
+    missing input; then the fit family and the mechanism's delta. The verbs parse
+    their list flags themselves, before they read a file."""
     given = {"--" + key.replace("_", "-") for key, value in vars(args).items()
              if value is not None and value is not False}
     flags = set().union(*_READS.values(), *_SUPPLIES.values())
@@ -206,9 +198,6 @@ def _check_reads(args: argparse.Namespace) -> None:
     if mechanism not in (None, "laplace") and not deltas:
         grid = " or --delta-grid" if hasattr(args, "delta_grid") else ""
         raise ValueError(f"mechanism {mechanism!r} requires --delta{grid}")
-    for flag, entry in _LISTS.items():
-        if flag in given:
-            _parse_list(getattr(args, flag[2:]), flag, entry)
 
 
 def _measure_inputs(args: argparse.Namespace) -> dict:
@@ -435,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for verb in _SEEDED:
         p = sub.choices[verb]
-        p.add_argument("--seed", type=int, help="generated and printed when omitted")
+        p.add_argument("--seed", type=int, help="generated when omitted; kept in the manifest")
         if verb != "sanitize":
             p.add_argument("--threads", type=int, default=1)
     for verb, p in sub.choices.items():
@@ -458,7 +447,7 @@ def main(argv=None) -> int:
         seed = None
         if args.verb in _SEEDED:
             params = PrivacyParams(args.mechanism, args.epsilon, args.delta)
-            seed = _seed_for(args)
+            seed = int.from_bytes(os.urandom(8), "big") if args.seed is None else args.seed
             text, summary = args.func(args, params, seed)
         else:
             text, summary = args.func(args)

@@ -39,7 +39,7 @@ from reprlib import repr as _brief  # bounded: echoed input values may be huge
 import numpy as np
 
 from . import _rng
-from .tabulation import FrequencyTable, check_schema, read_cells, read_number
+from .tabulation import FrequencyTable, check_schema, read_cells, read_number, write_cells
 
 MECHANISMS = ("laplace", "gaussian_adp", "gaussian_pdp")
 PRESENCE_THRESHOLD = 0.5
@@ -135,9 +135,9 @@ class SanitizedTable:
     The names, categories and cell keys obey ``check_schema``, as a
     table's do, and are stored as tuples; ``noisy`` holds the finite float
     noisy counts, row-aligned with ``keys``; ``params`` is the
-    ``PrivacyParams`` the noise was drawn with; the seed is an integer in
-    [0, 2**64), stored as a plain int. Releases compare by content and,
-    like tables, are not hashable.
+    ``PrivacyParams`` the noise was drawn with. A release holds no seed:
+    the seed and the release together give the noise away, and so every
+    count. Releases compare by content and, like tables, are not hashable.
     """
 
     qid_names: tuple[str, ...]
@@ -146,7 +146,6 @@ class SanitizedTable:
     keys: tuple[tuple[str, ...], ...]
     noisy: np.ndarray
     params: PrivacyParams
-    seed: int
 
     def __post_init__(self):
         qid_names, categories, keys, _ = check_schema(
@@ -157,15 +156,14 @@ class SanitizedTable:
             raise ValueError("noisy counts shape does not match keys x categories")
         if not np.isfinite(noisy).all():
             raise ValueError("noisy counts must be finite")
-        checked = dict(qid_names=qid_names, categories=categories, keys=keys, noisy=noisy,
-                       seed=_rng.check_seed(self.seed))
+        checked = dict(qid_names=qid_names, categories=categories, keys=keys, noisy=noisy)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, SanitizedTable):
             return NotImplemented
-        head = ("qid_names", "sensitive_name", "categories", "keys", "params", "seed")
+        head = ("qid_names", "sensitive_name", "categories", "keys", "params")
         same = all(getattr(self, name) == getattr(other, name) for name in head)
         return same and np.array_equal(self.noisy, other.noisy)
 
@@ -178,7 +176,7 @@ def sanitize(table: FrequencyTable, params: PrivacyParams, seed: int) -> Sanitiz
     """
     noisy = table.counts + mechanism_noise(params, seed, 0, table.counts.shape)
     schema = (table.qid_names, table.sensitive_name, table.categories, table.keys())
-    return SanitizedTable(*schema, noisy, params, seed)
+    return SanitizedTable(*schema, noisy, params)
 
 
 def postprocess_counts(noisy: np.ndarray) -> np.ndarray:
@@ -187,28 +185,19 @@ def postprocess_counts(noisy: np.ndarray) -> np.ndarray:
 
 
 def sanitized_to_json(sanitized: SanitizedTable) -> str:
-    """Canonical JSON with noisy counts at 17 significant digits; 'sensitivity'
-    is written only when it is not the default 1."""
+    """Canonical JSON as ``write_cells`` writes it: the mechanism, epsilon and delta,
+    'sensitivity' only when it is not the default 1, and the noisy counts at 17
+    significant digits. It holds no seed, which stays with whoever drew the noise."""
     params = sanitized.params
-    parts = [
-        '{"qid_names":%s' % json.dumps(list(sanitized.qid_names), separators=(",", ":")),
-        '"sensitive_name":%s' % json.dumps(sanitized.sensitive_name),
-        '"categories":%s' % json.dumps(list(sanitized.categories), separators=(",", ":")),
+    fields = [
         '"mechanism":%s' % json.dumps(params.mechanism),
         '"epsilon":%.17g' % params.epsilon,
         '"delta":%s' % ("null" if params.delta is None else "%.17g" % params.delta),
-        '"seed":%d' % sanitized.seed,
     ]
     if params.sensitivity != 1.0:
-        parts.append('"sensitivity":%.17g' % params.sensitivity)
-    enc = json.encoder.encode_basestring_ascii
-    row = '{"key":[%s],"noisy_counts":[' + ",".join(["%.17g"] * len(sanitized.categories)) + "]}"
-    cells = ",".join(
-        row % (",".join(map(enc, key)), *vals)
-        for key, vals in zip(sanitized.keys, sanitized.noisy.tolist())
-    )
-    parts.append('"cells":[%s]}' % cells)
-    return ",".join(parts) + "\n"
+        fields.append('"sensitivity":%.17g' % params.sensitivity)
+    schema = (sanitized.qid_names, sanitized.sensitive_name, sanitized.categories, sanitized.keys)
+    return write_cells(schema, fields, "noisy_counts", "%.17g", sanitized.noisy)
 
 
 def sanitized_from_json(text: str) -> SanitizedTable:
@@ -236,7 +225,7 @@ def sanitized_from_json(text: str) -> SanitizedTable:
             read_number(doc["delta"], what, "delta", nullable=True),
             read_number(doc.get("sensitivity", 1.0), what, "sensitivity"),
         )
-        return SanitizedTable(*schema, noisy, params, doc["seed"])
+        return SanitizedTable(*schema, noisy, params)
     except KeyError as exc:
         raise ValueError(f"{what} is missing field {exc}") from None
 

@@ -422,22 +422,31 @@ def tabulate_csv(path, qid_columns, sensitive_column: str, bins=()) -> Frequency
 
 
 def table_to_json(table: FrequencyTable) -> str:
-    """Canonical single-line JSON; cells in lexicographic key order.
+    """Canonical single-line JSON; cells in lexicographic key order, as ``write_cells`` writes."""
+    schema = (table.qid_names, table.sensitive_name, table.categories, table.keys())
+    return write_cells(schema, (), "counts", "%d", table.counts)
 
-    The bytes are those of ``json.dumps(doc, separators=(",", ":"),
-    ensure_ascii=False)``, written with one format string per cell.
+
+def write_cells(schema, fields, field: str, fmt: str, values: np.ndarray) -> str:
+    """Single-line JSON of a table-shaped document, as ``read_cells`` reads it.
+
+    ``schema`` is (qid_names, sensitive_name, categories, keys); ``fields``
+    holds the document's other fields, each a '"name":value' string, written
+    after 'categories'; cell i's ``field`` holds row i of ``values``, each
+    entry written by the %-format ``fmt``. The bytes are those of
+    ``json.dumps(doc, separators=(",", ":"), ensure_ascii=False)``, written
+    with one format string per cell.
     """
+    qid_names, sensitive_name, categories, keys = schema
     enc = json.encoder.encode_basestring
-    row = '{"key":[%s],"counts":[' + ",".join(["%d"] * table.n_categories) + "]}"
+    row = '{"key":[%s],"' + field + '":[' + ",".join([fmt] * len(categories)) + "]}"
     cells = ",".join(
-        row % (",".join(map(enc, key)), *c) for key, c in zip(table.keys(), table.counts.tolist())
+        row % (",".join(map(enc, key)), *vals) for key, vals in zip(keys, values.tolist())
     )
-    return '{"qid_names":[%s],"sensitive_name":%s,"categories":[%s],"cells":[%s]}\n' % (
-        ",".join(map(enc, table.qid_names)),
-        enc(table.sensitive_name),
-        ",".join(map(enc, table.categories)),
-        cells,
+    head = '"qid_names":[%s],"sensitive_name":%s,"categories":[%s]' % (
+        ",".join(map(enc, qid_names)), enc(sensitive_name), ",".join(map(enc, categories))
     )
+    return '{%s,"cells":[%s]}\n' % (",".join([head, *fields]), cells)
 
 
 def read_cells(text: str, what: str, field: str, number_types) -> tuple[dict, tuple, list]:

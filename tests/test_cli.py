@@ -12,8 +12,10 @@ import pytest
 
 from conftest import make_homog_table, make_table, write_table
 import hadr
+from hadr import PrivacyParams, sanitize
 from hadr._rng import usable_cpus
 from hadr.cli import main
+from hadr.mechanisms import sanitized_to_json
 
 CSV = "g,h,age,y\n" + "".join(
     f"r{i % 4},s{i % 2},{18 + (i * 7) % 40},{'u' if i % 3 else 'v'}\n" for i in range(60)
@@ -100,15 +102,22 @@ def test_tabulate_ignores_row_order(data_dir, capsys):
         ("30", ["age:x"], "--bin 'age:x' has a non-numeric width"),
         pytest.param("9" * 200_000, ["age:10"], "field larger than field limit (131072) at line 3",
                      id="field-over-csv-limit"),
+        # the decoder fails on a buffered chunk, so no line is named
+        pytest.param("\udcff", ["age:10"],
+                     "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte",
+                     id="not-utf8"),
     ],
 )
 def test_tabulate_rejects_bad_bin_input(tmp_path, capsys, age, bins, message):
-    (tmp_path / "bad.csv").write_text(f"g,age,y\na,20,u\nb,{age},v\n")
+    """A faulty input file exits 1 with one line naming the fault; a surrogate
+    escape in ``age`` stands for a byte that is not UTF-8."""
+    text = f"g,age,y\na,20,u\nb,{age},v\n"
+    (tmp_path / "bad.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
     argv = ["tabulate", "--input", str(tmp_path / "bad.csv"), "--qids", "g,age"]
     argv += [a for b in bins for a in ("--bin", b)]
     code, _, err = run(capsys, *argv, "--sensitive", "y", "--output", str(tmp_path / "t.json"))
     assert code == 1
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -436,33 +445,53 @@ def test_sanitize_seeded_deterministic(data_dir, capsys):
     assert manifest["seed"] == 42 and manifest["arguments"]["epsilon"] == 1.0
 
 
-def test_sanitize_generates_and_prints_seed(data_dir, capsys):
+# the fields of a release: what it was drawn from and how, and no seed
+RELEASE_FIELDS = {"qid_names", "sensitive_name", "categories", "mechanism", "epsilon", "delta",
+                  "cells"}
+
+
+def test_a_release_holds_no_seed_and_its_manifest_replays_it(data_dir, capsys):
+    """A release holds the noisy counts and how they were drawn, never the seed:
+    with the seed the noise, and so every count, could be drawn again. Built in
+    memory or written by sanitize, it holds RELEASE_FIELDS and, when it is not 1,
+    the sensitivity; sanitize without --seed prints nothing on stderr, and the
+    seed its manifest records reproduces the release bytes."""
+    table = make_table([(3, 1), (0, 7)])
+    for sensitivity, more in ((1.0, set()), (2.0, {"sensitivity"})):
+        release = sanitize(table, PrivacyParams("laplace", 1.0, sensitivity=sensitivity), 3)
+        assert set(json.loads(sanitized_to_json(release))) == RELEASE_FIELDS | more
     table_path, _ = tabulate(data_dir, capsys)
-    code, _, err = run(
-        capsys,
-        "sanitize",
-        "--table", str(table_path),
-        "--mechanism", "laplace",
-        "--epsilon", "1",
-        "--output", str(data_dir / "s3.json"),
-    )
-    assert code == 0
-    m = re.search(r"^seed: (\d+)$", err, re.M)
-    assert m
-    seed = int(m.group(1))
-    assert json.loads((data_dir / "s3.json.manifest.json").read_text())["seed"] == seed
-    # replaying the printed seed reproduces the release bytes
-    code, _, _ = run(
-        capsys,
-        "sanitize",
-        "--table", str(table_path),
-        "--mechanism", "laplace",
-        "--epsilon", "1",
-        "--seed", str(seed),
-        "--output", str(data_dir / "s4.json"),
-    )
-    assert code == 0
-    assert (data_dir / "s3.json").read_bytes() == (data_dir / "s4.json").read_bytes()
+    argv = ["sanitize", "--table", str(table_path), "--mechanism", "gaussian_pdp",
+            "--epsilon", "1", "--delta", "1e-6"]
+    first, again = data_dir / "s3.json", data_dir / "s4.json"
+    assert run(capsys, *argv, "--output", str(first))[::2] == (0, "")
+    assert set(json.loads(first.read_text())) == RELEASE_FIELDS
+    seed = json.loads((data_dir / "s3.json.manifest.json").read_text())["seed"]
+    assert type(seed) is int and 0 <= seed < 2**64
+    assert run(capsys, *argv, "--seed", str(seed), "--output", str(again))[0] == 0
+    assert first.read_bytes() == again.read_bytes()
+
+
+# runs of the other seeded verbs without --seed; T is a table
+_SEEDLESS_RUNS = {
+    "utility": ["utility", "--table", "T", "--mechanism", "laplace", "--epsilon", "1",
+                "--ks", "1", "--reps", "4"],
+    "mc": ["mc", "--estimator", "local", "--cell", "3,1", "--mechanism", "laplace",
+           "--epsilon", "1", "--reps", "100"],
+}
+
+
+@pytest.mark.parametrize("argv", _SEEDLESS_RUNS.values(), ids=_SEEDLESS_RUNS)
+def test_a_drawn_seed_is_kept_in_the_manifest_alone(data_dir, capsys, argv):
+    """utility and mc without --seed print nothing on stderr either, and the seed
+    their manifest records reproduces their output bytes."""
+    table_path, _ = tabulate(data_dir, capsys)
+    argv = [str(table_path) if a == "T" else a for a in argv]
+    first, again = data_dir / "first.out", data_dir / "again.out"
+    assert run(capsys, *argv, "--output", str(first))[::2] == (0, "")
+    seed = json.loads((data_dir / "first.out.manifest.json").read_text())["seed"]
+    assert run(capsys, *argv, "--seed", str(seed), "--output", str(again))[0] == 0
+    assert first.read_bytes() == again.read_bytes()
 
 
 def test_utility_threads_byte_identical(data_dir, capsys, tmp_path):
@@ -1033,6 +1062,8 @@ def test_flags_the_run_never_reads_are_refused(capsys, tmp_path, argv, unread, m
     assert run(capsys, *argv)[0] == 0 and out.exists()
 
 
+# the flags of an mc run given no --seed
+_MC_WITHOUT_SEED = ["--mechanism", "laplace", "--epsilon", "1", "--reps", "10", "--output", "O"]
 # runs refused for their flags alone (an mc --cell beyond int64 among them), on
 # paths that do not exist: T is a table, S a size model; O the output, and a run
 # that does not name it takes the verb's _VERB_FLAGS (or --output alone)
@@ -1067,6 +1098,16 @@ _REFUSED_BEFORE_READ = {
                                     "cell has a count that does not fit int64"),
     "mc-local-size-beyond-int64": (["mc", "--estimator", "local", "--cell", f"{2**62},{2**62}"],
                                    "cell has a size that does not fit int64"),
+    # refusals of the library's checks, made after a seed is drawn
+    "mc-local-negative-unseeded": (
+        ["mc", "--estimator", "local", "--cell", "3,-1", *_MC_WITHOUT_SEED],
+        "cell counts must be non-negative integers, got -1"),
+    "mc-local-beyond-int64-unseeded": (
+        ["mc", "--estimator", "local", "--cell", f"{2**63},1", *_MC_WITHOUT_SEED],
+        "cell has a count that does not fit int64"),
+    "mc-expected-p-unseeded": (
+        ["mc", "--estimator", "expected", "--n", "3", "--p", "0.5,0.6", *_MC_WITHOUT_SEED],
+        "p must be finite, non-negative and sum to 1"),
     "invert-gaussian-no-delta": (
         ["invert", "--measure", "expected", "--mechanism", "gaussian_pdp", "--target-risk", "0.3",
          "--table", "T", "--output", "O"], "mechanism 'gaussian_pdp' requires --delta"),
@@ -1091,9 +1132,9 @@ def test_every_flag_is_read_by_some_entry_or_by_the_whole_verb():
     estimator or --what value reads, or one the whole verb reads; so a flag
     added later is declared where the refusals look, not silently dropped.
     Every flag the declaration names is an option of one of these verbs, and every
-    flag of a conflict pair, a table fit or a list check is an option of some verb,
-    so a renamed flag cannot silently switch a refusal off."""
-    from hadr.cli import _EITHER, _FITS, _LISTS, _READS, _SUPPLIES, build_parser
+    flag of a conflict pair or a table fit is an option of some verb, so a renamed
+    flag cannot silently switch a refusal off."""
+    from hadr.cli import _EITHER, _FITS, _READS, _SUPPLIES, build_parser
 
     declared = {f for f in set().union(*_READS.values(), *_SUPPLIES.values()) if f[:2] == "--"}
     verb_wide = {"--help", "--table", "--measure", "--estimator", "--what", "--mechanism",
@@ -1107,7 +1148,7 @@ def test_every_flag_is_read_by_some_entry_or_by_the_whole_verb():
         options |= flags
     assert declared <= options
     every = {f for p in verbs.values() for action in p._actions for f in action.option_strings}
-    assert set().union(*_EITHER, _FITS, _LISTS) <= every
+    assert set().union(*_EITHER, _FITS) <= every
 
 
 @pytest.mark.parametrize(
@@ -1287,8 +1328,10 @@ def test_table_counts_beyond_int64_exit_1(capsys, tmp_path, counts):
 
 
 @pytest.mark.parametrize(
-    "counts,message", [([0, 0], "is empty"), ([2**63, 0], "does not fit int64")],
-    ids=["empty", "int64"],
+    "counts,message",
+    [([0, 0], "is empty"), ([2**63, 0], "does not fit int64"),
+     ([2, -1], "counts must be non-negative integers, got -1")],
+    ids=["empty", "int64", "negative"],
 )
 def test_a_long_cell_key_is_quoted_briefly(capsys, tmp_path, counts, message):
     """A cell whose key is 100,000 characters long exits 1 with one short line

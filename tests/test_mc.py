@@ -544,6 +544,8 @@ def test_estimators_reject_bad_reps(reps):
         ),
         (lambda: mc_local((0, 4), LAP1, 100, seed=1, threads=0), "threads"),
         (lambda: mc_local((0, 4), LAP1, 100, seed=1, threads=-3), "threads"),
+        (lambda: mc_expected(3, [1.0], LAP1, 100, seed=1), "^p must be a probability vector"),
+        (lambda: mc_expected(3, [[0.5, 0.5]], LAP1, 100, seed=1), "^p must be a probability vector"),
     ],
     ids=[
         "expected_float_n",
@@ -554,6 +556,8 @@ def test_estimators_reject_bad_reps(reps):
         "global_nan_alpha",
         "zero_threads",
         "negative_threads",
+        "expected_one_category_p",
+        "expected_matrix_p",
     ],
 )
 def test_estimators_reject_inputs_they_would_coerce(call, message):

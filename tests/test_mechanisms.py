@@ -60,6 +60,12 @@ def test_gaussian_sigma_adp_domain():
             PrivacyParams("gaussian_adp", 0.5, delta)
 
 
+@pytest.mark.parametrize("epsilon,delta", [(0.0, 1e-5), (-0.1, 1e-5), (0.5, 0.0), (0.5, 1.5)])
+def test_gaussian_sigma_pdp_domain(epsilon, delta):
+    with pytest.raises(ValueError, match=r"^gaussian_pdp requires epsilon > 0 and 0 < delta <= 1$"):
+        PrivacyParams("gaussian_pdp", epsilon, delta)
+
+
 def test_gaussian_sigma_pdp_value():
     sigma = PrivacyParams("gaussian_pdp", 10**1.5, 1e-5).scale
     assert sigma == pytest.approx(SIGMA_PDP_SQRT1000_1E5, rel=1e-11)
@@ -243,6 +249,19 @@ def test_sanitize_deterministic_and_offset():
     assert not np.array_equal(s1.noisy, s3.noisy)
 
 
+@pytest.mark.parametrize(
+    "seed,start,shape,message",
+    [(1.5, 0, 3, "^seed must be an integer$"),
+     (1, -1, 3, "^stream position and count must be non-negative$"),
+     (1, 0, -1, "^stream position and count must be non-negative$")],
+    ids=["float-seed", "negative-start", "negative-count"],
+)
+def test_mechanism_noise_refuses_a_bad_seed_or_position(seed, start, shape, message):
+    """Before any word is drawn; test_sanitize_seed_validation checks the seed's range."""
+    with pytest.raises(ValueError, match=message):
+        mechanism_noise(PrivacyParams("laplace", 1.0), seed, start, shape)
+
+
 def test_sanitize_seed_validation():
     t = make_table([(3, 1)])
     params = PrivacyParams("laplace", 1.0)
@@ -269,14 +288,14 @@ def test_sensitivity_is_recorded_and_round_trips(tmp_path):
     path = tmp_path / "san.json"
     path.write_text(sanitized_to_json(s), encoding="utf-8")
     text = path.read_text()
-    assert '"seed":3,"sensitivity":2,"cells"' in text
+    assert '"delta":null,"sensitivity":2,"cells"' in text
     back = read_sanitized(path)
     np.testing.assert_array_equal(back.noisy, s.noisy)
-    assert (back.seed, back.params) == (3, s.params)
+    assert back.params == s.params
     assert sanitized_to_json(back) == text
     # at the default sensitivity the bytes are those of a release without the field
     default = sanitize(t, PrivacyParams("laplace", 1.0), seed=3)
-    assert '"seed":3,"cells"' in sanitized_to_json(default)
+    assert '"delta":null,"cells"' in sanitized_to_json(default)
 
 
 def test_sanitized_json_round_trip(tmp_path):
@@ -288,9 +307,11 @@ def test_sanitized_json_round_trip(tmp_path):
     back = read_sanitized(path)
     np.testing.assert_array_equal(back.noisy, s.noisy)
     assert back.keys == s.keys
-    assert back.params == s.params and back.seed == s.seed
+    assert back.params == s.params
     # serialization is canonical: re-serializing reproduces the bytes
     assert sanitized_to_json(back) == text
+    # a release written when the format still held the seed reads back without it
+    assert sanitized_from_json(text.replace(',"cells":', ',"seed":9,"cells":')) == back
 
 
 def test_releases_compare_by_content():
@@ -306,7 +327,6 @@ def test_releases_compare_by_content():
         dict(keys=s.keys[::-1]),
         dict(noisy=s.noisy + 1.0),
         dict(params=PrivacyParams("laplace", 2.0)),
-        dict(seed=2),
     ):
         assert s != dataclasses.replace(s, **changed)
     assert s != t
@@ -315,25 +335,30 @@ def test_releases_compare_by_content():
 
 
 def test_sanitized_json_bytes_match_per_cell_dumps():
-    """The row-format writer against the per-cell json.dumps it replaced."""
-    keys = (("a9", 'q"uote'), ("a10", "back\\slash"), ("é✓", "tab\tnew\nline"), ("", "100%"))
-    noisy = np.array([[-0.0, 5e-324], [3.0, -2.5e-7], [1e22, 0.1 + 0.2], [-1.5, 123456789.0]])
+    """The row-format writer against the per-cell json.dumps it replaced; strings are
+    written as a table writes them, without escaping what is not ASCII."""
+    keys = (("a9", 'q"uote'), ("a10", "back\\slash"), ("é✓", "tab\tnew\nline"), ("", "100%"),
+            ("\x7f", "\x00"))
+    noisy = np.array([[-0.0, 5e-324], [3.0, -2.5e-7], [1e22, 0.1 + 0.2], [-1.5, 123456789.0],
+                      [0.5, -0.5]])
     params = PrivacyParams("gaussian_pdp", 0.5, 1e-6)
-    s = SanitizedTable(("q1", "q²"), "ÿ", ("u", "v"), keys, noisy, params, 7)
+    s = SanitizedTable(("q1", "q²"), "ÿ", ("u", "v"), keys, noisy, params)
     cells = ",".join(
         '{"key":%s,"noisy_counts":[%s]}'
-        % (json.dumps(list(k), separators=(",", ":")), ",".join(format(v, ".17g") for v in row))
+        % (json.dumps(list(k), separators=(",", ":"), ensure_ascii=False),
+           ",".join(format(v, ".17g") for v in row))
         for k, row in zip(keys, noisy.tolist())
     )
     want = (
-        '{"qid_names":["q1","q\\u00b2"],"sensitive_name":"\\u00ff","categories":["u","v"],'
-        '"mechanism":"gaussian_pdp","epsilon":0.5,"delta":9.9999999999999995e-07,"seed":7,'
+        '{"qid_names":["q1","q²"],"sensitive_name":"ÿ","categories":["u","v"],'
+        '"mechanism":"gaussian_pdp","epsilon":0.5,"delta":9.9999999999999995e-07,'
         '"cells":[%s]}\n' % cells
     )
     text = sanitized_to_json(s)
-    assert text == want and text.isascii()
+    assert text == want
     assert '"noisy_counts":[-0,4.9406564584124654e-324]' in text
     assert '"noisy_counts":[3,-2.4999999999999999e-07]' in text
+    assert '{"key":["\x7f","\\u0000"]' in text
     np.testing.assert_array_equal(sanitized_from_json(text).noisy, noisy)
 
 
@@ -343,12 +368,20 @@ def test_sanitized_table_rejects_keys_that_are_not_strings(key):
     noisy = np.array([[1.0, 2.0], [0.0, 3.0]])
     params = PrivacyParams("laplace", 1.0)
     with pytest.raises(ValueError, match=r"^cell 0: 'key' must hold one string per QID, got"):
-        SanitizedTable(("q",), "s", ("a", "b"), (key, ("b",)), noisy, params, 3)
+        SanitizedTable(("q",), "s", ("a", "b"), (key, ("b",)), noisy, params)
 
 
 def test_sanitized_json_missing_field():
     with pytest.raises(ValueError):
         sanitized_from_json("{}")
+
+
+@pytest.mark.parametrize("field", ["mechanism", "epsilon", "delta"])
+def test_sanitized_json_names_a_missing_field(field):
+    doc = sanitized_doc()
+    del doc[field]
+    with pytest.raises(ValueError, match=f"^sanitized table JSON is missing field '{field}'$"):
+        sanitized_from_json(json.dumps(doc))
 
 
 def sanitized_doc():
@@ -373,9 +406,6 @@ def test_sanitized_json_accepts_integer_counts():
         (("cells", 1, "noisy_counts"), "2.5", "cell 1: 'noisy_counts'"),
         (("cells", 1, "key"), [3], "cell 1: 'key'"),
         (("cells", 1), "c1", "cell 1 is not an object"),
-        (("seed",), 3.9, "seed"),
-        (("seed",), True, "seed"),
-        (("seed",), "9", "seed"),
         (("epsilon",), "1", "'epsilon'"),
         (("epsilon",), None, "'epsilon'"),
         (("delta",), "0.1", "'delta'"),
@@ -488,18 +518,11 @@ def test_sanitized_release_checked_like_a_table(path, value, match):
 
 @pytest.mark.parametrize(
     "field,value,message",
-    [
-        ("seed", 3.7, "seed must be an integer"),
-        ("seed", True, "seed must be an integer"),
-        ("seed", -5, r"seed must be in \[0, 2\*\*64\)"),
-        ("seed", 2**64, r"seed must be in \[0, 2\*\*64\)"),
-        ("noisy", np.zeros((1, 2)), "noisy counts shape does not match keys x categories"),
-    ],
-    ids=["float-seed", "bool-seed", "negative-seed", "seed-2**64", "noisy-shape"],
+    [("noisy", np.zeros((1, 2)), "noisy counts shape does not match keys x categories")],
+    ids=["noisy-shape"],
 )
 def test_sanitized_table_refuses_at_construction(field, value, message):
     """A release holds only what the reader accepts, so every written file reads back."""
     s = sanitize(make_table([(3, 1), (0, 7)]), PrivacyParams("laplace", 1.0), seed=9)
     with pytest.raises(ValueError, match=f"^{message}$"):
         dataclasses.replace(s, **{field: value})
-    assert type(dataclasses.replace(s, seed=np.uint64(5)).seed) is int

@@ -604,7 +604,7 @@ COUNT_FAULTS = [
     ([("a",)], [(np.True_, 2)], NOT_COUNT),
     ([("a",)], np.array([[True, True]]), NOT_COUNT),
     ([("a",)], np.array([[1.0, 2.0]]), NOT_COUNT),
-    ([("a",)], np.array([[-1, 2]]), r"^cell counts must be non-negative integers$"),
+    ([("a",)], np.array([[-1, 2]]), NOT_COUNT + ", got -1$"),
     ([("b",), ("a",)], [(1, 0), (0, 0)], r"^cell \('a',\) is empty$"),
     ([("a",)], [(2**63, 0)], r"^cell \('a',\) has a count that does not fit int64$"),
     ([("a",)], np.array([[2**63, 0]], dtype=np.uint64), "count that does not fit int64"),
@@ -649,7 +649,7 @@ def test_constructor_rejects(fields, message):
         del args["counts"]
         noisy = np.ones((len(args["keys"]), 2))
         with pytest.raises(ValueError, match=message):
-            SanitizedTable(**args, noisy=noisy, params=PrivacyParams("laplace", 1.0), seed=3)
+            SanitizedTable(**args, noisy=noisy, params=PrivacyParams("laplace", 1.0))
 
 
 # (counts, message) of one cell in table form, named as the table's cell ('a',):
